@@ -21,32 +21,23 @@ from __future__ import annotations
 
 import logging
 import os
+import uuid
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .distributions import RngStream
-from .errors import (
-    CellWiped,
-    CorruptCache,
-    DegenerateWeights,
-    DomainError,
-    MissingCalibration,
-    NotPositiveDefinite,
-    SingularSubset,
-)
-from .manova import (
-    Hypothesis,
-    Model,
-    classical_ssp,
-    hypotheses_for,
-    layout_from_cells,
-    robust_weights,
-    weighted_ssp,
-    wilks_lambda,
+from .errors import CorruptCache, DomainError, MissingCalibration
+from .manova import Hypothesis, Model, hypotheses_for
+# Unused here since simulation.replicate runs the loop; perfbench/tracer.py wraps these names.
+from .manova import (  # noqa: F401
+    classical_ssp, layout_from_cells, robust_weights, weighted_ssp, wilks_lambda,
 )
 from .mcd import McdConfig
+from .simulation import Design, experiment_pairs, gen_null, replicate
 
 __all__ = [
     "CACHE_ENV_VAR",
@@ -55,11 +46,10 @@ __all__ = [
     "CalibrationEntry",
     "CalibrationKey",
     "CalibrationSource",
-    "cache_get",
     "cache_path_from_env",
-    "cache_put",
     "calibrate",
     "calibrate_design",
+    "merge_cache",
     "null_statistic_samples",
     "read_cache",
     "write_cache",
@@ -73,10 +63,6 @@ CACHE_HEADER = "mcdmanova calibration cache v1"
 # Below this many trials the variance estimate carries too few degrees
 # of freedom for a trustworthy tail fit.
 LOW_PRECISION_TRIALS = 100
-
-# A replication is redrawn when the estimation pipeline degenerates on
-# the simulated data (for example, too many coincident points).
-_DEGENERATE = (SingularSubset, DegenerateWeights, CellWiped, NotPositiveDefinite)
 
 _INVARIANT_TOL = 1e-9
 
@@ -153,12 +139,6 @@ class CalibrationEntry:
         return self.key.m_prime < LOW_PRECISION_TRIALS
 
 
-def _all_pairs() -> tuple[tuple[Model, Hypothesis], ...]:
-    return tuple(
-        (model, hyp) for model in Model for hyp in hypotheses_for(model)
-    )
-
-
 def null_statistic_samples(
     p: int,
     r: int,
@@ -188,49 +168,18 @@ def null_statistic_samples(
     """
     if method not in ("mcd", "cla"):
         raise DomainError(f"unknown calibration method {method!r}")
-    config = mcd_config if mcd_config is not None else McdConfig()
-    root = RngStream(seed)
-    pairs = _all_pairs()
-    samples = {pair: np.empty(m_prime) for pair in pairs}
-
-    done = 0
-    attempt = 0
-    redraws = 0
-    max_attempts = 10 * m_prime + 1000
-    last_error: Exception | None = None
-    while done < m_prime:
-        if attempt >= max_attempts:
-            assert last_error is not None
-            raise last_error
-        stream = root.substream(attempt)
-        attempt += 1
-        cells = stream.substream(0).generator().standard_normal((r, c, n, p))
-        layout = layout_from_cells(cells)
-        try:
-            if method == "mcd":
-                weights = robust_weights(layout, config, stream.substream(1))
-                decomp = weighted_ssp(layout, weights)
-            else:
-                decomp = classical_ssp(layout)
-            values = {
-                pair: -np.log(wilks_lambda(decomp, pair[1], pair[0]))
-                for pair in pairs
-            }
-        except _DEGENERATE as exc:
-            redraws += 1
-            last_error = exc
-            continue
-        for pair in pairs:
-            samples[pair][done] = values[pair]
-        done += 1
-
+    pairs = experiment_pairs("size")
+    lambdas, redraws, attempts = replicate(
+        partial(gen_null, Design(r, c, n, p)), RngStream(seed),
+        (method,), pairs, m_prime, mcd_config,
+    )
     if redraws:
         logger.warning(
             "calibration p=%d r=%d c=%d n=%d seed=%d: redrew %d degenerate "
             "replication(s) out of %d attempts",
-            p, r, c, n, seed, redraws, attempt,
+            p, r, c, n, seed, redraws, attempts,
         )
-    return samples
+    return {pair: -np.log(lambdas[method, pair]) for pair in pairs}
 
 
 def _entry_from_samples(key: CalibrationKey, values: np.ndarray) -> CalibrationEntry:
@@ -342,23 +291,23 @@ def write_cache(
     lines.extend(
         _format_entry(entries[key]) for key in sorted(entries, key=sort_key)
     )
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text("\n".join(lines) + "\n", encoding="ascii")
-    os.replace(tmp, path)
+    # A temporary file of its own per write, so concurrent writers never
+    # move each other's half-written files into place.
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        with tmp.open("x", encoding="ascii") as handle:
+            handle.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
-def cache_get(
-    key: CalibrationKey, path: str | Path
-) -> CalibrationEntry | None:
-    """Exact-match lookup; None when the key is absent."""
-    return read_cache(path).get(key)
-
-
-def cache_put(entry: CalibrationEntry, path: str | Path) -> None:
-    """Insert or overwrite one entry, creating the file when needed."""
-    entries = read_cache(path)
-    entries[entry.key] = entry
-    write_cache(path, entries)
+def merge_cache(path: str | Path, entries: Iterable[CalibrationEntry]) -> None:
+    """Insert or overwrite entries, creating the file when needed."""
+    stored = read_cache(path)
+    stored.update((entry.key, entry) for entry in entries)
+    write_cache(path, stored)
 
 
 def cache_path_from_env() -> Path | None:
@@ -443,7 +392,5 @@ class CalibrationSource:
         for entry in fresh:
             self._entries[entry.key] = entry
         if self.cache_file is not None:
-            stored = read_cache(self.cache_file)
-            stored.update({entry.key: entry for entry in fresh})
-            write_cache(self.cache_file, stored)
+            merge_cache(self.cache_file, fresh)
         return self.entry_for(p, r, c, n, model, hypothesis)

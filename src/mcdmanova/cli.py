@@ -35,8 +35,7 @@ from .calibration import (
     CalibrationSource,
     cache_path_from_env,
     calibrate_design,
-    read_cache,
-    write_cache,
+    merge_cache,
 )
 from .compositions import ilr
 from .distributions import RngStream
@@ -50,6 +49,7 @@ from .errors import (
     NonNumeric,
 )
 from .manova import (
+    METHODS,
     Hypothesis,
     Model,
     TwoWayLayout,
@@ -61,8 +61,6 @@ from .mcd import McdConfig
 from .simulation import format_report_table, read_experiment_file
 
 __all__ = ["RunConfig", "parse_table", "build_parser", "dispatch", "main"]
-
-METHODS = ("cla", "rnk", "mcd")
 
 # Candidate field separators, in tie-breaking order.
 _DELIMITERS = (",", ";", "\t")
@@ -309,9 +307,7 @@ def cmd_calibrate(config: RunConfig) -> str:
     entries = calibrate_design(
         p, r, c, n, config.m_prime, seed, _mcd_config(config)
     )
-    stored = read_cache(cache)
-    stored.update({entry.key: entry for entry in entries})
-    write_cache(cache, stored)
+    merge_cache(cache, entries)
     lines = [
         f"calibrated r={r} c={c} n={n} p={p} with {config.m_prime} trials "
         f"(seed {seed}); {len(entries)} entries written to {cache}"

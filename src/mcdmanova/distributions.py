@@ -28,8 +28,6 @@ __all__ = [
     "chi2_quantile",
     "CholeskyFactor",
     "cholesky",
-    "log_det_psd",
-    "sample_mvn",
 ]
 
 _LN_SQRT_2PI = 0.9189385332046727417803297364056176
@@ -303,40 +301,3 @@ def cholesky(mat: np.ndarray) -> CholeskyFactor:
                 mat[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]
             ) / lower[j, j]
     return CholeskyFactor(lower=lower)
-
-
-def log_det_psd(mat: np.ndarray) -> float:
-    """Log determinant of a symmetric positive-definite matrix."""
-    return cholesky(mat).log_det
-
-
-def sample_mvn(
-    mean: np.ndarray,
-    factor: CholeskyFactor,
-    rng: RngStream,
-    count: int,
-) -> np.ndarray:
-    """Draw ``count`` rows from a multivariate normal distribution.
-
-    The covariance is supplied through its Cholesky factor so the same
-    standard-normal draws are mapped linearly; draws are a pure function
-    of ``rng``, so calling twice with the same stream reproduces the
-    sample bit for bit.
-
-    Returns
-    -------
-    numpy.ndarray
-        Array of shape ``(count, p)``.
-    """
-    mean = np.asarray(mean, dtype=np.float64)
-    if mean.ndim != 1:
-        raise DimensionError(f"mean must be a vector, got shape {mean.shape}")
-    p = mean.shape[0]
-    if factor.lower.shape != (p, p):
-        raise DimensionError(
-            f"factor shape {factor.lower.shape} does not match mean length {p}"
-        )
-    if count < 0:
-        raise DomainError(f"count must be non-negative, got {count}")
-    z = rng.generator().standard_normal((count, p))
-    return mean + z @ factor.lower.T

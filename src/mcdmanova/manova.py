@@ -415,6 +415,28 @@ def robust_weights(
     return weights
 
 
+def method_ssp(
+    layout: TwoWayLayout,
+    method: str,
+    config: McdConfig | None = None,
+    rng: RngStream | None = None,
+) -> SspDecomposition:
+    """SSP decomposition of ``layout`` under one of the ``METHODS``.
+
+    "cla" uses unit weights, "rnk" unit weights on the rank-transformed
+    layout, and "mcd" the robust weights (with ``config`` and ``rng``).
+    This is the single place the three pipelines are told apart, so a
+    calibrated null and the test it serves always share one pipeline.
+    """
+    if method == "cla":
+        return classical_ssp(layout)
+    if method == "rnk":
+        return classical_ssp(rank_transform(layout))
+    if method == "mcd":
+        return weighted_ssp(layout, robust_weights(layout, config, rng))
+    raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
+
+
 def _logdet(matrix: np.ndarray) -> float:
     return cholesky(matrix).log_det
 
@@ -585,37 +607,24 @@ def run_manova(
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
+    if method == "mcd" and calibration_source is None:
+        raise MissingCalibration(
+            "method 'mcd' needs a calibration source for its p-values"
+        )
+    decomp = method_ssp(layout, method, config, rng)
     reports = []
-    if method == "mcd":
-        if calibration_source is None:
-            raise MissingCalibration(
-                "method 'mcd' needs a calibration source for its p-values"
-            )
-        weights = robust_weights(layout, config, rng)
-        decomp = weighted_ssp(layout, weights)
-        for hypothesis in hypotheses_for(model):
+    for hypothesis in hypotheses_for(model):
+        if method == "mcd":
             entry = calibration_source.entry_for(
                 layout.p, layout.r, layout.c, layout.n, model, hypothesis
             )
-            lam = wilks_lambda(decomp, hypothesis, model)
-            reports.append(
-                WilksTestReport(
-                    method, hypothesis, model, lam,
-                    CalibratedApprox(float(entry.delta), float(entry.q)),
-                    calibrated_pvalue(lam, entry),
-                )
-            )
-        return reports
-    data = layout if method == "cla" else rank_transform(layout)
-    decomp = classical_ssp(data)
-    for hypothesis in hypotheses_for(model):
-        nu1, nu2 = bartlett_dfs(layout, model, hypothesis)
+            approx = CalibratedApprox(float(entry.delta), float(entry.q))
+        else:
+            approx = BartlettApprox(layout.p, *bartlett_dfs(layout, model, hypothesis))
         lam = wilks_lambda(decomp, hypothesis, model)
+        p_value = (calibrated_pvalue(lam, approx) if method == "mcd"
+                   else bartlett_pvalue(lam, approx.p, approx.nu1, approx.nu2))
         reports.append(
-            WilksTestReport(
-                method, hypothesis, model, lam,
-                BartlettApprox(layout.p, nu1, nu2),
-                bartlett_pvalue(lam, layout.p, nu1, nu2),
-            )
+            WilksTestReport(method, hypothesis, model, lam, approx, p_value)
         )
     return reports

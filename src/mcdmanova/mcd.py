@@ -49,7 +49,6 @@ __all__ = [
     "consistency_factor",
     "small_sample_factor",
     "robust_distances",
-    "c_step",
     "fast_mcd",
     "fast_mcd_batch",
     "reweight",
@@ -276,31 +275,6 @@ def _validate_data(data: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(data)):
         raise DomainError("data entries must be finite")
     return data
-
-
-def c_step(data: np.ndarray, subset: np.ndarray) -> np.ndarray:
-    """One concentration step from an h-subset.
-
-    Fits mean and covariance on the subset, then returns the indices of
-    the h observations closest in the fitted metric, sorted ascending.
-    Distance ties are broken by smallest index.  The step never
-    increases the covariance log determinant.
-    """
-    data = _validate_data(data)
-    subset = np.asarray(subset, dtype=np.intp)
-    h = subset.shape[0]
-    sub = data[subset]
-    mean = sub.mean(axis=0)
-    centered = sub - mean
-    cov = centered.T @ centered / (h - 1)
-    try:
-        factor = cholesky(cov)
-    except NotPositiveDefinite as exc:
-        raise SingularSubset("subset covariance is rank deficient") from exc
-    z = factor.solve_lower(data - mean)
-    d2 = np.sum(z * z, axis=1)
-    order = np.argsort(d2, kind="stable")[:h]
-    return np.sort(order)
 
 
 class _Workspace:
@@ -722,52 +696,22 @@ def fast_mcd(
 
 
 def reweight(data: np.ndarray, raw: McdEstimate) -> McdEstimate:
-    """One-step reweighted MCD estimate.
+    """One-step reweighted MCD estimate of one dataset.
 
-    Observations whose robust distance from the raw fit stays within the
-    97.5% chi-square cutoff keep weight one; the final location and
-    scatter are their mean and covariance, the latter corrected for the
-    implied trimming and for finite-sample bias.
+    A batch of one for :func:`reweight_batch`, which describes the rule.
     """
     data = _validate_data(data)
-    n, p = data.shape
-    try:
-        distances = robust_distances(data, raw.raw_location, raw.raw_scatter)
-    except NotPositiveDefinite as exc:
-        raise SingularSubset("raw scatter is rank deficient") from exc
-    kept = distances <= _reweight_cutoff(p)
-    m = int(np.count_nonzero(kept))
-    if m <= p:
-        raise SingularSubset(
-            f"only {m} observations kept by reweighting, need more than {p}"
-        )
-    sub = data[kept]
-    location = sub.mean(axis=0)
-    centered = sub - location
-    cov = centered.T @ centered / (m - 1)
-    try:
-        cholesky(cov)
-    except NotPositiveDefinite as exc:
-        raise SingularSubset("weight-one observations are rank deficient") from exc
-    cons = consistency_factor(p, REWEIGHT_QUANTILE)
-    small = small_sample_factor(p, n, raw.alpha, reweighted=True)
-    scatter = cov * (cons * small)
-    return replace(
-        raw,
-        location=location,
-        scatter=scatter,
-        weights=kept.astype(np.int64),
-        consistency_factor=cons,
-        small_sample_factor=small,
-    )
+    return reweight_batch(data[None], [raw])[0]
 
 
 def reweight_batch(datasets: np.ndarray, raws: list[McdEstimate]) -> list[McdEstimate]:
-    """Apply :func:`reweight` to each dataset of a stack.
+    """One-step reweighted MCD estimates for a stack of datasets.
 
-    Vectorizes the distance computations across the stack; the returned
-    estimates agree with per-dataset :func:`reweight` calls up to
-    floating-point summation order.
+    Observations whose robust distance from their dataset's raw fit
+    stays within the 97.5% chi-square cutoff keep weight one; the final
+    location and scatter are their mean and covariance, the latter
+    corrected for the implied trimming and for finite-sample bias.  The
+    distance computations are vectorized across the stack.
     """
     datasets = np.asarray(datasets, dtype=np.float64)
     if datasets.ndim != 3:

@@ -12,7 +12,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -35,14 +37,13 @@ from .manova import (
     bartlett_dfs,
     bartlett_pvalue,
     calibrated_pvalue,
-    classical_ssp,
     hypotheses_for,
     layout_from_cells,
-    rank_transform,
-    robust_weights,
-    weighted_ssp,
+    method_ssp,
     wilks_lambda,
 )
+# Unused here since method_ssp dispatches; perfbench/tracer.py wraps these names.
+from .manova import classical_ssp, rank_transform, robust_weights, weighted_ssp  # noqa: F401
 from .mcd import McdConfig
 
 __all__ = [
@@ -62,6 +63,7 @@ __all__ = [
     "gen_power_with_interactions",
     "pvalue_plot_data",
     "read_experiment_file",
+    "replicate",
     "run_experiment",
     "size_power_curve",
 ]
@@ -73,6 +75,8 @@ EXPERIMENT_KINDS = ("size", "power_inter", "power_additive", "robustness")
 # grid resolution of the EDF emitters
 GRID_POINTS = 201
 
+# A replication is redrawn when the estimation pipeline degenerates on
+# the simulated data (for example, too many coincident points).
 _DEGENERATE = (SingularSubset, DegenerateWeights, CellWiped, NotPositiveDefinite)
 
 
@@ -287,6 +291,56 @@ def _layout_for(
     )
 
 
+def replicate(
+    make_layout: Callable[[RngStream], TwoWayLayout],
+    base: RngStream,
+    methods: tuple[str, ...],
+    pairs: tuple[tuple[Model, Hypothesis], ...],
+    m: int,
+    mcd_config: McdConfig | None = None,
+) -> tuple[dict[tuple[str, tuple[Model, Hypothesis]], np.ndarray], int, int]:
+    """Wilks' Lambda of every (method, pair) over ``m`` replications.
+
+    Attempt ``a`` draws its dataset with ``make_layout`` from
+    ``base.substream(a, 0)`` and, for the "mcd" method, its robust weights
+    from ``base.substream(a, 1)``; every method sees the identical
+    dataset.  An attempt on which any method's pipeline degenerates is
+    discarded and the next attempt is drawn; after ``10 * m + 1000``
+    attempts the last degeneracy is raised.
+
+    Returns
+    -------
+    lambdas : dict
+        Maps (method, pair) to an ``m``-vector of lambdas, aligned
+        across keys by replication.
+    redraws, attempts : int
+        Discarded attempts and all attempts made.
+    """
+    lambdas = {(method, pair): np.empty(m) for method in methods for pair in pairs}
+    done = attempt = redraws = 0
+    max_attempts = 10 * m + 1000
+    last_error: Exception | None = None
+    while done < m:
+        if attempt >= max_attempts:
+            assert last_error is not None
+            raise last_error
+        stream = base.substream(attempt)
+        attempt += 1
+        layout = make_layout(stream.substream(0))
+        weights_rng = stream.substream(1)
+        try:
+            for method in methods:
+                decomp = method_ssp(layout, method, mcd_config, weights_rng)
+                for pair in pairs:
+                    lambdas[method, pair][done] = wilks_lambda(decomp, pair[1], pair[0])
+        except _DEGENERATE as exc:
+            redraws += 1
+            last_error = exc
+            continue
+        done += 1
+    return lambdas, redraws, attempt
+
+
 def run_experiment(
     kind: str,
     design: Design,
@@ -342,7 +396,6 @@ def run_experiment(
     elif not settings:
         raise DomainError("settings grid is empty")
 
-    config = mcd_config if mcd_config is not None else McdConfig()
     entries = {}
     if "mcd" in methods:
         if calibration_source is None:
@@ -360,56 +413,25 @@ def run_experiment(
     root = RngStream(master_seed)
     reports: list[ExperimentReport] = []
     for si, setting in enumerate(settings):
-        pv = {
-            (method, pair): np.empty(m) for method in methods for pair in pairs
-        }
-        done = 0
-        attempt = 0
-        redraws = 0
-        max_attempts = 10 * m + 1000
-        last_error: Exception | None = None
-        while done < m:
-            if attempt >= max_attempts:
-                assert last_error is not None
-                raise last_error
-            stream = root.substream(si, attempt)
-            attempt += 1
-            layout = _layout_for(
-                kind, design, setting, epsilon, stream.substream(0)
-            )
-            try:
-                for method in methods:
-                    if method == "cla":
-                        decomp = classical_ssp(layout)
-                    elif method == "rnk":
-                        decomp = classical_ssp(rank_transform(layout))
-                    else:
-                        weights = robust_weights(
-                            layout, config, stream.substream(1)
-                        )
-                        decomp = weighted_ssp(layout, weights)
-                    for pair in pairs:
-                        lam = wilks_lambda(decomp, pair[1], pair[0])
-                        if method == "mcd":
-                            p_val = calibrated_pvalue(lam, entries[pair])
-                        else:
-                            nu1, nu2 = dfs[pair]
-                            p_val = bartlett_pvalue(lam, design.p, nu1, nu2)
-                        pv[method, pair][done] = p_val
-            except _DEGENERATE as exc:
-                redraws += 1
-                last_error = exc
-                continue
-            done += 1
+        lambdas, redraws, attempts = replicate(
+            partial(_layout_for, kind, design, setting, epsilon),
+            root.substream(si), methods, pairs, m, mcd_config,
+        )
         if redraws:
             logger.warning(
                 "experiment %s setting %g: redrew %d degenerate "
                 "replication(s) out of %d attempts",
-                kind, setting, redraws, attempt,
+                kind, setting, redraws, attempts,
             )
         for method in methods:
             for pair in pairs:
-                values = pv[method, pair]
+                lams = lambdas[method, pair].tolist()
+                if method == "mcd":
+                    values = [calibrated_pvalue(lam, entries[pair]) for lam in lams]
+                else:
+                    nu1, nu2 = dfs[pair]
+                    values = [bartlett_pvalue(lam, design.p, nu1, nu2) for lam in lams]
+                values = np.array(values)
                 rate = int(np.count_nonzero(values < alpha)) / m
                 reports.append(
                     ExperimentReport(

@@ -1,21 +1,22 @@
 """Tests for null-distribution calibration and its cache."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from mcdmanova import calibration as cal
+from mcdmanova import manova
 from mcdmanova.calibration import (
     CACHE_HEADER,
     CalibrationEntry,
     CalibrationKey,
     CalibrationSource,
-    cache_get,
     cache_path_from_env,
-    cache_put,
     calibrate,
     calibrate_design,
+    merge_cache,
     null_statistic_samples,
     read_cache,
     write_cache,
@@ -113,7 +114,9 @@ class TestCalibrate:
         assert by_key[key_add] == calibrate(key_add, FAST)
 
     def test_degenerate_replication_redrawn(self, monkeypatch, caplog):
-        real = cal.robust_weights
+        # the shared replication loop reaches the robust pipeline through
+        # manova.method_ssp, which looks robust_weights up in manova
+        real = manova.robust_weights
         calls = {"n": 0}
 
         def flaky(layout, config, rng):
@@ -122,7 +125,7 @@ class TestCalibrate:
                 raise SingularSubset("forced degenerate draw")
             return real(layout, config, rng)
 
-        monkeypatch.setattr(cal, "robust_weights", flaky)
+        monkeypatch.setattr(manova, "robust_weights", flaky)
         with caplog.at_level("WARNING", logger="mcdmanova.calibration"):
             e = calibrate(small_key(m_prime=5), FAST)
         assert calls["n"] == 6
@@ -133,7 +136,7 @@ class TestCalibrate:
         def broken(layout, config, rng):
             raise SingularSubset("always degenerate")
 
-        monkeypatch.setattr(cal, "robust_weights", broken)
+        monkeypatch.setattr(manova, "robust_weights", broken)
         with pytest.raises(SingularSubset):
             calibrate(small_key(m_prime=2), FAST)
 
@@ -173,27 +176,27 @@ class TestCache:
         path = tmp_path / "cal.txt"
         e1 = calibrate(small_key(), FAST)
         e2 = synthetic_entry(small_key(m_prime=3000, seed=7))
-        cache_put(e1, path)
-        cache_put(e2, path)
-        assert cache_get(e1.key, path) == e1
-        assert cache_get(e2.key, path) == e2
+        merge_cache(path, [e1])
+        merge_cache(path, [e2])
+        assert read_cache(path).get(e1.key) == e1
+        assert read_cache(path).get(e2.key) == e2
 
     def test_missing_file_is_empty(self, tmp_path):
         assert read_cache(tmp_path / "absent.txt") == {}
-        assert cache_get(small_key(), tmp_path / "absent.txt") is None
+        assert read_cache(tmp_path / "absent.txt").get(small_key()) is None
 
     def test_absent_on_differing_key(self, tmp_path):
         path = tmp_path / "cal.txt"
-        cache_put(synthetic_entry(small_key(m_prime=3000)), path)
+        merge_cache(path, [synthetic_entry(small_key(m_prime=3000))])
         other = CalibrationKey(2, 2, 2, 11, Model.WITH_INTERACTIONS,
                                Hypothesis.INTERACTIONS, 3000, 123)
-        assert cache_get(other, path) is None
+        assert read_cache(path).get(other) is None
 
     def test_put_overwrites_identical_key(self, tmp_path):
         path = tmp_path / "cal.txt"
         key = small_key(m_prime=3000)
-        cache_put(synthetic_entry(key, delta=0.1), path)
-        cache_put(synthetic_entry(key, delta=0.2), path)
+        merge_cache(path, [synthetic_entry(key, delta=0.1)])
+        merge_cache(path, [synthetic_entry(key, delta=0.2)])
         entries = read_cache(path)
         assert len(entries) == 1
         assert entries[key].delta == 0.2
@@ -209,7 +212,7 @@ class TestCache:
 
     def test_truncated_line_names_line_number(self, tmp_path):
         path = tmp_path / "cal.txt"
-        cache_put(synthetic_entry(small_key(m_prime=3000)), path)
+        merge_cache(path, [synthetic_entry(small_key(m_prime=3000))])
         text = path.read_text()
         fields = text.splitlines()[1].split()
         path.write_text(text + " ".join(fields[:7]) + "\n")
@@ -218,7 +221,7 @@ class TestCache:
 
     def test_mangled_field_names_line_number(self, tmp_path):
         path = tmp_path / "cal.txt"
-        cache_put(synthetic_entry(small_key(m_prime=3000)), path)
+        merge_cache(path, [synthetic_entry(small_key(m_prime=3000))])
         text = path.read_text().replace("interactions", "bogus-model")
         path.write_text(text)
         with pytest.raises(CorruptCache, match="line 2"):
@@ -232,6 +235,37 @@ class TestCache:
                  path.read_text().splitlines()[1:]]
         assert seeds == sorted(seeds)
 
+    def test_concurrent_writers_never_tear_the_file(self, tmp_path):
+        # every writer replaces the file through a temporary of its own, so
+        # readers see one complete file or another and writers never lose
+        # their temporary to a neighbour
+        path = tmp_path / "cal.txt"
+        errors = []
+
+        def worker(seed):
+            entry = synthetic_entry(small_key(m_prime=3000, seed=seed))
+            try:
+                for _ in range(150):
+                    write_cache(path, {entry.key: entry})
+                    read_cache(path)
+            except Exception as exc:  # collected for the assertion below
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(read_cache(path)) == 1
+        assert [f.name for f in tmp_path.iterdir()] == ["cal.txt"]
+
     def test_env_var_lookup(self, monkeypatch):
         monkeypatch.delenv("CAL_CACHE", raising=False)
         assert cache_path_from_env() is None
@@ -242,8 +276,8 @@ class TestCache:
         key = small_key(m_prime=3000)
         e = CalibrationEntry(key, 1.25e-7, 4.0, 5e-7, 1.25e-13)
         path = tmp_path / "cal.txt"
-        cache_put(e, path)
-        assert cache_get(key, path) == e
+        merge_cache(path, [e])
+        assert read_cache(path).get(key) == e
 
 
 class TestCalibrationSource:
@@ -283,7 +317,7 @@ class TestCalibrationSource:
     def test_explicit_entries_extend_cache_file(self, tmp_path):
         path = tmp_path / "cal.txt"
         persisted = synthetic_entry(small_key(m_prime=3000, seed=4))
-        cache_put(persisted, path)
+        merge_cache(path, [persisted])
         extra = synthetic_entry(small_key(m_prime=5000, seed=5))
         src = CalibrationSource(entries=[extra], cache_file=path)
         got = src.entry_for(2, 2, 2, 10, Model.WITH_INTERACTIONS,

@@ -23,8 +23,6 @@ from mcdmanova.distributions import (
     chi2_quantile,
     cholesky,
     ln_gamma,
-    log_det_psd,
-    sample_mvn,
 )
 from mcdmanova.errors import DimensionError, DomainError, NotPositiveDefinite
 
@@ -271,58 +269,36 @@ class TestLogDetPsd:
             mat = random_spd(rng, p)
             sign, expected = np.linalg.slogdet(mat)
             assert sign == 1.0
-            assert log_det_psd(mat) == pytest.approx(expected, rel=1e-10, abs=1e-10)
+            assert cholesky(mat).log_det == pytest.approx(expected, rel=1e-10, abs=1e-10)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
-            log_det_psd(np.array([[0.0, 0.0], [0.0, 1.0]]))
+            cholesky(np.array([[0.0, 0.0], [0.0, 1.0]])).log_det
 
 
 class TestSampleMvn:
-    def test_deterministic(self):
-        fac = cholesky(np.eye(3))
-        rng = RngStream(5, 1)
-        a = sample_mvn(np.zeros(3), fac, rng, 10)
-        b = sample_mvn(np.zeros(3), fac, rng, 10)
-        assert np.array_equal(a, b)
+    """Normal draws from a named stream, mapped through a Cholesky factor."""
 
-    def test_linearity_in_factor(self):
-        # Mapping identity-factor draws through L reproduces the
-        # factor-L draws exactly under the same stream.
-        rng = np.random.default_rng(4)
-        mat = random_spd(rng, 3)
-        fac = cholesky(mat)
-        mean = np.array([1.0, -2.0, 0.5])
-        stream = RngStream(17, 3)
-        direct = sample_mvn(mean, fac, stream, 50)
-        white = sample_mvn(np.zeros(3), cholesky(np.eye(3)), stream, 50)
-        mapped = mean + white @ fac.lower.T
-        assert np.max(np.abs(direct - mapped)) <= 1e-12
+    def test_deterministic(self):
+        rng = RngStream(5, 1)
+        a = rng.generator().standard_normal((10, 3))
+        b = rng.generator().standard_normal((10, 3))
+        assert np.array_equal(a, b)
 
     def test_moments(self):
         rng = np.random.default_rng(6)
         mat = random_spd(rng, 2)
         mean = np.array([3.0, -1.0])
-        draws = sample_mvn(mean, cholesky(mat), RngStream(23), 200_000)
+        z = RngStream(23).generator().standard_normal((200_000, 2))
+        draws = mean + z @ cholesky(mat).lower.T
         assert np.allclose(draws.mean(axis=0), mean, atol=0.02)
         assert np.allclose(np.cov(draws.T), mat, atol=0.03)
-
-    def test_shapes_and_validation(self):
-        fac = cholesky(np.eye(2))
-        out = sample_mvn(np.zeros(2), fac, RngStream(0), 0)
-        assert out.shape == (0, 2)
-        with pytest.raises(DimensionError):
-            sample_mvn(np.zeros(3), fac, RngStream(0), 5)
-        with pytest.raises(DimensionError):
-            sample_mvn(np.zeros((2, 2)), fac, RngStream(0), 5)
-        with pytest.raises(DomainError):
-            sample_mvn(np.zeros(2), fac, RngStream(0), -1)
 
     def test_chi2_of_squared_norms(self):
         # Squared norms of standard normal rows are chi-square(p); checks
         # the generator and chi2_cdf against each other end to end.
         p = 4
-        draws = sample_mvn(np.zeros(p), cholesky(np.eye(p)), RngStream(29), 50_000)
+        draws = RngStream(29).generator().standard_normal((50_000, p))
         d2 = np.sum(draws**2, axis=1)
         grid = np.linspace(0.5, 15.0, 8)
         for t in grid:

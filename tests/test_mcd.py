@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from mcdmanova.distributions import RngStream, chi2_quantile
+from mcdmanova.distributions import RngStream, chi2_quantile, cholesky
 from mcdmanova.errors import (
     DimensionError,
     DomainError,
@@ -17,8 +17,8 @@ from mcdmanova.errors import (
 )
 from mcdmanova.mcd import (
     EXHAUSTIVE_LIMIT,
+    REWEIGHT_QUANTILE,
     McdConfig,
-    c_step,
     consistency_factor,
     fast_mcd,
     fast_mcd_batch,
@@ -50,6 +50,65 @@ def brute_force_mcd(data, h):
         if sign > 0 and logdet < best[0]:
             best = (logdet, combo)
     return best
+
+
+def oracle_c_step(data, subset):
+    """One concentration step from an h-subset, one dataset at a time.
+
+    Fits mean and covariance on the subset, then returns the indices of
+    the h observations closest in the fitted metric, sorted ascending.
+    Distance ties are broken by smallest index.  The step never
+    increases the covariance log determinant.
+    """
+    data = np.asarray(data, dtype=np.float64)
+    subset = np.asarray(subset, dtype=np.intp)
+    h = subset.shape[0]
+    sub = data[subset]
+    mean = sub.mean(axis=0)
+    centered = sub - mean
+    cov = centered.T @ centered / (h - 1)
+    try:
+        factor = cholesky(cov)
+    except NotPositiveDefinite as exc:
+        raise SingularSubset("subset covariance is rank deficient") from exc
+    z = factor.solve_lower(data - mean)
+    d2 = np.sum(z * z, axis=1)
+    order = np.argsort(d2, kind="stable")[:h]
+    return np.sort(order)
+
+
+def oracle_reweight(data, raw):
+    """One-step reweighting of one dataset, written out without batching."""
+    data = np.asarray(data, dtype=np.float64)
+    n, p = data.shape
+    try:
+        distances = robust_distances(data, raw.raw_location, raw.raw_scatter)
+    except NotPositiveDefinite as exc:
+        raise SingularSubset("raw scatter is rank deficient") from exc
+    kept = distances <= math.sqrt(chi2_quantile(REWEIGHT_QUANTILE, p))
+    m = int(np.count_nonzero(kept))
+    if m <= p:
+        raise SingularSubset(
+            f"only {m} observations kept by reweighting, need more than {p}"
+        )
+    sub = data[kept]
+    location = sub.mean(axis=0)
+    centered = sub - location
+    cov = centered.T @ centered / (m - 1)
+    try:
+        cholesky(cov)
+    except NotPositiveDefinite as exc:
+        raise SingularSubset("weight-one observations are rank deficient") from exc
+    cons = consistency_factor(p, REWEIGHT_QUANTILE)
+    small = small_sample_factor(p, n, raw.alpha, reweighted=True)
+    return dataclasses.replace(
+        raw,
+        location=location,
+        scatter=cov * (cons * small),
+        weights=kept.astype(np.int64),
+        consistency_factor=cons,
+        small_sample_factor=small,
+    )
 
 
 class TestSubsetSize:
@@ -148,7 +207,7 @@ class TestCStep:
         data = rng.normal(size=(25, 3))
         subset = np.arange(13)
         for _ in range(10):
-            new = c_step(data, subset)
+            new = oracle_c_step(data, subset)
             old_ld = np.linalg.slogdet(np.cov(data[subset], rowvar=False))[1]
             new_ld = np.linalg.slogdet(np.cov(data[new], rowvar=False))[1]
             assert new_ld <= old_ld + 1e-12
@@ -162,7 +221,7 @@ class TestCStep:
         data[:3] += 5.0
         _, combo = brute_force_mcd(data, 6)
         best = np.array(combo)
-        assert np.array_equal(c_step(data, best), best)
+        assert np.array_equal(oracle_c_step(data, best), best)
 
     def test_ties_broken_by_smallest_index(self):
         # two copies of the same point compete for the last slot
@@ -170,14 +229,30 @@ class TestCStep:
             [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1], [0.1, 0.1],
              [3.0, 3.0], [3.0, 3.0], [9.0, 9.0]]
         )
-        new = c_step(data, np.array([0, 1, 2, 3, 5]))
+        new = oracle_c_step(data, np.array([0, 1, 2, 3, 5]))
         # indices 4 and 5 tie exactly; 4 must win
         assert 4 in new and 5 not in new
 
     def test_singular_subset_raises(self):
         data = np.vstack([np.zeros((4, 2)), np.eye(2), [[2.0, 1.0]]])
         with pytest.raises(SingularSubset):
-            c_step(data, np.array([0, 1, 2, 3]))
+            oracle_c_step(data, np.array([0, 1, 2, 3]))
+
+
+    @pytest.mark.parametrize("n", [30, 60, 180])
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_multistart_winner_is_fixed_point(self, n, p):
+        # the production search concentrates in batches on centered data;
+        # its winning subset must still be a fixed point of a plain C-step
+        for seed in range(5):
+            for contaminated in (False, True):
+                data = RngStream(800 + seed).generator().standard_normal((n, p))
+                if contaminated:
+                    data[: n // 5] += 6.0
+                est = fast_mcd(data, rng=RngStream(seed))
+                assert math.comb(n, est.best_subset.shape[0]) > EXHAUSTIVE_LIMIT
+                step = oracle_c_step(data, est.best_subset)
+                assert np.array_equal(step, est.best_subset), (seed, contaminated)
 
 
 class TestExhaustiveSearch:
@@ -306,14 +381,18 @@ class TestReweight:
         assert 0.90 < kept < 0.99
 
     def test_batch_matches_single(self):
-        rng = RngStream(53)
-        data = rng.generator().standard_normal((4, 30, 3))
-        raws = fast_mcd_batch(data, rng=rng.substream(1))
-        rews = reweight_batch(data, raws)
-        for i in range(4):
-            solo = reweight(data[i], raws[i])
-            assert np.array_equal(solo.weights, rews[i].weights)
-            assert np.allclose(solo.scatter, rews[i].scatter, rtol=1e-14)
+        # the batched reweighting against the per-dataset oracle
+        for shape in ((4, 30, 3), (6, 30, 2), (1, 180, 2), (3, 40, 4)):
+            rng = RngStream(53)
+            data = rng.generator().standard_normal(shape)
+            data[:, :3] += 8.0
+            raws = fast_mcd_batch(data, rng=rng.substream(1))
+            rews = reweight_batch(data, raws)
+            for i in range(shape[0]):
+                solo = oracle_reweight(data[i], raws[i])
+                assert np.array_equal(solo.weights, rews[i].weights)
+                assert np.array_equal(solo.location, rews[i].location)
+                assert np.allclose(solo.scatter, rews[i].scatter, rtol=1e-14, atol=0)
 
     def test_raw_fields_preserved(self):
         rng = np.random.default_rng(54)

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from mcdmanova import manova
 from mcdmanova import simulation as sim
-from mcdmanova.calibration import CalibrationSource
+from mcdmanova.calibration import CalibrationSource, calibrate_design
 from mcdmanova.distributions import RngStream, chi2_quantile
 from mcdmanova.errors import (
     DimensionError,
@@ -295,7 +296,11 @@ class TestRunExperiment:
             run_experiment("power_inter", design, (), ("cla",), m=5)
 
     def test_degenerate_replication_redrawn(self, monkeypatch, caplog):
-        real = sim.robust_weights
+        # calibrate before patching, so the forced degeneracy lands in the
+        # experiment's replications; the shared replication loop reaches
+        # the robust pipeline through manova.method_ssp
+        src = CalibrationSource(entries=calibrate_design(2, 2, 2, 10, 50, 1, FAST))
+        real = manova.robust_weights
         calls = {"n": 0}
 
         def flaky(layout, config, rng):
@@ -304,15 +309,16 @@ class TestRunExperiment:
                 raise SingularSubset("forced")
             return real(layout, config, rng)
 
-        monkeypatch.setattr(sim, "robust_weights", flaky)
+        monkeypatch.setattr(manova, "robust_weights", flaky)
         design = Design(2, 2, 10, 2)
-        src = CalibrationSource(mcd_config=FAST, on_the_fly=50, seed=1)
         with caplog.at_level("WARNING", logger="mcdmanova.simulation"):
             reports = run_experiment(
                 "size", design, (), ("mcd",), m=5, mcd_config=FAST,
                 calibration_source=src, master_seed=2,
             )
         assert "redrew 1 degenerate" in caplog.text
+        assert [r.name for r in caplog.records] == ["mcdmanova.simulation"]
+        assert calls["n"] == 6
         assert all(len(r.p_values) == 5 for r in reports)
 
 
