@@ -19,6 +19,7 @@ would invalidate the fitted null distribution.
 
 from __future__ import annotations
 
+import fcntl
 import logging
 import os
 import uuid
@@ -304,10 +305,19 @@ def write_cache(
 
 
 def merge_cache(path: str | Path, entries: Iterable[CalibrationEntry]) -> None:
-    """Insert or overwrite entries, creating the file when needed."""
-    stored = read_cache(path)
-    stored.update((entry.key, entry) for entry in entries)
-    write_cache(path, stored)
+    """Insert or overwrite entries, creating the file when needed.
+
+    The whole read-update-write holds an exclusive ``flock`` on the
+    sidecar file ``<cache>.lock`` (created when missing, never deleted),
+    so concurrent merges from threads or processes all keep their
+    entries.
+    """
+    path = Path(path)
+    with path.with_name(f"{path.name}.lock").open("a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        stored = read_cache(path)
+        stored.update((entry.key, entry) for entry in entries)
+        write_cache(path, stored)
 
 
 def cache_path_from_env() -> Path | None:
@@ -356,9 +366,6 @@ class CalibrationSource:
             self._entries.update(read_cache(self.cache_file))
         for entry in entries:
             self._entries[entry.key] = entry
-
-    def add(self, entry: CalibrationEntry) -> None:
-        self._entries[entry.key] = entry
 
     def entry_for(
         self,

@@ -1,6 +1,8 @@
-"""Command line interface: ingestion, dispatch, and report formatting.
+"""Command line interface: ingestion, subcommands, and report formatting.
 
-Four subcommands cover the workflows:
+Four subcommands cover the workflows; each is a ``cmd_*`` function that
+reads the parsed :class:`argparse.Namespace` directly and returns the
+text to print:
 
 ``test``
     Run the classical, rank, and robust two-way MANOVA tests on a
@@ -25,7 +27,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -60,80 +61,10 @@ from .manova import (
 from .mcd import McdConfig
 from .simulation import format_report_table, read_experiment_file
 
-__all__ = ["RunConfig", "parse_table", "build_parser", "dispatch", "main"]
+__all__ = ["parse_table", "build_parser", "main"]
 
 # Candidate field separators, in tie-breaking order.
 _DELIMITERS = (",", ";", "\t")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved options of one command line invocation.
-
-    Fields irrelevant to a subcommand keep their defaults; the
-    invariants below are only enforced where the fields are used.
-
-    Attributes
-    ----------
-    subcommand : {"test", "calibrate", "simulate", "ilr"}
-    input : Path
-        Data file (test, ilr) or experiment description file (simulate).
-    factors : tuple of str
-        Exactly two factor column names (test, ilr).
-    responses : tuple of str
-        At least one response column name (test, ilr).
-    model : Model
-    methods : tuple of str
-        Requested methods in reporting order, duplicates removed.
-    hypotheses : tuple of Hypothesis or None
-        Restrict the test report to these hypotheses; None means all
-        applicable under the model.
-    alpha : float or None
-        Significance level; None defers to the experiment file.
-    seed : int or None
-        Master seed; None defers to the experiment file.
-    mcd_alpha : float or None
-        Subset fraction of the MCD search; None keeps the default.
-    cache : Path or None
-        Calibration cache file; None falls back to the CAL_CACHE
-        environment variable.
-    out : Path or None
-        Machine-readable output file.
-    apply_ilr : bool
-        Transform responses to ilr coordinates before testing.
-    on_the_fly : int or None
-        Trial count for calibrating unseen designs during the run.
-    design : tuple (r, c, n, p) or None
-        Design to calibrate (calibrate subcommand only).
-    m_prime : int
-        Calibration trial count (calibrate subcommand only).
-    """
-
-    subcommand: str
-    input: Path | None = None
-    factors: tuple[str, ...] = ()
-    responses: tuple[str, ...] = ()
-    model: Model = Model.WITH_INTERACTIONS
-    methods: tuple[str, ...] = METHODS
-    hypotheses: tuple[Hypothesis, ...] | None = None
-    alpha: float | None = None
-    seed: int | None = None
-    mcd_alpha: float | None = None
-    cache: Path | None = None
-    out: Path | None = None
-    apply_ilr: bool = False
-    on_the_fly: int | None = None
-    design: tuple[int, int, int, int] | None = None
-    m_prime: int = 3000
-
-    def __post_init__(self) -> None:
-        if self.subcommand in ("test", "ilr"):
-            if len(self.factors) != 2:
-                raise DomainError(
-                    f"exactly two factor columns required, got {len(self.factors)}"
-                )
-            if not self.responses:
-                raise DomainError("at least one response column required")
 
 
 def _detect_delimiter(header: str) -> str:
@@ -203,14 +134,14 @@ def parse_table(
     return rows
 
 
-def _mcd_config(config: RunConfig) -> McdConfig:
-    if config.mcd_alpha is None:
+def _mcd_config(args: argparse.Namespace) -> McdConfig:
+    if args.mcd_alpha is None:
         return McdConfig()
-    return McdConfig(alpha=config.mcd_alpha)
+    return McdConfig(alpha=args.mcd_alpha)
 
 
-def _cache_path(config: RunConfig) -> Path | None:
-    return config.cache if config.cache is not None else cache_path_from_env()
+def _cache_path(args: argparse.Namespace) -> Path | None:
+    return args.cache if args.cache is not None else cache_path_from_env()
 
 
 def _ilr_layout(layout: TwoWayLayout) -> TwoWayLayout:
@@ -226,7 +157,7 @@ def _ilr_layout(layout: TwoWayLayout) -> TwoWayLayout:
     )
 
 
-def _hypothesis_label(hypothesis: Hypothesis, factors: tuple[str, ...]) -> str:
+def _hypothesis_label(hypothesis: Hypothesis, factors: list[str]) -> str:
     if hypothesis is Hypothesis.ROW_EFFECTS:
         return factors[0]
     if hypothesis is Hypothesis.COL_EFFECTS:
@@ -234,39 +165,44 @@ def _hypothesis_label(hypothesis: Hypothesis, factors: tuple[str, ...]) -> str:
     return f"{factors[0]}:{factors[1]}"
 
 
-def cmd_test(config: RunConfig) -> str:
+def cmd_test(args: argparse.Namespace) -> str:
     """Run the requested tests; return the human table, write --out."""
-    rows = parse_table(config.input, config.factors, config.responses)
+    rows = parse_table(args.input, args.factors, args.responses)
     layout = validate_layout(rows)
-    if config.apply_ilr:
+    if args.ilr:
         layout = _ilr_layout(layout)
-    seed = 0 if config.seed is None else config.seed
-    mcd_config = _mcd_config(config)
+    model = Model(args.model)
+    # repeated flags keep their first position, in reporting order
+    methods = tuple(dict.fromkeys(args.method)) if args.method else METHODS
+    shown = (
+        tuple(Hypothesis(h) for h in dict.fromkeys(args.hypothesis))
+        if args.hypothesis else hypotheses_for(model)
+    )
+    mcd_config = _mcd_config(args)
     source = None
-    if "mcd" in config.methods:
+    if "mcd" in methods:
         source = CalibrationSource(
-            cache_file=_cache_path(config),
+            cache_file=_cache_path(args),
             mcd_config=mcd_config,
-            on_the_fly=config.on_the_fly,
-            seed=seed,
+            on_the_fly=args.calibrate_on_the_fly,
+            seed=args.seed,
         )
     reports: dict[str, dict[Hypothesis, object]] = {}
-    for method in config.methods:
+    for method in methods:
         try:
             result = run_manova(
-                layout, config.model, method, mcd_config, source,
-                RngStream(seed),
+                layout, model, method, mcd_config, source, RngStream(args.seed),
             )
         except MissingCalibration as exc:
             raise MissingCalibration(
                 f"{exc} (pass --calibrate-on-the-fly to simulate it now)"
             ) from None
         reports[method] = {rep.hypothesis: rep for rep in result}
-    if source is not None and "mcd" in config.methods:
+    if source is not None:
         trials = min(
             source.entry_for(layout.p, layout.r, layout.c, layout.n,
-                             config.model, hyp).key.m_prime
-            for hyp in hypotheses_for(config.model)
+                             model, hyp).key.m_prime
+            for hyp in hypotheses_for(model)
         )
         if trials < LOW_PRECISION_TRIALS:
             print(
@@ -274,43 +210,41 @@ def cmd_test(config: RunConfig) -> str:
                 f"mcd p-values are low precision",
                 file=sys.stderr,
             )
-    shown = config.hypotheses or hypotheses_for(config.model)
-    labels = [_hypothesis_label(h, config.factors) for h in shown]
+    labels = [_hypothesis_label(h, args.factors) for h in shown]
     width = max(len(label) for label in labels)
     lines = [
-        " " * width + "".join(f"  {m:>5}" for m in config.methods)
+        " " * width + "".join(f"  {m:>5}" for m in methods)
     ]
     for hypothesis, label in zip(shown, labels):
         cells = "".join(
-            f"  {reports[m][hypothesis].p_value:>5.3f}" for m in config.methods
+            f"  {reports[m][hypothesis].p_value:>5.3f}" for m in methods
         )
         lines.append(label.ljust(width) + cells)
-    if config.out is not None:
+    if args.out is not None:
         machine = ["hypothesis\tmethod\tlambda\tp_value"]
         for hypothesis, label in zip(shown, labels):
-            for method in config.methods:
+            for method in methods:
                 rep = reports[method][hypothesis]
                 machine.append(
                     f"{label}\t{method}\t{rep.lambda_:.17g}\t{rep.p_value:.17g}"
                 )
-        config.out.write_text("\n".join(machine) + "\n", encoding="utf-8")
+        args.out.write_text("\n".join(machine) + "\n", encoding="utf-8")
     return "\n".join(lines) + "\n"
 
 
-def cmd_calibrate(config: RunConfig) -> str:
+def cmd_calibrate(args: argparse.Namespace) -> str:
     """Calibrate one design, merge the entries into the cache file."""
-    cache = _cache_path(config)
+    cache = _cache_path(args)
     if cache is None:
         raise DomainError("no cache file: pass --cache or set CAL_CACHE")
-    r, c, n, p = config.design
-    seed = 0 if config.seed is None else config.seed
+    r, c, n, p = args.design
     entries = calibrate_design(
-        p, r, c, n, config.m_prime, seed, _mcd_config(config)
+        p, r, c, n, args.m_prime, args.seed, _mcd_config(args)
     )
     merge_cache(cache, entries)
     lines = [
-        f"calibrated r={r} c={c} n={n} p={p} with {config.m_prime} trials "
-        f"(seed {seed}); {len(entries)} entries written to {cache}"
+        f"calibrated r={r} c={c} n={n} p={p} with {args.m_prime} trials "
+        f"(seed {args.seed}); {len(entries)} entries written to {cache}"
     ]
     for entry in entries:
         key = entry.key
@@ -321,24 +255,24 @@ def cmd_calibrate(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_simulate(config: RunConfig) -> str:
+def cmd_simulate(args: argparse.Namespace) -> str:
     """Run the experiment described by the input file, write --out."""
-    spec = read_experiment_file(config.input)
-    if config.alpha is not None:
-        spec = dataclasses.replace(spec, alpha=config.alpha)
-    if config.seed is not None:
-        spec = dataclasses.replace(spec, seed=config.seed)
-    mcd_config = _mcd_config(config)
+    spec = read_experiment_file(args.input)
+    if args.alpha is not None:
+        spec = dataclasses.replace(spec, alpha=args.alpha)
+    if args.seed is not None:
+        spec = dataclasses.replace(spec, seed=args.seed)
+    mcd_config = _mcd_config(args)
     source = None
     if "mcd" in spec.methods:
         source = CalibrationSource(
-            cache_file=_cache_path(config),
+            cache_file=_cache_path(args),
             mcd_config=mcd_config,
-            on_the_fly=config.on_the_fly,
+            on_the_fly=args.calibrate_on_the_fly,
             seed=spec.seed,
         )
     reports = spec.run(mcd_config, source)
-    if config.out is not None:
+    if args.out is not None:
         d = spec.design
         machine = [
             "kind\tr\tc\tp\tn\tmethod\tmodel\thypothesis\tsetting"
@@ -352,19 +286,19 @@ def cmd_simulate(config: RunConfig) -> str:
                 f"\t{rep.setting:.17g}\t{rep.alpha:.17g}\t{rep.m}"
                 f"\t{rejections}\t{rep.rejection_rate:.17g}"
             )
-        config.out.write_text("\n".join(machine) + "\n", encoding="utf-8")
+        args.out.write_text("\n".join(machine) + "\n", encoding="utf-8")
     return format_report_table(reports)
 
 
-def cmd_ilr(config: RunConfig) -> str:
+def cmd_ilr(args: argparse.Namespace) -> str:
     """Transform response columns to ilr coordinates, write --out."""
-    rows = parse_table(config.input, config.factors, config.responses)
-    p = len(config.responses)
+    rows = parse_table(args.input, args.factors, args.responses)
+    p = len(args.responses)
     if p < 2:
         raise DimensionError(
             "the ilr transform needs at least two response columns"
         )
-    header = list(config.factors) + [f"ilr{k}" for k in range(1, p)]
+    header = list(args.factors) + [f"ilr{k}" for k in range(1, p)]
     lines = [",".join(header)]
     for row in rows:
         coords = ilr(np.asarray(row[2:], dtype=np.float64))
@@ -372,9 +306,9 @@ def cmd_ilr(config: RunConfig) -> str:
             ",".join(list(row[:2]) + [f"{z:.17g}" for z in coords])
         )
     text = "\n".join(lines) + "\n"
-    if config.out is not None:
-        config.out.write_text(text, encoding="utf-8")
-        return f"wrote {len(rows)} transformed rows to {config.out}\n"
+    if args.out is not None:
+        args.out.write_text(text, encoding="utf-8")
+        return f"wrote {len(rows)} transformed rows to {args.out}\n"
     return text
 
 
@@ -384,16 +318,6 @@ _COMMANDS = {
     "simulate": cmd_simulate,
     "ilr": cmd_ilr,
 }
-
-
-def dispatch(config: RunConfig) -> int:
-    """Execute one subcommand; print its report, return exit status 0.
-
-    Package errors propagate to the caller, which maps them to exit
-    codes; files named by ``--out`` are written before printing.
-    """
-    sys.stdout.write(_COMMANDS[config.subcommand](config))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -488,71 +412,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(
-    args: argparse.Namespace, parser: argparse.ArgumentParser
-) -> RunConfig:
-    common = {"subcommand": args.subcommand, "input": getattr(args, "input", None)}
-    if args.subcommand == "test":
-        model = Model(args.model)
-        methods = tuple(dict.fromkeys(args.method)) if args.method else METHODS
-        hypotheses = None
-        if args.hypothesis:
-            hypotheses = tuple(
-                Hypothesis(h) for h in dict.fromkeys(args.hypothesis)
-            )
-            if (model is Model.ADDITIVE_ONLY
-                    and Hypothesis.INTERACTIONS in hypotheses):
-                parser.error(
-                    "the interaction hypothesis is undefined under the "
-                    "additive model"
-                )
-        return RunConfig(
-            **common,
-            factors=tuple(args.factors),
-            responses=tuple(args.responses),
-            model=model,
-            methods=methods,
-            hypotheses=hypotheses,
-            seed=args.seed,
-            mcd_alpha=args.mcd_alpha,
-            cache=args.cache,
-            out=args.out,
-            apply_ilr=args.ilr,
-            on_the_fly=args.calibrate_on_the_fly,
-        )
-    if args.subcommand == "calibrate":
-        return RunConfig(
-            subcommand="calibrate",
-            design=tuple(args.design),
-            m_prime=args.m_prime,
-            seed=args.seed,
-            mcd_alpha=args.mcd_alpha,
-            cache=args.cache,
-        )
-    if args.subcommand == "simulate":
-        return RunConfig(
-            **common,
-            alpha=args.alpha,
-            seed=args.seed,
-            mcd_alpha=args.mcd_alpha,
-            cache=args.cache,
-            out=args.out,
-            on_the_fly=args.calibrate_on_the_fly,
-        )
-    return RunConfig(
-        **common,
-        factors=tuple(args.factors),
-        responses=tuple(args.responses),
-        out=args.out,
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
-    """Entry point: parse arguments, dispatch, map errors to exit codes."""
+    """Entry point: parse arguments, run the subcommand, print its report.
+
+    Package errors map to their exit codes; files named by ``--out`` are
+    written before printing.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
+    if (args.subcommand == "test" and args.model == Model.ADDITIVE_ONLY.value
+            and Hypothesis.INTERACTIONS.value in (args.hypothesis or ())):
+        parser.error(
+            "the interaction hypothesis is undefined under the additive model"
+        )
     try:
-        return dispatch(_config_from_args(args, parser))
+        # looked up per call, so a wrapper installed in _COMMANDS is used
+        sys.stdout.write(_COMMANDS[args.subcommand](args))
+        return 0
     except McdManovaError as exc:
         print(f"mcdmanova: error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -192,12 +193,14 @@ def chi2_cdf(x: float, df: float) -> float:
     return max(1.0 - _gamma_q_contfrac(a, t), 0.0)
 
 
+@lru_cache(maxsize=1024)
 def chi2_quantile(prob: float, df: float) -> float:
     """Inverse chi-square distribution function.
 
     Solves ``chi2_cdf(x, df) == prob`` by bracketing and bisection; the
     returned point satisfies the equation to within a few units in the
-    last place of ``prob``.
+    last place of ``prob``.  Results are cached, since the pipelines ask
+    for the same few cutoffs on every replication.
 
     Parameters
     ----------
@@ -240,27 +243,6 @@ class CholeskyFactor:
     def log_det(self) -> float:
         """Log determinant of the factored matrix."""
         return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
-
-    def solve_lower(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve ``L z = rhs`` by forward substitution.
-
-        ``rhs`` may be a vector of length p or an array whose last axis
-        has length p; the solve is applied along that axis.
-        """
-        rhs = np.asarray(rhs, dtype=np.float64)
-        lower = self.lower
-        p = lower.shape[0]
-        if rhs.shape[-1] != p:
-            raise DimensionError(
-                f"right-hand side last axis {rhs.shape[-1]} does not match order {p}"
-            )
-        out = np.empty_like(rhs)
-        for j in range(p):
-            acc = rhs[..., j].copy()
-            for k in range(j):
-                acc -= lower[j, k] * out[..., k]
-            out[..., j] = acc / lower[j, j]
-        return out
 
 
 def cholesky(mat: np.ndarray) -> CholeskyFactor:

@@ -63,10 +63,20 @@ REWEIGHT_QUANTILE = 0.975
 
 _CSTEPS_BEFORE_SELECTION = 2
 
+# Cap on concentration steps after selection; runs stop earlier once no
+# kept candidate changes.
+_MAX_CSTEPS = 100
+
 
 @dataclass(frozen=True)
 class McdConfig:
     """Tuning knobs of the fast MCD search.
+
+    The search path is not a knob: a dataset whose ``C(n, h)`` h-subsets
+    number at most ``EXHAUSTIVE_LIMIT`` is enumerated exhaustively, any
+    other is searched by multistart concentration with ``n_starts`` and
+    ``n_keep``.  With ``alpha = 1`` there is a single h-subset, the whole
+    sample, so that fit is always enumerated.
 
     Parameters
     ----------
@@ -78,19 +88,11 @@ class McdConfig:
     n_keep : int
         Number of best candidates iterated to convergence after the
         initial concentration steps.
-    max_csteps : int
-        Cap on concentration steps per kept candidate.
-    exhaustive : bool or None
-        Force (True) or forbid (False) full enumeration of h-subsets;
-        None enumerates automatically when there are at most
-        ``EXHAUSTIVE_LIMIT`` subsets.
     """
 
     alpha: float = 0.5
     n_starts: int = 500
     n_keep: int = 10
-    max_csteps: int = 100
-    exhaustive: bool | None = None
 
     def __post_init__(self) -> None:
         if not 0.5 <= self.alpha <= 1.0:
@@ -99,8 +101,6 @@ class McdConfig:
             raise DomainError("n_starts must be at least 1")
         if not 1 <= self.n_keep <= self.n_starts:
             raise DomainError("n_keep must lie in [1, n_starts]")
-        if self.max_csteps < 1:
-            raise DomainError("max_csteps must be at least 1")
 
 
 @dataclass(eq=False)
@@ -155,7 +155,6 @@ def consistency_factor(p: int, frac: float) -> float:
     return frac / chi2_cdf(chi2_quantile(frac, p), p + 2)
 
 
-@lru_cache(maxsize=256)
 def _reweight_cutoff(p: int) -> float:
     return math.sqrt(chi2_quantile(REWEIGHT_QUANTILE, p))
 
@@ -259,8 +258,24 @@ def robust_distances(
             f"location shape {location.shape} does not match data columns"
         )
     factor = cholesky(scatter)
-    z = factor.solve_lower(data - location)
-    return np.sqrt(np.sum(z * z, axis=1))
+    return np.sqrt(_sq_distances((data - location)[None], factor.lower[None])[0])
+
+
+def _sq_distances(diffs: np.ndarray, lower: np.ndarray) -> np.ndarray:
+    # Squared norms of L^-1 d for every row d of every diffs[i], with
+    # L = lower[i]: one batched forward substitution over a (b, n, p)
+    # stack, squares summed in coordinate order.
+    b, n, p = diffs.shape
+    d2 = np.zeros((b, n))
+    zs: list[np.ndarray] = []
+    for j in range(p):
+        acc = diffs[:, :, j].copy()
+        for k in range(j):
+            acc -= lower[:, j, k][:, None] * zs[k]
+        acc /= lower[:, j, j][:, None]
+        zs.append(acc)
+        d2 += acc * acc
+    return d2
 
 
 def _validate_data(data: np.ndarray) -> np.ndarray:
@@ -540,7 +555,7 @@ def _best_subsets_multistart(
         dead = int(np.flatnonzero(~np.isfinite(kept_logdets).any(axis=1))[0])
         raise SingularSubset(f"every starting subset of dataset {dead} is rank deficient")
 
-    for _ in range(config.max_csteps):
+    for _ in range(_MAX_CSTEPS):
         stepped, _ = _concentrate_round(ws, current)
         stepped = np.sort(stepped, axis=-1)
         if np.array_equal(stepped, current):
@@ -645,23 +660,10 @@ def fast_mcd_batch(
     shift = datasets.mean(axis=1)
     centered = datasets - shift[:, None, :]
 
-    if h == n:
-        winners = []
-        for i in range(b):
-            subset = np.arange(n, dtype=np.intp)
-            _, _, objective = _exact_subset_stats(centered[i], subset)
-            if not np.isfinite(objective):
-                raise SingularSubset(f"full-sample covariance of dataset {i} is rank deficient")
-            winners.append((subset, objective))
+    if math.comb(n, h) <= EXHAUSTIVE_LIMIT:
+        winners = [_best_subset_exhaustive(centered[i], h) for i in range(b)]
     else:
-        if config.exhaustive is None:
-            exhaustive = math.comb(n, h) <= EXHAUSTIVE_LIMIT
-        else:
-            exhaustive = config.exhaustive
-        if exhaustive:
-            winners = [_best_subset_exhaustive(centered[i], h) for i in range(b)]
-        else:
-            winners = _best_subsets_multistart(centered, h, config, rng)
+        winners = _best_subsets_multistart(centered, h, config, rng)
 
     return [
         _assemble_estimate(datasets[i], subset, objective, config)
@@ -726,16 +728,7 @@ def reweight_batch(datasets: np.ndarray, raws: list[McdEstimate]) -> list[McdEst
     cutoff2 = _reweight_cutoff(p) ** 2
     out: list[McdEstimate] = []
     diffs = datasets - np.stack([raw.raw_location for raw in raws])[:, None, :]
-    # batched forward substitution for all datasets at once
-    d2 = np.zeros((b, n))
-    zs: list[np.ndarray] = []
-    for j in range(p):
-        acc = diffs[:, :, j].copy()
-        for k in range(j):
-            acc -= lower[:, j, k][:, None] * zs[k]
-        acc /= lower[:, j, j][:, None]
-        zs.append(acc)
-        d2 += acc * acc
+    d2 = _sq_distances(diffs, lower)
     for i, raw in enumerate(raws):
         if not ok[i]:
             raise SingularSubset(f"raw scatter of dataset {i} is rank deficient")

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mcdmanova import mcd
 from mcdmanova.calibration import CalibrationSource, calibrate_design
 from mcdmanova.compositions import ilr, ilr_inverse
 from mcdmanova.distributions import RngStream, chi2_quantile
@@ -236,7 +237,7 @@ def test_scalar_two_way_anova_oracle():
 # 3. subset search against exhaustive enumeration
 
 
-def test_exhaustive_and_multistart_subset_search():
+def test_exhaustive_and_multistart_subset_search(monkeypatch):
     rng = np.random.default_rng(42)
     data = np.vstack([
         rng.standard_normal((9, 2)),
@@ -253,15 +254,27 @@ def test_exhaustive_and_multistart_subset_search():
         if logdet < best_obj:
             best_obj, best_subset = logdet, subset
 
-    est = fast_mcd(data, McdConfig(exhaustive=True), RngStream(0))
+    # C(12, 7) = 792 subsets: the default config enumerates them
+    est = fast_mcd(data, McdConfig(), RngStream(0))
     assert tuple(sorted(est.best_subset)) == best_subset
     assert abs(est.objective - best_obj) <= 1e-8
 
+    # a zero limit forces the multistart search on the same data
+    monkeypatch.setattr(mcd, "EXHAUSTIVE_LIMIT", 0)
+    multistart = mcd._best_subsets_multistart
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return multistart(*args)
+
+    monkeypatch.setattr(mcd, "_best_subsets_multistart", counted)
     hits = sum(
         abs(fast_mcd(data, McdConfig(), RngStream(1000 + k)).objective
             - best_obj) <= 1e-8
         for k in range(100)
     )
+    assert len(calls) == 100
     assert hits >= 95
 
 

@@ -266,6 +266,36 @@ class TestCache:
         assert len(read_cache(path)) == 1
         assert [f.name for f in tmp_path.iterdir()] == ["cal.txt"]
 
+    def test_concurrent_merges_keep_every_entry(self, tmp_path):
+        # merges of distinct entries from several threads must all land;
+        # without a lock around read-update-write the last writer drops
+        # what the others added in between
+        path = tmp_path / "cal.txt"
+        errors = []
+
+        def worker(t):
+            try:
+                for i in range(100):
+                    key = small_key(m_prime=3000, seed=1000 * t + i)
+                    merge_cache(path, [synthetic_entry(key)])
+            except Exception as exc:  # collected for the assertion below
+                errors.append(repr(exc))
+
+        threads = [threading.Thread(target=worker, args=(t,)) for t in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(read_cache(path)) == 400
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["cal.txt", "cal.txt.lock"]
+
     def test_env_var_lookup(self, monkeypatch):
         monkeypatch.delenv("CAL_CACHE", raising=False)
         assert cache_path_from_env() is None

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from mcdmanova.calibration import CalibrationKey, calibrate_design, read_cache
-from mcdmanova.cli import RunConfig, build_parser, main, parse_table
+from mcdmanova.cli import build_parser, main, parse_table
 from mcdmanova.errors import (
     DimensionError,
     DomainError,
@@ -143,12 +143,6 @@ class TestParseTable:
         # XY appears before A, 2011 before 2012
         assert layout.r == 2 and layout.c == 2 and layout.n == 2
 
-    def test_run_config_invariants(self):
-        with pytest.raises(DomainError):
-            RunConfig("test", factors=("one",), responses=("y",))
-        with pytest.raises(DomainError):
-            RunConfig("ilr", factors=("a", "b"), responses=())
-
 
 def run_cli(argv, capsys):
     """Invoke main() and capture (exit_code, stdout, stderr)."""
@@ -246,7 +240,33 @@ class TestTestSubcommand:
             main(["test", "--input", str(data), *BASE,
                   "--model", "additive", "--hypothesis", "interaction"])
         assert info.value.code == 2
-        capsys.readouterr()
+        err = capsys.readouterr().err
+        assert ("error: the interaction hypothesis is undefined under the "
+                "additive model") in err
+
+    @pytest.mark.parametrize("sub", ["test", "ilr"])
+    def test_factor_and_response_counts_are_usage_errors(self, sub, tmp_path, capsys):
+        data = write_balanced_csv(tmp_path / "d.csv")
+        for argv in (["--factors", "district", "--responses", "biogenic"],
+                     ["--factors", "district", "year", "--responses"]):
+            with pytest.raises(SystemExit) as info:
+                main([sub, "--input", str(data), *argv])
+            assert info.value.code == 2
+            assert "error: argument" in capsys.readouterr().err
+
+    def test_repeated_flags_are_deduplicated(self, tmp_path, capsys):
+        data = write_balanced_csv(tmp_path / "d.csv")
+        code, out, _ = run_cli(
+            ["test", "--input", str(data), *BASE,
+             "--method", "rnk", "--method", "cla", "--method", "rnk",
+             "--hypothesis", "col", "--hypothesis", "row",
+             "--hypothesis", "col"],
+            capsys,
+        )
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0].split() == ["rnk", "cla"]
+        assert [line.split()[0] for line in lines[1:]] == ["year", "district"]
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         data = write_balanced_csv(tmp_path / "d.csv")

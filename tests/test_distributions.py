@@ -13,7 +13,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import linalg as sla
 from scipy import stats
 
 from mcdmanova.distributions import (
@@ -245,14 +244,6 @@ class TestCholesky:
         with pytest.raises(NotPositiveDefinite):
             cholesky(np.diag([1.0, 1e-20]))
         cholesky(np.diag([1.0, 1e-10]))
-
-    def test_solve_lower_matches_scipy(self):
-        rng = np.random.default_rng(2)
-        mat = random_spd(rng, 4)
-        fac = cholesky(mat)
-        rhs = rng.standard_normal((7, 4))
-        expected = sla.solve_triangular(fac.lower, rhs.T, lower=True).T
-        assert np.allclose(fac.solve_lower(rhs), expected, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10_000))

@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 from scipy.stats import chi2
 
+from mcdmanova import mcd
 from mcdmanova.distributions import RngStream, chi2_quantile, cholesky
 from mcdmanova.errors import (
     DimensionError,
@@ -71,7 +73,7 @@ def oracle_c_step(data, subset):
         factor = cholesky(cov)
     except NotPositiveDefinite as exc:
         raise SingularSubset("subset covariance is rank deficient") from exc
-    z = factor.solve_lower(data - mean)
+    z = solve_triangular(factor.lower, (data - mean).T, lower=True).T
     d2 = np.sum(z * z, axis=1)
     order = np.argsort(d2, kind="stable")[:h]
     return np.sort(order)
@@ -200,6 +202,19 @@ class TestRobustDistances:
         with pytest.raises(DimensionError):
             robust_distances(np.zeros((5, 2)), np.zeros(3), np.eye(2))
 
+    def test_matches_scipy_solve_triangular(self):
+        # the batched forward substitution against LAPACK at p = 4
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((4, 4))
+        scatter = a @ a.T + 4.0 * np.eye(4)
+        data = rng.standard_normal((7, 4)) * 3.0
+        loc = rng.standard_normal(4)
+        lower = np.linalg.cholesky(scatter)
+        z = solve_triangular(lower, (data - loc).T, lower=True).T
+        expected = np.sqrt(np.sum(z * z, axis=1))
+        d = robust_distances(data, loc, scatter)
+        assert np.allclose(d, expected, rtol=1e-13, atol=0)
+
 
 class TestCStep:
     def test_never_increases_logdet(self):
@@ -261,44 +276,48 @@ class TestExhaustiveSearch:
         for _ in range(5):
             data = rng.normal(size=(11, 2))
             data[:3] += 4.0
-            est = fast_mcd(data, McdConfig(exhaustive=True))
+            est = fast_mcd(data)
             ref_ld, ref_combo = brute_force_mcd(data, h_subset_size(11, 2, 0.5))
             assert tuple(est.best_subset) == ref_combo
             assert est.objective == pytest.approx(ref_ld, abs=1e-10)
 
     def test_auto_mode_enumerates_small_problems(self):
-        # C(12, 7) = 792 <= limit, so default config enumerates
+        # C(12, 7) = 792 <= limit, so the default config enumerates: the
+        # exact optimum, whatever the stream
         rng = np.random.default_rng(22)
         data = rng.normal(size=(12, 2))
-        est_auto = fast_mcd(data)
-        est_ex = fast_mcd(data, McdConfig(exhaustive=True))
-        assert np.array_equal(est_auto.best_subset, est_ex.best_subset)
         assert math.comb(12, 7) <= EXHAUSTIVE_LIMIT
+        _, ref_combo = brute_force_mcd(data, 7)
+        for seed in (0, 1):
+            est = fast_mcd(data, rng=RngStream(seed))
+            assert tuple(est.best_subset) == ref_combo
 
     def test_all_subsets_singular_raises(self):
         data = np.zeros((10, 2))
         data[:, 0] = np.arange(10)  # second coordinate constant
         with pytest.raises(SingularSubset):
-            fast_mcd(data, McdConfig(exhaustive=True))
+            fast_mcd(data)
 
 
 class TestMultistart:
-    def test_attains_exhaustive_objective(self):
+    def test_attains_exhaustive_objective(self, monkeypatch):
+        # n = 12 would be enumerated; a zero limit forces multistart
+        monkeypatch.setattr(mcd, "EXHAUSTIVE_LIMIT", 0)
         rng = np.random.default_rng(30)
         hits = 0
         for trial in range(20):
             data = rng.normal(size=(12, 2))
             data[:3] += 4.0
-            ex = fast_mcd(data, McdConfig(exhaustive=True))
-            ms = fast_mcd(data, McdConfig(exhaustive=False), rng=RngStream(trial))
-            hits += abs(ms.objective - ex.objective) < 1e-8
+            best, _ = brute_force_mcd(data, 7)
+            ms = fast_mcd(data, rng=RngStream(trial))
+            hits += abs(ms.objective - best) < 1e-8
         assert hits >= 19
 
     def test_deterministic_given_stream(self):
         rng = np.random.default_rng(31)
         data = rng.normal(size=(40, 3))
-        a = fast_mcd(data, McdConfig(exhaustive=False), rng=RngStream(5))
-        b = fast_mcd(data, McdConfig(exhaustive=False), rng=RngStream(5))
+        a = fast_mcd(data, rng=RngStream(5))
+        b = fast_mcd(data, rng=RngStream(5))
         assert np.array_equal(a.best_subset, b.best_subset)
         assert np.array_equal(a.scatter, b.scatter)
 
@@ -307,8 +326,8 @@ class TestMultistart:
         data = rng.normal(size=(11, 2))
         A = np.array([[2.0, 0.7], [-0.3, 1.5]])
         b = np.array([4.0, -1.0])
-        est = fast_mcd(data, McdConfig(exhaustive=True))
-        est_t = fast_mcd(data @ A.T + b, McdConfig(exhaustive=True))
+        est = fast_mcd(data)
+        est_t = fast_mcd(data @ A.T + b)
         assert np.array_equal(est.best_subset, est_t.best_subset)
         assert np.allclose(est_t.location, est.location @ A.T + b, atol=1e-9)
         assert np.allclose(est_t.scatter, A @ est.scatter @ A.T, rtol=1e-9)
@@ -325,6 +344,17 @@ class TestFullSampleShortcut:
         assert np.allclose(est.location, data.mean(axis=0), atol=1e-12)
         assert np.allclose(est.scatter, np.cov(data, rowvar=False), rtol=1e-12)
 
+    def test_alpha_one_rank_deficient_raises(self):
+        # the single n-subset is enumerated and fails the Cholesky gate
+        rng = np.random.default_rng(41)
+        data = rng.normal(size=(25, 3))
+        data[:, 2] = data[:, 0] - 2.0 * data[:, 1]
+        with pytest.raises(SingularSubset):
+            fast_mcd(data, McdConfig(alpha=1.0))
+        with pytest.raises(SingularSubset):
+            fast_mcd_batch(np.stack([rng.normal(size=(25, 3)), data]),
+                           McdConfig(alpha=1.0))
+
 
 class TestCorrectedScatterCalibration:
     def test_det_scale_unbiased_under_normality(self):
@@ -333,7 +363,7 @@ class TestCorrectedScatterCalibration:
         rng = RngStream(99)
         data = rng.generator().standard_normal((m, n, p))
         raws = fast_mcd_batch(
-            data, McdConfig(n_starts=150, n_keep=5, exhaustive=False),
+            data, McdConfig(n_starts=150, n_keep=5),
             rng=rng.substream(1),
         )
         rews = reweight_batch(data, raws)
@@ -421,32 +451,32 @@ class TestBatchSemantics:
     def test_batch_of_one_bitwise_equals_single(self):
         rng = np.random.default_rng(60)
         data = rng.normal(size=(35, 2)) * 2 + 7
-        single = fast_mcd(data, McdConfig(exhaustive=False), rng=RngStream(11))
-        batched = fast_mcd_batch(
-            data[None], McdConfig(exhaustive=False), rng=RngStream(11)
-        )[0]
+        single = fast_mcd(data, rng=RngStream(11))
+        batched = fast_mcd_batch(data[None], rng=RngStream(11))[0]
         assert np.array_equal(single.best_subset, batched.best_subset)
         assert np.array_equal(single.location, batched.location)
         assert np.array_equal(single.scatter, batched.scatter)
         assert single.objective == batched.objective
 
-    def test_stack_fits_match_good_objectives(self):
-        # every dataset in a stack reaches the exhaustive optimum
+    def test_stack_fits_match_good_objectives(self, monkeypatch):
+        # every dataset in a multistart stack reaches the exhaustive
+        # optimum; n = 13 would be enumerated, a zero limit forces multistart
+        monkeypatch.setattr(mcd, "EXHAUSTIVE_LIMIT", 0)
         rng = RngStream(61)
         stack = rng.generator().standard_normal((5, 13, 2))
         stack[:, :3] += 6.0
-        batch = fast_mcd_batch(stack, McdConfig(exhaustive=False), rng=rng.substream(1))
+        batch = fast_mcd_batch(stack, rng=rng.substream(1))
         for i in range(5):
-            ex = fast_mcd(stack[i], McdConfig(exhaustive=True))
-            assert batch[i].objective <= ex.objective + 1e-8
+            best, _ = brute_force_mcd(stack[i], 8)
+            assert batch[i].objective <= best + 1e-8
 
     def test_offset_data_matches_centered_fit(self):
         # huge common offsets must not degrade the fit
         rng = np.random.default_rng(62)
         base = rng.normal(size=(40, 2))
         far = base + 1e6
-        est0 = fast_mcd(base, McdConfig(exhaustive=False), rng=RngStream(12))
-        est1 = fast_mcd(far, McdConfig(exhaustive=False), rng=RngStream(12))
+        est0 = fast_mcd(base, rng=RngStream(12))
+        est1 = fast_mcd(far, rng=RngStream(12))
         assert np.array_equal(est0.best_subset, est1.best_subset)
         assert np.allclose(est1.location - 1e6, est0.location, atol=1e-7)
         assert np.allclose(est1.scatter, est0.scatter, rtol=1e-7)
@@ -478,8 +508,6 @@ class TestConfigValidation:
             McdConfig(n_keep=0)
         with pytest.raises(DomainError):
             McdConfig(n_starts=5, n_keep=6)
-        with pytest.raises(DomainError):
-            McdConfig(max_csteps=0)
 
 
 class TestEstimateInvariants:

@@ -1,0 +1,136 @@
+"""Write a fixed set of CLI outputs for byte-for-byte comparison.
+
+Usage::
+
+    PYTHONPATH=src python3 tools/golden_outputs.py OUTDIR
+
+Generates its own input tables and experiment files in OUTDIR, runs
+``mcdmanova.cli.main`` in-process on each of the commands below, and
+writes every ``--out`` file, every calibration cache, and each command's
+stdout, stderr and exit status into OUTDIR (the empty lock files that
+cache merges create are removed).  All paths handed to the CLI
+are relative to OUTDIR, so two output directories compare with
+``diff -r``.  The package is imported from ``PYTHONPATH``, which is how
+one checkout's outputs are compared with another's::
+
+    PYTHONPATH=<other>/src python3 tools/golden_outputs.py a
+    PYTHONPATH=src python3 tools/golden_outputs.py b
+    diff -r a b
+
+BLAS runs single-threaded so the comparison holds on one machine.  The
+whole set takes about 15 seconds on one core.  Exits 1 if any command
+exits non-zero.
+"""
+
+from __future__ import annotations
+
+import os
+
+# Must precede the first numpy import.
+os.environ["OPENBLAS_NUM_THREADS"] = "1"
+
+import contextlib  # noqa: E402
+import io  # noqa: E402
+import sys  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+from mcdmanova.cli import main  # noqa: E402
+
+KINDS = {
+    "size": "0.0",
+    "power_inter": "0.5, 1.0",
+    "power_additive": "0.5, 1.0",
+    "robustness": "5.0, 10.0",
+}
+
+TABLE_ARGS = [
+    "--input", "waste.csv", "--factors", "district", "year",
+    "--responses", "biogenic", "recyclables", "residual",
+]
+
+
+def write_inputs() -> None:
+    # 3 districts x 2 years x 8 households of positive waste amounts
+    # (kg), two of them planted outliers; amounts are not closed, so the
+    # three raw parts have a full-rank covariance.
+    rng = np.random.default_rng(20180)
+    lines = ["district,year,biogenic,recyclables,residual"]
+    for district in ("XY", "A", "B"):
+        for year in ("2011", "2012"):
+            parts = np.exp(rng.normal([1.0, 0.5, 1.5], 0.3, size=(8, 3)))
+            if district == "A" and year == "2012":
+                parts[0] *= [6.0, 0.2, 1.0]
+            for row in parts:
+                lines.append(
+                    f"{district},{year}," + ",".join(f"{v:.6f}" for v in row)
+                )
+    Path("waste.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    for kind, settings in KINDS.items():
+        Path(f"{kind}.txt").write_text(
+            f"kind = {kind}\nr = 3\nc = 2\nn = 12\np = 2\n"
+            f"methods = cla, rnk, mcd\nsettings = {settings}\nm = 25\n"
+            f"seed = 12\n",
+            encoding="utf-8",
+        )
+
+
+def commands() -> dict[str, list[str]]:
+    runs = {
+        "calibrate-p2": ["calibrate", "--design", "3", "2", "30", "2",
+                         "--m-prime", "60", "--seed", "3",
+                         "--cache", "calibrate-p2.cache"],
+        "calibrate-p4": ["calibrate", "--design", "3", "2", "30", "4",
+                         "--m-prime", "40", "--seed", "3",
+                         "--cache", "calibrate-p4.cache"],
+        "calibrate-alpha1": ["calibrate", "--design", "3", "2", "30", "2",
+                             "--m-prime", "60", "--seed", "3",
+                             "--mcd-alpha", "1",
+                             "--cache", "calibrate-alpha1.cache"],
+    }
+    for name, extra in (("test", []), ("test-ilr", ["--ilr"]),
+                        ("test-ilr-additive", ["--ilr", "--model", "additive"])):
+        runs[name] = ["test", *TABLE_ARGS, *extra,
+                      "--method", "cla", "--method", "rnk", "--method", "mcd",
+                      "--calibrate-on-the-fly", "30", "--seed", "7",
+                      "--cache", f"{name}.cache", "--out", f"{name}.tsv"]
+    for kind in KINDS:
+        runs[f"simulate-{kind}"] = [
+            "simulate", "--input", f"{kind}.txt", "--calibrate-on-the-fly", "20",
+            "--cache", f"simulate-{kind}.cache", "--out", f"simulate-{kind}.tsv",
+        ]
+    return runs
+
+
+def run(name: str, argv: list[str]) -> int:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    Path(f"{name}.stdout").write_text(out.getvalue(), encoding="utf-8")
+    Path(f"{name}.stderr").write_text(err.getvalue(), encoding="utf-8")
+    return code
+
+
+def generate(outdir: Path) -> int:
+    outdir.mkdir(parents=True, exist_ok=True)
+    os.chdir(outdir)
+    write_inputs()
+    codes = {name: run(name, argv) for name, argv in commands().items()}
+    Path("exit_codes.txt").write_text(
+        "".join(f"{name} {code}\n" for name, code in codes.items()), encoding="utf-8"
+    )
+    # Cache merges leave empty ``<cache>.lock`` sidecars behind; they hold
+    # no output, and checkouts that predate them must compare equal.
+    for lock in Path().glob("*.cache.lock"):
+        lock.unlink()
+    failed = [name for name, code in codes.items() if code]
+    for name in failed:
+        print(f"{name}: exit {codes[name]}", file=sys.stderr)
+    return int(bool(failed))
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit(f"usage: {sys.argv[0]} OUTDIR")
+    sys.exit(generate(Path(sys.argv[1]).resolve()))
