@@ -150,7 +150,7 @@ def _ilr_layout(layout: TwoWayLayout) -> TwoWayLayout:
         raise DimensionError(
             "the ilr transform needs at least two response columns"
         )
-    coords = np.vstack([ilr(obs) for obs in layout.observations])
+    coords = ilr(layout.observations)
     return TwoWayLayout(
         layout.r, layout.c, layout.n, layout.p - 1,
         coords, layout.row_label, layout.col_label,
@@ -300,8 +300,8 @@ def cmd_ilr(args: argparse.Namespace) -> str:
         )
     header = list(args.factors) + [f"ilr{k}" for k in range(1, p)]
     lines = [",".join(header)]
-    for row in rows:
-        coords = ilr(np.asarray(row[2:], dtype=np.float64))
+    table = ilr(np.array([row[2:] for row in rows], dtype=np.float64))
+    for row, coords in zip(rows, table):
         lines.append(
             ",".join(list(row[:2]) + [f"{z:.17g}" for z in coords])
         )

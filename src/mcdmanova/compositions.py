@@ -24,6 +24,18 @@ from .errors import DimensionError, NonPositivePart
 __all__ = ["Composition", "ilr", "ilr_inverse", "ilr_matrix"]
 
 
+def _check_parts(parts: np.ndarray) -> None:
+    """Raise NonPositivePart at the first part, in reading order, that is
+    not positive and finite."""
+    bad = ~(parts > 0.0) | ~np.isfinite(parts)
+    if bad.any():
+        first = int(np.flatnonzero(bad)[0])
+        raise NonPositivePart(
+            f"part {first % parts.shape[-1] + 1} is {parts.flat[first]!r}; "
+            f"all parts must be positive and finite"
+        )
+
+
 @dataclass(frozen=True)
 class Composition:
     """A vector of strictly positive parts, stored unnormalized.
@@ -40,13 +52,7 @@ class Composition:
             raise DimensionError(
                 f"a composition is a non-empty vector, got shape {parts.shape}"
             )
-        bad = ~(parts > 0.0) | ~np.isfinite(parts)
-        if bad.any():
-            index = int(np.flatnonzero(bad)[0])
-            raise NonPositivePart(
-                f"part {index + 1} is {parts[index]!r}; all parts must be "
-                f"positive and finite"
-            )
+        _check_parts(parts)
         parts.setflags(write=False)
         object.__setattr__(self, "parts", parts)
 
@@ -79,18 +85,26 @@ def ilr_matrix(p: int) -> np.ndarray:
 def ilr(x: Composition | np.ndarray) -> np.ndarray:
     """Map a composition to its (p-1)-dimensional ilr coordinates.
 
-    Computed from part ratios, so rescaling the input moves the result
-    by at most rounding error and a composition with all parts equal
-    maps to the exact zero vector.
+    ``x`` is one composition, or an ``(N, p)`` array of N compositions
+    given as rows, which map to an ``(N, p - 1)`` array; a table is
+    checked like a single composition, row by row.  Computed from part
+    ratios, so rescaling the input moves the result by at most rounding
+    error and a composition with all parts equal maps to the exact zero
+    vector.
     """
-    if not isinstance(x, Composition):
-        x = Composition(np.asarray(x))
-    parts = x.parts
-    p = x.size
-    z = np.zeros(p - 1)
+    if isinstance(x, Composition):
+        parts = x.parts
+    else:
+        parts = np.asarray(x, dtype=np.float64)
+        if parts.ndim == 2 and parts.shape[1] > 0:
+            _check_parts(parts)
+        else:
+            parts = Composition(parts).parts
+    p = parts.shape[-1]
+    z = np.zeros(parts.shape[:-1] + (p - 1,))
     for k in range(1, p):
-        ratios = np.log(parts[:k] / parts[k])
-        z[k - 1] = np.sqrt(k / (k + 1.0)) * ratios.sum() / k
+        ratios = np.log(parts[..., :k] / parts[..., k, None])
+        z[..., k - 1] = np.sqrt(k / (k + 1.0)) * ratios.sum(axis=-1) / k
     return z
 
 

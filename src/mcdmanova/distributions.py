@@ -235,51 +235,87 @@ def chi2_quantile(prob: float, df: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CholeskyFactor:
-    """Lower-triangular factor ``L`` with ``L @ L.T`` equal to the input."""
+    """Lower-triangular factor ``L`` with ``L @ L.T`` equal to the input.
+
+    ``lower`` has the shape of the factored input: one ``(p, p)`` factor,
+    or a ``(..., p, p)`` stack of them.
+    """
 
     lower: np.ndarray
 
     @property
-    def log_det(self) -> float:
-        """Log determinant of the factored matrix."""
-        return 2.0 * float(np.sum(np.log(np.diag(self.lower))))
+    def log_det(self) -> float | np.ndarray:
+        """Log determinant of the factored matrix, one per stacked matrix."""
+        diag = np.diagonal(self.lower, axis1=-2, axis2=-1)
+        total = np.sum(np.log(diag), axis=-1)
+        if self.lower.ndim == 2:
+            return 2.0 * float(total)
+        return 2.0 * total
 
 
 def cholesky(mat: np.ndarray) -> CholeskyFactor:
-    """Pivot-checked Cholesky factorisation of a symmetric matrix.
+    """Pivot-checked Cholesky factorisation of a symmetric matrix or stack.
+
+    ``mat`` is one ``(p, p)`` matrix or a ``(..., p, p)`` stack.  A stack
+    is factored column by column for all its matrices at once, with the
+    arithmetic of a single matrix, so each factor equals the one its
+    matrix gets on its own; every check below also applies per matrix.
 
     Raises
     ------
     DomainError
-        If the matrix is not square or not symmetric to within
-        ``1e-12`` relative to its largest entry.
+        If a matrix has a non-finite entry or is not symmetric to within
+        ``1e-12`` relative to its own largest entry.
+    DimensionError
+        If the matrices are not square.
     NotPositiveDefinite
-        If any pivot falls at or below ``p * 1e-14 * max(diag)``; this
-        single rule is the package-wide positive-definiteness gate.
+        If any pivot falls at or below ``p * 1e-14 * max(diag)`` of its
+        matrix; this single rule is the package-wide positive-definiteness
+        gate.  A stack reports its first failing matrix, at that matrix's
+        first failing pivot.
     """
     mat = np.asarray(mat, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+    if mat.ndim < 2 or mat.shape[-1] != mat.shape[-2]:
         raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
-    p = mat.shape[0]
+    p = mat.shape[-1]
     if p == 0:
         raise DimensionError("matrix order must be at least 1")
-    if not np.all(np.isfinite(mat)):
-        raise DomainError("matrix entries must be finite")
-    scale = max(1.0, float(np.max(np.abs(mat))))
-    if float(np.max(np.abs(mat - mat.T))) > 1e-12 * scale:
-        raise DomainError("matrix is not symmetric")
-    max_diag = float(np.max(np.diag(mat)))
-    threshold = p * 1e-14 * max_diag
-    lower = np.zeros_like(mat)
+    stack = mat.reshape(-1, p, p)
+    flat = stack.reshape(-1, p * p)
+    where = "" if mat.ndim == 2 else "matrix {} of the stack: "
+    # max propagates NaN, so a non-finite entry shows in its matrix's scale
+    scales = np.abs(flat).max(axis=1).tolist()
+    for i, scale in enumerate(scales):
+        if not math.isfinite(scale):
+            raise DomainError(f"{where.format(i)}matrix entries must be finite")
+    asym = np.abs(stack - stack.transpose(0, 2, 1)).reshape(flat.shape).max(axis=1)
+    for i, (scale, skew) in enumerate(zip(scales, asym.tolist())):
+        if skew > 1e-12 * max(1.0, scale):
+            raise DomainError(f"{where.format(i)}matrix is not symmetric")
+    threshold = p * 1e-14 * flat[:, :: p + 1].max(axis=1)
+    lower = np.zeros_like(stack)
+    # First failing pivot of each matrix; a failed pivot is replaced by
+    # one so the rest of the stack still factors.
+    failed: dict[int, tuple[np.float64, int]] = {}
     for j in range(p):
-        d = mat[j, j] - float(lower[j, :j] @ lower[j, :j])
-        if not d > threshold:
-            raise NotPositiveDefinite(
-                f"pivot {d!r} at index {j} is at or below threshold {threshold!r}"
-            )
-        lower[j, j] = math.sqrt(d)
+        vec = lower[:, j, :j, None]
+        d = stack[:, j, j] - (lower[:, j, None, :j] @ vec)[:, 0, 0]
+        low = ~(d > threshold)
+        if low.any():
+            for i in np.flatnonzero(low).tolist():
+                failed.setdefault(i, (d[i], j))
+            d = np.where(low, 1.0, d)
+        pivot = np.sqrt(d)
+        lower[:, j, j] = pivot
         if j + 1 < p:
-            lower[j + 1 :, j] = (
-                mat[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]
-            ) / lower[j, j]
-    return CholeskyFactor(lower=lower)
+            lower[:, j + 1 :, j] = (
+                stack[:, j + 1 :, j] - (lower[:, j + 1 :, :j] @ vec)[:, :, 0]
+            ) / pivot[:, None]
+    if failed:
+        i = min(failed)
+        d, j = failed[i]
+        raise NotPositiveDefinite(
+            f"{where.format(i)}pivot {d!r} at index {j} is at or below "
+            f"threshold {float(threshold[i])!r}"
+        )
+    return CholeskyFactor(lower=lower.reshape(mat.shape))

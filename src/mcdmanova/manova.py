@@ -13,7 +13,7 @@ distribution summarized by (delta, q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Protocol, Sequence
 
@@ -29,6 +29,7 @@ from .errors import (
     EmptyTable,
     MissingCalibration,
     NonNumeric,
+    NotPositiveDefinite,
     TooFewLevels,
     Unbalanced,
 )
@@ -210,9 +211,7 @@ def rank_transform(layout: TwoWayLayout) -> TwoWayLayout:
     classical statistics applied to the ranked layout give the rank
     test.
     """
-    ranked = np.column_stack(
-        [rankdata(layout.observations[:, j]) for j in range(layout.p)]
-    )
+    ranked = rankdata(layout.observations, axis=0)
     return TwoWayLayout(
         layout.r, layout.c, layout.n, layout.p,
         ranked, layout.row_label, layout.col_label,
@@ -288,7 +287,9 @@ class SspDecomposition:
     """Weighted sums-of-squares-and-products matrices of a layout.
 
     W is the within-cell matrix, E the additive-model residual matrix,
-    R_row and R_col the row- and column-effect matrices.  All are p x p.
+    R_row and R_col the row- and column-effect matrices.  All are p x p
+    and read-only, so the log-determinants :func:`wilks_lambda` takes of
+    them are memoised on the decomposition.
     """
 
     W: np.ndarray
@@ -296,6 +297,15 @@ class SspDecomposition:
     R_row: np.ndarray
     R_col: np.ndarray
     means: WeightedMeans
+    _log_det_memo: dict = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self):
+        for name in ("W", "E", "R_row", "R_col"):
+            mat = np.asarray(getattr(self, name), dtype=np.float64)
+            mat.setflags(write=False)
+            object.__setattr__(self, name, mat)
 
 
 def weighted_ssp(layout: TwoWayLayout, weights: WeightSet) -> SspDecomposition:
@@ -437,8 +447,34 @@ def method_ssp(
     raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
 
 
-def _logdet(matrix: np.ndarray) -> float:
-    return cholesky(matrix).log_det
+# Every matrix whose log-determinant some Lambda under the model reads;
+# "W+R_row" is W + R_row.  Lambda under interactions never needs E + R.
+_MODEL_MATRICES = {
+    Model.WITH_INTERACTIONS: ("W", "E", "W+R_row", "W+R_col"),
+    Model.ADDITIVE_ONLY: ("E", "E+R_row", "E+R_col"),
+}
+
+
+def _matrix(decomp: SspDecomposition, name: str) -> np.ndarray:
+    base, _, effect = name.partition("+")
+    mat = getattr(decomp, base)
+    return mat + getattr(decomp, effect) if effect else mat
+
+
+def _log_dets(
+    decomp: SspDecomposition, model: Model, names: tuple[str, str]
+) -> list[float]:
+    """Log-determinants of ``names`` from the decomposition's memo.
+
+    A miss factors every matrix the model reads that is not yet memoised
+    in one stacked call, so each distinct matrix is factored once.
+    """
+    memo = decomp._log_det_memo
+    missing = [m for m in _MODEL_MATRICES[model] if m not in memo]
+    if missing:
+        stack = np.stack([_matrix(decomp, m) for m in missing])
+        memo.update(zip(missing, cholesky(stack).log_det.tolist()))
+    return [memo[name] for name in names]
 
 
 def wilks_lambda(
@@ -462,11 +498,18 @@ def wilks_lambda(
     if hypothesis is Hypothesis.INTERACTIONS:
         if model is not Model.WITH_INTERACTIONS:
             raise DomainError("interaction test requires the model with interactions")
-        log_num, log_den = _logdet(decomp.W), _logdet(decomp.E)
+        num, den = "W", "E"
     else:
-        effect = decomp.R_row if hypothesis is Hypothesis.ROW_EFFECTS else decomp.R_col
-        base = decomp.W if model is Model.WITH_INTERACTIONS else decomp.E
-        log_num, log_den = _logdet(base), _logdet(base + effect)
+        num = "W" if model is Model.WITH_INTERACTIONS else "E"
+        effect = "R_row" if hypothesis is Hypothesis.ROW_EFFECTS else "R_col"
+        den = f"{num}+{effect}"
+    try:
+        log_num, log_den = _log_dets(decomp, model, (num, den))
+    except (DomainError, NotPositiveDefinite):
+        # Some matrix of the stack failed the gate, maybe one only another
+        # Lambda reads: factor this ratio's two alone, as a lone test would.
+        log_num = cholesky(_matrix(decomp, num)).log_det
+        log_den = cholesky(_matrix(decomp, den)).log_det
     lam = math.exp(log_num - log_den)
     if lam > 1.0:
         if lam > 1.0 + _LAMBDA_SLACK:

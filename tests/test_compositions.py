@@ -102,6 +102,44 @@ class TestIlr:
             ilr(np.array([0.5, 0.0, 0.5]))
 
 
+def loop_ilr(parts: np.ndarray) -> np.ndarray:
+    """One composition at a time, the arithmetic the table form keeps."""
+    p = parts.size
+    z = np.zeros(p - 1)
+    for k in range(1, p):
+        ratios = np.log(parts[:k] / parts[k])
+        z[k - 1] = np.sqrt(k / (k + 1.0)) * ratios.sum() / k
+    return z
+
+
+class TestIlrTable:
+    @pytest.mark.parametrize("p", range(2, 13))
+    def test_rows_match_single_composition_loop_bitwise(self, p):
+        table = np.exp(np.random.default_rng(p).normal(0.0, 2.0, size=(60, p)))
+        expected = np.vstack([loop_ilr(row) for row in table])
+        coords = ilr(table)
+        assert coords.shape == (60, p - 1)
+        assert np.array_equal(coords, expected)
+        assert np.array_equal(ilr(table[7]), expected[7])
+
+    def test_first_bad_part_reported_as_for_its_row(self):
+        table = np.ones((4, 3))
+        table[1, 2] = 0.0
+        table[2, 0] = -1.0
+        with pytest.raises(NonPositivePart) as lone:
+            Composition(table[1])
+        with pytest.raises(NonPositivePart) as whole:
+            ilr(table)
+        assert str(whole.value) == str(lone.value)
+        assert str(whole.value).startswith("part 3 is ")
+
+    def test_shape_checked(self):
+        with pytest.raises(DimensionError):
+            ilr(np.ones((2, 0)))
+        with pytest.raises(DimensionError):
+            ilr(np.ones((2, 2, 2)))
+
+
 class TestIlrInverse:
     def test_zero_vector_gives_uniform(self):
         comp = ilr_inverse(np.zeros(2))

@@ -253,6 +253,101 @@ class TestCholesky:
         assert np.allclose(fac.lower @ fac.lower.T, mat, atol=1e-10)
 
 
+def loop_cholesky(mat: np.ndarray) -> tuple[np.ndarray, float]:
+    """Single-matrix column loop the stacked factorisation must reproduce
+    bit for bit (checks left out): factor and log-determinant."""
+    p = mat.shape[0]
+    lower = np.zeros_like(mat)
+    for j in range(p):
+        d = mat[j, j] - float(lower[j, :j] @ lower[j, :j])
+        lower[j, j] = math.sqrt(d)
+        if j + 1 < p:
+            lower[j + 1 :, j] = (
+                mat[j + 1 :, j] - lower[j + 1 :, :j] @ lower[j, :j]
+            ) / lower[j, j]
+    return lower, 2.0 * float(np.sum(np.log(np.diag(lower))))
+
+
+class TestCholeskyStack:
+    @pytest.mark.parametrize("p", range(1, 13))
+    def test_matches_single_matrix_loop_bitwise(self, p):
+        rng = np.random.default_rng(100 + p)
+        for k in (1, 2, 4, 7):
+            for _ in range(15):
+                scales = rng.uniform(0.01, 100.0, size=(k, p, 1))
+                a = rng.standard_normal((k, p, p + 1 + int(rng.integers(20)))) * scales
+                stack = a @ a.transpose(0, 2, 1)
+                fac = cholesky(stack)
+                expected = [loop_cholesky(m) for m in stack]
+                assert fac.lower.shape == stack.shape
+                assert np.array_equal(fac.lower, np.stack([e[0] for e in expected]))
+                assert fac.log_det.tolist() == [e[1] for e in expected]
+
+    def test_single_matrix_equals_stack_of_one(self):
+        rng = np.random.default_rng(7)
+        for p in (1, 2, 3, 5, 9):
+            mat = random_spd(rng, p)
+            single, stacked = cholesky(mat), cholesky(mat[None])
+            assert single.lower.shape == (p, p)
+            assert np.array_equal(single.lower, stacked.lower[0])
+            assert isinstance(single.log_det, float)
+            assert stacked.log_det.shape == (1,)
+            assert single.log_det == stacked.log_det[0]
+
+    def test_leading_axes_are_kept(self):
+        rng = np.random.default_rng(8)
+        mats = np.stack([random_spd(rng, 3) for _ in range(6)]).reshape(2, 3, 3, 3)
+        fac = cholesky(mats)
+        assert fac.lower.shape == (2, 3, 3, 3)
+        assert fac.log_det.shape == (2, 3)
+        assert np.array_equal(fac.lower[1, 2], cholesky(mats[1, 2]).lower)
+
+    def test_single_matrix_message_unchanged(self):
+        with pytest.raises(NotPositiveDefinite) as info:
+            cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert str(info.value) == (
+            "pivot np.float64(-3.0) at index 1 is at or below threshold 2e-14"
+        )
+
+    @pytest.mark.parametrize("bad", [0, 2, 3])
+    def test_indefinite_member_raises_for_that_matrix(self, bad):
+        stack = np.stack([np.eye(3) * (i + 1) for i in range(4)])
+        stack[bad, 1, 2] = stack[bad, 2, 1] = 10.0
+        with pytest.raises(NotPositiveDefinite, match=f"^matrix {bad} of the stack: "):
+            cholesky(stack)
+
+    def test_first_failing_matrix_is_reported(self):
+        # matrix 1 fails only at its second pivot, matrix 2 at its first
+        stack = np.stack([np.eye(2), np.diag([1.0, 1e-20]), np.diag([-1.0, 1.0])])
+        with pytest.raises(NotPositiveDefinite, match=r"^matrix 1 of the stack: .* index 1 "):
+            cholesky(stack)
+
+    def test_asymmetric_or_non_finite_member_raises_for_that_matrix(self):
+        stack = np.stack([np.eye(2)] * 3)
+        stack[1, 0, 1] = 0.5
+        with pytest.raises(DomainError, match="^matrix 1 of the stack: .*not symmetric"):
+            cholesky(stack)
+        stack = np.stack([np.eye(2)] * 3)
+        stack[2, 1, 1] = np.inf
+        with pytest.raises(DomainError, match="^matrix 2 of the stack: .*finite"):
+            cholesky(stack)
+
+    def test_symmetry_tolerance_is_per_matrix(self):
+        # 1e-10 asymmetry is far beyond 1e-12 of a unit-scale matrix but
+        # within 1e-12 of the 1e6-scale matrix stacked before it.
+        small = np.array([[1.0, 0.0], [1e-10, 1.0]])
+        with pytest.raises(DomainError):
+            cholesky(small)
+        with pytest.raises(DomainError, match="^matrix 1 of the stack: "):
+            cholesky(np.stack([1e6 * np.eye(2), small]))
+
+    def test_stack_shape_checked(self):
+        with pytest.raises(DimensionError):
+            cholesky(np.ones((3, 2, 3)))
+        with pytest.raises(DimensionError):
+            cholesky(np.ones(3))
+
+
 class TestLogDetPsd:
     def test_matches_slogdet(self):
         rng = np.random.default_rng(3)

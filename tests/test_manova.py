@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from mcdmanova.distributions import RngStream, chi2_quantile
+from mcdmanova import manova
+from mcdmanova.distributions import RngStream, chi2_quantile, cholesky
 from mcdmanova.errors import (
     CellWiped,
     DegenerateWeights,
@@ -25,8 +26,10 @@ from mcdmanova.manova import (
     CalibratedApprox,
     Hypothesis,
     Model,
+    SspDecomposition,
     TwoWayLayout,
     WeightSet,
+    WeightedMeans,
     bartlett_dfs,
     bartlett_pvalue,
     calibrated_pvalue,
@@ -406,6 +409,94 @@ class TestWilksLambda:
             assert wilks_lambda(d0, hyp, Model.WITH_INTERACTIONS) == pytest.approx(
                 wilks_lambda(d1, hyp, Model.WITH_INTERACTIONS), rel=1e-12
             )
+
+
+def lone_lambda(num: np.ndarray, den: np.ndarray) -> float:
+    """Lambda from two lone factorisations, as before the memo."""
+    return math.exp(cholesky(num).log_det - cholesky(den).log_det)
+
+
+class TestWilksMemo:
+    """Each distinct matrix of a decomposition is factored once."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counting(mat):
+            seen.append(np.shape(mat))
+            return cholesky(mat)
+
+        monkeypatch.setattr(manova, "cholesky", counting)
+        return seen
+
+    @pytest.mark.parametrize(
+        "models, expected",
+        [
+            ((Model.WITH_INTERACTIONS,), [(4, 3, 3)]),
+            ((Model.ADDITIVE_ONLY,), [(3, 3, 3)]),
+            ((Model.WITH_INTERACTIONS, Model.ADDITIVE_ONLY), [(4, 3, 3), (2, 3, 3)]),
+        ],
+    )
+    def test_one_stacked_call_per_model(self, calls, models, expected):
+        d = classical_ssp(random_layout(np.random.default_rng(40), p=3))
+        for model in models:
+            for hyp in hypotheses_for(model):
+                wilks_lambda(d, hyp, model)
+                wilks_lambda(d, hyp, model)
+        assert calls == expected
+
+    def test_memoised_lambdas_equal_lone_factorisations(self):
+        rng = np.random.default_rng(41)
+        for p in (1, 2, 3, 5):
+            d = classical_ssp(random_layout(rng, r=3, c=2, n=8, p=p))
+            pairs = {
+                (Hypothesis.INTERACTIONS, Model.WITH_INTERACTIONS): (d.W, d.E),
+                (Hypothesis.ROW_EFFECTS, Model.WITH_INTERACTIONS): (d.W, d.W + d.R_row),
+                (Hypothesis.COL_EFFECTS, Model.WITH_INTERACTIONS): (d.W, d.W + d.R_col),
+                (Hypothesis.ROW_EFFECTS, Model.ADDITIVE_ONLY): (d.E, d.E + d.R_row),
+                (Hypothesis.COL_EFFECTS, Model.ADDITIVE_ONLY): (d.E, d.E + d.R_col),
+            }
+            for (hyp, model), (num, den) in pairs.items():
+                assert wilks_lambda(d, hyp, model) == min(lone_lambda(num, den), 1.0)
+
+    def test_failing_sibling_matrix_leaves_valid_ratio(self, calls):
+        # W + R_col fails the relative pivot gate (its second pivot is far
+        # below 2e-14 * 1e20); the row ratio never reads it.
+        rng = np.random.default_rng(42)
+        a = rng.standard_normal((2, 12))
+        W, R_row = a @ a.T, np.diag([0.5, 0.25])
+        R_col = np.diag([1e20, 0.0])
+        means = WeightedMeans(*(np.zeros(2) for _ in range(4)))
+        d = SspDecomposition(W, W + R_row, R_row, R_col, means)
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(d.W + d.R_col)
+        model = Model.WITH_INTERACTIONS
+        assert wilks_lambda(d, Hypothesis.ROW_EFFECTS, model) == lone_lambda(W, W + R_row)
+        assert wilks_lambda(d, Hypothesis.INTERACTIONS, model) == lone_lambda(W, d.E)
+        with pytest.raises(NotPositiveDefinite):
+            wilks_lambda(d, Hypothesis.COL_EFFECTS, model)
+
+    def test_additive_lambdas_do_not_need_w(self):
+        # r = c = 2, n = 2: W has 4 degrees of freedom and is singular at
+        # p = 5, while E has 5 and is not.
+        d = classical_ssp(random_layout(np.random.default_rng(43), r=2, c=2, n=2, p=5))
+        with pytest.raises(NotPositiveDefinite):
+            cholesky(d.W)
+        for hyp, effect in ((Hypothesis.ROW_EFFECTS, d.R_row),
+                            (Hypothesis.COL_EFFECTS, d.R_col)):
+            lam = wilks_lambda(d, hyp, Model.ADDITIVE_ONLY)
+            assert lam == min(lone_lambda(d.E, d.E + effect), 1.0)
+            with pytest.raises(NotPositiveDefinite):
+                wilks_lambda(d, hyp, Model.WITH_INTERACTIONS)
+
+    def test_matrices_are_read_only(self):
+        d = classical_ssp(random_layout(np.random.default_rng(44)))
+        for mat in (d.W, d.E, d.R_row, d.R_col):
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1.0
+        wilks_lambda(d, Hypothesis.ROW_EFFECTS, Model.WITH_INTERACTIONS)
+        assert "memo" not in repr(d)
 
 
 class TestBartlett:
