@@ -26,12 +26,14 @@ __all__ = ["Composition", "ilr", "ilr_inverse", "ilr_matrix"]
 
 def _check_parts(parts: np.ndarray) -> None:
     """Raise NonPositivePart at the first part, in reading order, that is
-    not positive and finite."""
+    not positive and finite; a table's message names the row (from 1)."""
     bad = ~(parts > 0.0) | ~np.isfinite(parts)
     if bad.any():
         first = int(np.flatnonzero(bad)[0])
+        row, part = divmod(first, parts.shape[-1])
+        where = f"row {row + 1}: " if parts.ndim == 2 else ""
         raise NonPositivePart(
-            f"part {first % parts.shape[-1] + 1} is {parts.flat[first]!r}; "
+            f"{where}part {part + 1} is {float(parts.flat[first])!r}; "
             f"all parts must be positive and finite"
         )
 
@@ -87,10 +89,10 @@ def ilr(x: Composition | np.ndarray) -> np.ndarray:
 
     ``x`` is one composition, or an ``(N, p)`` array of N compositions
     given as rows, which map to an ``(N, p - 1)`` array; a table is
-    checked like a single composition, row by row.  Computed from part
-    ratios, so rescaling the input moves the result by at most rounding
-    error and a composition with all parts equal maps to the exact zero
-    vector.
+    checked like a single composition, row by row, and its message names
+    the row.  Computed from part ratios, so rescaling the input moves the
+    result by at most rounding error and a composition with all parts
+    equal maps to the exact zero vector.
     """
     if isinstance(x, Composition):
         parts = x.parts

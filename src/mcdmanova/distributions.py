@@ -315,7 +315,7 @@ def cholesky(mat: np.ndarray) -> CholeskyFactor:
         i = min(failed)
         d, j = failed[i]
         raise NotPositiveDefinite(
-            f"{where.format(i)}pivot {d!r} at index {j} is at or below "
+            f"{where.format(i)}pivot {float(d)!r} at index {j} is at or below "
             f"threshold {float(threshold[i])!r}"
         )
     return CholeskyFactor(lower=lower.reshape(mat.shape))

@@ -20,20 +20,28 @@ a pure function of its inputs.
 
 Implementation note: the concentration rounds run over every candidate
 subset of every dataset in a stack at once.  A candidate is held as a
-0/1 row of a mask matrix, so subset sums of the monomials (x_i, x_i x_j)
-come from one batched matrix product with a per-dataset feature matrix,
-and squared distances come from a second product with the quadratic-form
-coefficients of each candidate fit.  Quantities that end up in a
-returned estimate are recomputed from the winning subset with the usual
-two-pass formulas, so the fast path only influences which candidate
-wins.  Balanced-design pipelines exploit the stacking through
-:func:`fast_mcd_batch` to fit all cells of a layout together.
+0/1 row of a mask matrix from the random start keys to the choice of
+the finalists, so subset sums of the monomials (x_i, x_i x_j) come from
+one batched matrix product with a per-dataset feature matrix, and
+squared distances come from a second product with the quadratic-form
+coefficients of each candidate fit.  The next mask marks the entries at
+or below each row's h-th smallest distance, found by sorting a copy of
+the row; rows where that value ties with the next take the set
+``np.argpartition`` picks, so the masks equal the index sets it gives.
+The start-phase arrays live in a scratch block per thread that every
+fit on that thread reuses, so rounds neither allocate nor fault in
+fresh pages.  Quantities that end up in a returned estimate are
+recomputed from the finalists with the usual two-pass formulas, all
+finalists of a stack in one pass, so the fast path only influences
+which candidate wins.  Balanced-design pipelines exploit the stacking
+through :func:`fast_mcd_batch` to fit all cells of a layout together.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -319,15 +327,11 @@ class _Workspace:
         # doubling of off-diagonal coefficients in the quadratic form
         self.cross_scale = np.where(iu[0] == iu[1], 1.0, 2.0)
 
-    def moments(self, subsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # Mean and covariance of every candidate subset via one batched
+    def moments(self, mask: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
+        # Mean and covariance of every candidate h-subset via one batched
         # product of the 0/1 membership masks with the feature matrices.
-        b, c, h = subsets.shape
+        b, c, _ = mask.shape
         p = self.p
-        mask = np.zeros((b, c, self.n))
-        mask[
-            np.arange(b)[:, None, None], np.arange(c)[None, :, None], subsets
-        ] = 1.0
         sums = mask @ self.feat
         mean = sums[:, :, :p] / h
         ss = np.empty((b, c, p, p))
@@ -336,16 +340,60 @@ class _Workspace:
         cov = (ss - h * mean[:, :, :, None] * mean[:, :, None, :]) / (h - 1)
         return mean, cov
 
-    def sq_distances(self, mean: np.ndarray, precision: np.ndarray) -> np.ndarray:
+    def sq_distances(
+        self, mean: np.ndarray, precision: np.ndarray, out: np.ndarray
+    ) -> np.ndarray:
         # d2(x) = x'Ax - 2(Am)'x + m'Am, assembled per candidate and
-        # evaluated for all observations in one batched product.
+        # evaluated for all observations in one batched product into out.
         p = self.p
         am = np.einsum("bcij,bcj->bci", precision, mean)
         const = np.einsum("bci,bci->bc", am, mean)
         coef = np.empty((mean.shape[0], mean.shape[1], self.feat.shape[2]))
         coef[:, :, :p] = -2.0 * am
         coef[:, :, p:] = precision[:, :, self.iu[0], self.iu[1]] * self.cross_scale
-        return coef @ self.feat_t + const[:, :, None]
+        np.matmul(coef, self.feat_t, out=out)
+        out += const[:, :, None]
+        return out
+
+
+# Scratch memory of the multistart search, one block per thread.
+_scratch = threading.local()
+
+
+def _scratch_arrays(shape: tuple[int, ...]) -> list[np.ndarray]:
+    # Four C-contiguous float arrays of the given shape, views of the
+    # calling thread's block, which grows to the largest shape asked for
+    # and is reused by every later fit on that thread.  Their contents
+    # are garbage, and no returned estimate may keep a view of them.
+    size = math.prod(shape)
+    block = getattr(_scratch, "block", None)
+    if block is None or block.shape[1] < size:
+        block = np.empty((4, size))
+        _scratch.block = block
+    return [row[:size].reshape(shape) for row in block]
+
+
+def _smallest(
+    values: np.ndarray, k: int, out: np.ndarray, scratch: np.ndarray
+) -> np.ndarray:
+    # Writes into out the 0/1 rows marking the k smallest entries of each
+    # row of values: the set np.argpartition(values, k - 1)[..., :k]
+    # picks.  Where the k-th smallest value ties with the next (or is
+    # NaN) the set is taken from argpartition itself; scratch is
+    # overwritten.
+    if k == values.shape[-1]:
+        out.fill(1.0)
+        return out
+    np.copyto(scratch, values)
+    scratch.sort(axis=-1)
+    np.less_equal(values, scratch[..., k - 1 : k], out=out, casting="unsafe")
+    tied = ~(scratch[..., k - 1] < scratch[..., k])
+    if tied.any():
+        picked = np.argpartition(values[tied], k - 1, axis=-1)[:, :k]
+        rows = np.zeros((picked.shape[0], values.shape[-1]))
+        np.put_along_axis(rows, picked, 1.0, axis=-1)
+        out[tied] = rows
+    return out
 
 
 def _chol_stack(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -422,33 +470,23 @@ def _fit_rows(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _precision_from_chol(lower), _logdet_stack(lower, ok), ok
 
 
-def _moment_logdets(ws: _Workspace, subsets: np.ndarray) -> np.ndarray:
-    # Covariance log determinants of the current subsets, +inf where the
-    # Cholesky gate fails.
-    _, cov = ws.moments(subsets)
-    if ws.p == 2:
-        _, logdet, _ = _fit_rows(cov)
-        return logdet
-    lower, ok = _chol_stack(cov)
-    return _logdet_stack(lower, ok)
-
-
 def _concentrate_round(
-    ws: _Workspace, subsets: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    # One C-step for the full stack of h-subsets.  Returns the new
-    # subsets and the log determinants of the input subsets; candidates
-    # whose covariance fails the Cholesky gate are frozen with +inf
-    # objective.
-    h = subsets.shape[-1]
-    mean, cov = ws.moments(subsets)
-    precision, logdet, ok = _fit_rows(cov)
-    if not np.any(ok):
-        return subsets, logdet
-    d2 = ws.sq_distances(mean, precision)
-    new = np.argpartition(d2, h - 1, axis=-1)[:, :, :h]
-    new[~ok] = subsets[~ok]
-    return new, logdet
+    ws: _Workspace,
+    subsets: np.ndarray,
+    h: int,
+    out: np.ndarray,
+    d2: np.ndarray,
+    scratch: np.ndarray,
+) -> np.ndarray:
+    # One C-step for the full stack of h-subset masks, written into and
+    # returned as out; candidates whose covariance fails the Cholesky
+    # gate are copied unchanged.  d2 and scratch are overwritten.
+    mean, cov = ws.moments(subsets, h)
+    precision, _, ok = _fit_rows(cov)
+    if np.any(ok):
+        _smallest(ws.sq_distances(mean, precision, out=d2), h, out, scratch)
+    out[~ok] = subsets[~ok]
+    return out
 
 
 def _exact_subset_stats(
@@ -495,39 +533,51 @@ def _extend_degenerate_starts(
 
 
 def _initial_subsets(
-    ws: _Workspace, keys: np.ndarray, h: int
+    ws: _Workspace,
+    keys: np.ndarray,
+    h: int,
+    out: np.ndarray,
+    scratch: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
-    # Random (p+1)-subsets from per-dataset key matrices; returns the
-    # first-ranking h-subsets and a liveness mask.
+    # Random (p+1)-subsets from per-dataset key matrices; writes the
+    # first-ranking h-subset masks into out and returns it with a
+    # liveness mask.  keys and scratch are overwritten.
     p = ws.p
-    idx = np.argpartition(keys, p, axis=-1)[:, :, : p + 1]
-    mean, cov = ws.moments(idx)
+    mean, cov = ws.moments(_smallest(keys, p + 1, out, scratch), p + 1)
     precision, _, ok = _fit_rows(cov)
     if not np.all(ok):
         precision, ok = _extend_degenerate_starts(ws, keys, mean, precision, ok)
-    b, s = keys.shape[0], keys.shape[1]
-    subsets = np.tile(np.arange(h, dtype=np.intp), (b, s, 1))
     if np.any(ok):
-        d2 = ws.sq_distances(mean, precision)
-        ranked = np.argpartition(d2, h - 1, axis=-1)[:, :, :h]
-        subsets[ok] = ranked[ok]
-    return subsets, ok
+        _smallest(ws.sq_distances(mean, precision, out=keys), h, out, scratch)
+    out[~ok] = np.arange(ws.n) < h
+    return out, ok
 
 
-def _select_winner(
-    data: np.ndarray, candidates: np.ndarray
-) -> tuple[np.ndarray, float]:
-    # Exact-statistics pass over a dataset's converged candidates; ties
-    # in the objective go to the lexicographically smallest subset.
-    unique = np.unique(candidates, axis=0)
-    logdets = [
-        _exact_subset_stats(data, unique[i])[2] for i in range(unique.shape[0])
-    ]
-    best = min(logdets)
-    if not np.isfinite(best):
-        raise SingularSubset("every candidate subset became rank deficient")
-    ties = [tuple(unique[i]) for i, v in enumerate(logdets) if v == best]
-    return np.array(min(ties), dtype=np.intp), float(best)
+def _select_winners(
+    data: np.ndarray, finalists: np.ndarray
+) -> list[tuple[np.ndarray, float]]:
+    # Exact-statistics pass over each dataset's converged candidates,
+    # given as sorted index rows of shape (b, n_keep, h); ties in the
+    # objective go to the lexicographically smallest subset.
+    b, k, h = finalists.shape
+    sub = data[np.arange(b)[:, None, None], finalists].reshape(b * k, h, -1)
+    centered = sub - sub.mean(axis=1)[:, None, :]
+    cov = centered.transpose(0, 2, 1) @ centered / (h - 1)
+    try:
+        logdets = cholesky(cov).log_det.reshape(b, k)
+    except (NotPositiveDefinite, DomainError):
+        logdets = np.array(
+            [[_exact_subset_stats(data[i], row)[2] for row in finalists[i]]
+             for i in range(b)]
+        )
+    winners = []
+    for i in range(b):
+        best = logdets[i].min()
+        if not np.isfinite(best):
+            raise SingularSubset("every candidate subset became rank deficient")
+        ties = [tuple(row) for row, v in zip(finalists[i], logdets[i]) if v == best]
+        winners.append((np.array(min(ties), dtype=np.intp), float(best)))
+    return winners
 
 
 def _best_subsets_multistart(
@@ -535,34 +585,36 @@ def _best_subsets_multistart(
 ) -> list[tuple[np.ndarray, float]]:
     # Multistart concentration over a stack of same-shape datasets,
     # with starting subsets for the whole stack drawn from one stream.
+    # Candidates are 0/1 mask rows in the thread's scratch arrays.
     ws = _Workspace(data)
-    keys = rng.generator().random((ws.b, config.n_starts, ws.n))
-    subsets, live = _initial_subsets(ws, keys, h)
+    d2, scratch, subsets, spare = _scratch_arrays((ws.b, config.n_starts, ws.n))
+    keys = rng.generator().random(out=d2)
+    subsets, live = _initial_subsets(ws, keys, h, subsets, scratch)
     if not np.any(live.reshape(ws.b, -1), axis=1).all():
         dead = int(np.flatnonzero(~np.any(live, axis=1))[0])
         raise SingularSubset(f"every starting subset of dataset {dead} is rank deficient")
 
     for _ in range(_CSTEPS_BEFORE_SELECTION):
-        subsets, _ = _concentrate_round(ws, subsets)
-    logdets = _moment_logdets(ws, subsets)
+        subsets, spare = _concentrate_round(ws, subsets, h, spare, d2, scratch), subsets
+    # log determinants of the candidates, +inf where the gate fails
+    logdets = _fit_rows(ws.moments(subsets, h)[1])[1]
 
     order = np.argsort(logdets, axis=1, kind="stable")[:, : config.n_keep]
-    current = np.sort(
-        np.take_along_axis(subsets, order[:, :, None], axis=1), axis=-1
-    )
+    current = np.take_along_axis(subsets, order[:, :, None], axis=1)
     kept_logdets = np.take_along_axis(logdets, order, axis=1)
     if not np.isfinite(kept_logdets).any(axis=1).all():
         dead = int(np.flatnonzero(~np.isfinite(kept_logdets).any(axis=1))[0])
         raise SingularSubset(f"every starting subset of dataset {dead} is rank deficient")
 
+    d2, scratch, spare, _ = _scratch_arrays(current.shape)
     for _ in range(_MAX_CSTEPS):
-        stepped, _ = _concentrate_round(ws, current)
-        stepped = np.sort(stepped, axis=-1)
+        stepped = _concentrate_round(ws, current, h, spare, d2, scratch)
         if np.array_equal(stepped, current):
             break
-        current = stepped
+        current, spare = stepped, current
 
-    return [_select_winner(data[b], current[b]) for b in range(ws.b)]
+    finalists = np.nonzero(current)[-1].reshape(ws.b, config.n_keep, h)
+    return _select_winners(data, finalists)
 
 
 def _best_subset_exhaustive(data: np.ndarray, h: int) -> tuple[np.ndarray, float]:

@@ -25,6 +25,7 @@ from mcdmanova.errors import (
     EmptyTable,
     MissingColumn,
     NonNumeric,
+    NonPositivePart,
 )
 from mcdmanova.manova import (
     Hypothesis,
@@ -496,6 +497,25 @@ class TestExitCodes:
         )
         assert code == NonNumeric.exit_code
         assert "row 2" in err
+
+    @pytest.mark.parametrize("argv", [["ilr"], ["test", "--ilr", "--method", "cla"]])
+    def test_non_positive_part_names_the_data_row(self, argv, tmp_path, capsys):
+        # data row 3 (a blank line above it does not count) has a zero part
+        data = write_balanced_csv(tmp_path / "d.csv")
+        lines = data.read_text(encoding="utf-8").splitlines()
+        fields = lines[3].split(",")
+        fields[3] = "0"
+        lines[3] = ",".join(fields)
+        lines.insert(2, "")
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, _, err = run_cli(
+            [argv[0], "--input", str(data), *BASE, *argv[1:]], capsys
+        )
+        assert code == NonPositivePart.exit_code == 17
+        assert err == (
+            "mcdmanova: error: row 3: part 2 is 0.0; "
+            "all parts must be positive and finite\n"
+        )
 
     def test_too_few_levels(self, tmp_path, capsys):
         # the six-row example only covers one year

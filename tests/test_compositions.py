@@ -130,8 +130,10 @@ class TestIlrTable:
             Composition(table[1])
         with pytest.raises(NonPositivePart) as whole:
             ilr(table)
-        assert str(whole.value) == str(lone.value)
-        assert str(whole.value).startswith("part 3 is ")
+        assert str(whole.value) == f"row 2: {lone.value}"
+        assert str(lone.value) == (
+            "part 3 is 0.0; all parts must be positive and finite"
+        )
 
     def test_shape_checked(self):
         with pytest.raises(DimensionError):

@@ -306,7 +306,7 @@ class TestCholeskyStack:
         with pytest.raises(NotPositiveDefinite) as info:
             cholesky(np.array([[1.0, 2.0], [2.0, 1.0]]))
         assert str(info.value) == (
-            "pivot np.float64(-3.0) at index 1 is at or below threshold 2e-14"
+            "pivot -3.0 at index 1 is at or below threshold 2e-14"
         )
 
     @pytest.mark.parametrize("bad", [0, 2, 3])

@@ -3,6 +3,8 @@
 import dataclasses
 import itertools
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -77,6 +79,70 @@ def oracle_c_step(data, subset):
     d2 = np.sum(z * z, axis=1)
     order = np.argsort(d2, kind="stable")[:h]
     return np.sort(order)
+
+
+def oracle_multistart(data, h, config, rng):
+    """The multistart search with candidates as index arrays, frozen.
+
+    Each round picks index sets with ``np.argpartition``, scatters them
+    into a fresh 0/1 mask for the moments, and the winner is chosen over
+    ``np.unique`` candidates one exact-statistics call at a time.  The
+    production search keeps masks in reused buffers instead and must
+    pick the same subsets, bit for bit.  Returns one (subset, objective)
+    pair per dataset of the (b, n, p) stack ``data``.
+    """
+    ws = mcd._Workspace(data)
+
+    def moments(subsets):
+        b, c, k = subsets.shape
+        mask = np.zeros((b, c, ws.n))
+        mask[np.arange(b)[:, None, None], np.arange(c)[None, :, None], subsets] = 1.0
+        return ws.moments(mask, k)
+
+    def sq_distances(mean, precision):
+        return ws.sq_distances(mean, precision, out=np.empty(mean.shape[:2] + (ws.n,)))
+
+    def c_step(subsets):
+        mean, cov = moments(subsets)
+        precision, _, ok = mcd._fit_rows(cov)
+        if not np.any(ok):
+            return subsets
+        d2 = sq_distances(mean, precision)
+        new = np.argpartition(d2, h - 1, axis=-1)[:, :, :h]
+        new[~ok] = subsets[~ok]
+        return new
+
+    keys = rng.generator().random((ws.b, config.n_starts, ws.n))
+    idx = np.argpartition(keys, ws.p, axis=-1)[:, :, : ws.p + 1]
+    mean, cov = moments(idx)
+    precision, _, ok = mcd._fit_rows(cov)
+    if not np.all(ok):
+        precision, ok = mcd._extend_degenerate_starts(ws, keys, mean, precision, ok)
+    subsets = np.tile(np.arange(h, dtype=np.intp), (ws.b, config.n_starts, 1))
+    if np.any(ok):
+        ranked = np.argpartition(sq_distances(mean, precision), h - 1, axis=-1)
+        subsets[ok] = ranked[:, :, :h][ok]
+    for _ in range(mcd._CSTEPS_BEFORE_SELECTION):
+        subsets = c_step(subsets)
+    logdets = mcd._fit_rows(moments(subsets)[1])[1]
+    order = np.argsort(logdets, axis=1, kind="stable")[:, : config.n_keep]
+    current = np.sort(np.take_along_axis(subsets, order[:, :, None], axis=1), axis=-1)
+    for _ in range(mcd._MAX_CSTEPS):
+        stepped = np.sort(c_step(current), axis=-1)
+        if np.array_equal(stepped, current):
+            break
+        current = stepped
+
+    winners = []
+    for b in range(ws.b):
+        unique = np.unique(current[b], axis=0)
+        logdets = [mcd._exact_subset_stats(data[b], row)[2] for row in unique]
+        best = min(logdets)
+        if not np.isfinite(best):
+            raise SingularSubset("every candidate subset became rank deficient")
+        ties = [tuple(row) for row, v in zip(unique, logdets) if v == best]
+        winners.append((np.array(min(ties), dtype=np.intp), float(best)))
+    return winners
 
 
 def oracle_reweight(data, raw):
@@ -534,3 +600,171 @@ class TestEstimateInvariants:
         cov = np.cov(sub, rowvar=False)
         expected = cov * est.consistency_factor * est.small_sample_factor
         assert np.allclose(est.raw_scatter, expected, rtol=1e-10)
+
+
+def search_data(kind, b, n, p, seed):
+    data = RngStream(seed).generator().standard_normal((b, n, p))
+    if kind == "outliers":
+        data[:, : max(1, n // 5)] += 6.0
+    elif kind == "rounded":
+        # coarse values with duplicated rows: distances tie everywhere
+        data = np.round(data)
+        data[:, 1] = data[:, 0]
+        data[:, 3] = data[:, 2]
+    return data
+
+
+def search_outcome(search):
+    try:
+        return search()
+    except SingularSubset:
+        return "singular"
+
+
+class TestMaskSearchMatchesIndexOracle:
+    @pytest.mark.parametrize("kind", ["clean", "outliers", "rounded"])
+    @pytest.mark.parametrize("b", [1, 6])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_bitwise_equal_to_index_form(self, p, b, kind, monkeypatch):
+        monkeypatch.setattr(mcd, "EXHAUSTIVE_LIMIT", 0)
+        for n, config, seed in (
+            (12 + 3 * p, McdConfig(), 10 * p + b),
+            (8 + 2 * p, McdConfig(alpha=0.75, n_starts=40, n_keep=3), 20 * p + b),
+        ):
+            data = search_data(kind, b, n, p, seed)
+            h = h_subset_size(n, p, config.alpha)
+            centered = data - data.mean(axis=1)[:, None, :]
+            expected = search_outcome(
+                lambda: oracle_multistart(centered, h, config, RngStream(seed))
+            )
+            ests = search_outcome(
+                lambda: fast_mcd_batch(data, config, RngStream(seed))
+            )
+            if isinstance(expected, str):
+                assert ests == expected
+                continue
+            assert not isinstance(ests, str)
+            for est, (subset, objective) in zip(ests, expected):
+                assert est.best_subset.dtype == subset.dtype
+                assert np.array_equal(est.best_subset, subset), (n, kind)
+                assert est.objective == objective
+
+    def test_whole_sample_subsets(self, monkeypatch):
+        # n = p + 1 makes both the starts and the h-subsets the whole sample
+        monkeypatch.setattr(mcd, "EXHAUSTIVE_LIMIT", 0)
+        data = search_data("clean", 3, 4, 3, 7)
+        [(subset, objective)] = oracle_multistart(
+            data[:1] - data[:1].mean(axis=1)[:, None, :], 4, McdConfig(), RngStream(1)
+        )
+        est = fast_mcd_batch(data, rng=RngStream(1))[0]
+        assert np.array_equal(est.best_subset, subset)
+        assert est.objective == objective
+
+    def test_per_candidate_fallback_matches_stacked_pass(self, monkeypatch):
+        # a finalist failing the stacked Cholesky gate sends the whole
+        # winner selection through one exact-statistics call per finalist
+        data = search_data("outliers", 6, 30, 3, 5)
+        expected = fast_mcd_batch(data, rng=RngStream(3))
+
+        def no_stacks(mat):
+            if np.ndim(mat) > 2:
+                raise NotPositiveDefinite("forced")
+            return cholesky(mat)
+
+        monkeypatch.setattr(mcd, "cholesky", no_stacks)
+        assert_same_fits(fast_mcd_batch(data, rng=RngStream(3)), expected)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_smallest_matches_argpartition_with_ties(self, k):
+        # integer-valued rows tie at almost every k; NaN, inf and signed
+        # zeros take the tie path too
+        values = np.random.default_rng(k).integers(0, 4, size=(3, 40, 12)).astype(float)
+        values[0, 0, 3] = np.nan
+        values[0, 1, :2] = np.inf
+        values[1, 2, :6] = -0.0
+        values[1, 2, 6:] = 0.0
+        out = np.full_like(values, 7.0)
+        mcd._smallest(values, k, out, np.empty_like(values))
+        expected = np.zeros_like(values)
+        picked = np.argpartition(values, k - 1, axis=-1)[..., :k]
+        np.put_along_axis(expected, picked, 1.0, axis=-1)
+        assert np.array_equal(out, expected)
+
+
+def fit_in_new_thread(data, config, seed):
+    """A fit on a thread of its own, so with freshly allocated scratch."""
+    result = []
+    worker = threading.Thread(
+        target=lambda: result.append(fast_mcd_batch(data, config, RngStream(seed)))
+    )
+    worker.start()
+    worker.join(timeout=120)
+    assert not worker.is_alive() and len(result) == 1
+    return result[0]
+
+
+def assert_same_fits(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a.best_subset, b.best_subset)
+        assert np.array_equal(a.raw_scatter, b.raw_scatter)
+        assert np.array_equal(a.raw_location, b.raw_location)
+        assert a.objective == b.objective
+
+
+class TestScratchReuse:
+    # (data, config, seed) of two fits whose scratch shapes differ; B
+    # needs a larger block than A, so B grows it and A reuses it
+    A = (search_data("outliers", 6, 30, 2, 90), McdConfig(), 1)
+    B = (search_data("clean", 1, 90, 3, 91), McdConfig(n_starts=300, n_keep=4), 2)
+
+    def test_shapes_in_sequence_equal_fresh_fits(self):
+        fresh = [fit_in_new_thread(*case) for case in (self.A, self.B)]
+        for case, expected in ((self.A, fresh[0]), (self.B, fresh[1]),
+                               (self.A, fresh[0])):
+            assert_same_fits(fast_mcd_batch(case[0], case[1], RngStream(case[2])), expected)
+
+    def test_estimates_do_not_alias_scratch(self):
+        ests = fast_mcd_batch(self.A[0], self.A[1], RngStream(self.A[2]))
+        frozen = [
+            {f.name: np.copy(getattr(e, f.name)) for f in dataclasses.fields(e)}
+            for e in ests
+        ]
+        for case in (self.B, self.A):
+            fast_mcd_batch(case[0] + 1.0, case[1], RngStream(case[2] + 5))
+        block = mcd._scratch.block
+        for est, before in zip(ests, frozen):
+            for name, value in before.items():
+                assert np.array_equal(getattr(est, name), value), name
+                assert not np.shares_memory(getattr(est, name), block), name
+
+    def test_threads_fitting_different_shapes_match_serial(self):
+        config = McdConfig(n_starts=100, n_keep=4)
+        shapes = ((6, 30, 2), (2, 45, 3))
+        inputs = [
+            [search_data("outliers", *shape, 100 * t + i) for i in range(50)]
+            for t, shape in enumerate(shapes)
+        ]
+        serial = [[fast_mcd_batch(d, config, RngStream(i)) for i, d in enumerate(data)]
+                  for data in inputs]
+        got = [[], []]
+
+        def work(t):
+            for i, d in enumerate(inputs[t]):
+                got[t].append(fast_mcd_batch(d, config, RngStream(i)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=work, args=(t,)) for t in range(2)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=300)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        for t in range(2):
+            assert len(got[t]) == 50
+            for ests, expected in zip(got[t], serial[t]):
+                assert_same_fits(ests, expected)

@@ -19,7 +19,8 @@ one checkout's outputs are compared with another's::
 
 BLAS runs single-threaded so the comparison holds on one machine.  The
 whole set takes about 15 seconds on one core.  Exits 1 if any command
-exits non-zero.
+exits with another status than the one listed for it in ``EXPECTED``
+(zero for every command not listed).
 """
 
 from __future__ import annotations
@@ -49,10 +50,15 @@ KINDS = {
 # run at p = 3 also reaches the Wilks matrices' p >= 3 arithmetic.
 EXPERIMENTS = {kind: (kind, 2) for kind in KINDS} | {"size-p3": ("size", 3)}
 
-TABLE_ARGS = [
-    "--input", "waste.csv", "--factors", "district", "year",
+COLUMN_ARGS = [
+    "--factors", "district", "year",
     "--responses", "biogenic", "recyclables", "residual",
 ]
+TABLE_ARGS = ["--input", "waste.csv", *COLUMN_ARGS]
+
+# Commands that must fail, with their exit status: an error message is
+# output too.
+EXPECTED = {"ilr-bad-part": 17}
 
 
 def write_inputs() -> None:
@@ -71,6 +77,9 @@ def write_inputs() -> None:
                     f"{district},{year}," + ",".join(f"{v:.6f}" for v in row)
                 )
     Path("waste.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # data row 2 with a zero part, for the error message
+    bad = lines[:2] + [lines[2].rsplit(",", 2)[0] + ",0,1.5"] + lines[3:]
+    Path("waste-bad.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
     for name, (kind, p) in EXPERIMENTS.items():
         Path(f"{name}.txt").write_text(
             f"kind = {kind}\nr = 3\nc = 2\nn = 12\np = {p}\n"
@@ -99,6 +108,7 @@ def commands() -> dict[str, list[str]]:
                       "--method", "cla", "--method", "rnk", "--method", "mcd",
                       "--calibrate-on-the-fly", "30", "--seed", "7",
                       "--cache", f"{name}.cache", "--out", f"{name}.tsv"]
+    runs["ilr-bad-part"] = ["ilr", "--input", "waste-bad.csv", *COLUMN_ARGS]
     for name in EXPERIMENTS:
         runs[f"simulate-{name}"] = [
             "simulate", "--input", f"{name}.txt", "--calibrate-on-the-fly", "20",
@@ -128,7 +138,7 @@ def generate(outdir: Path) -> int:
     # no output, and checkouts that predate them must compare equal.
     for lock in Path().glob("*.cache.lock"):
         lock.unlink()
-    failed = [name for name, code in codes.items() if code]
+    failed = [name for name, code in codes.items() if code != EXPECTED.get(name, 0)]
     for name in failed:
         print(f"{name}: exit {codes[name]}", file=sys.stderr)
     return int(bool(failed))
