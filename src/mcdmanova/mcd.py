@@ -356,20 +356,25 @@ class _Workspace:
         return out
 
 
-# Scratch memory of the multistart search, one block per thread.
+# Scratch memory of the multistart search, one block per thread, and
+# the largest block a thread keeps between fits.
 _scratch = threading.local()
+_SCRATCH_KEEP_BYTES = 16 * 2**20
 
 
 def _scratch_arrays(shape: tuple[int, ...]) -> list[np.ndarray]:
     # Four C-contiguous float arrays of the given shape, views of the
     # calling thread's block, which grows to the largest shape asked for
-    # and is reused by every later fit on that thread.  Their contents
-    # are garbage, and no returned estimate may keep a view of them.
+    # up to _SCRATCH_KEEP_BYTES and is reused by every later fit on that
+    # thread; a larger block is allocated for the caller alone.  Their
+    # contents are garbage, and no returned estimate may keep a view of
+    # them.
     size = math.prod(shape)
     block = getattr(_scratch, "block", None)
     if block is None or block.shape[1] < size:
         block = np.empty((4, size))
-        _scratch.block = block
+        if block.nbytes <= _SCRATCH_KEEP_BYTES:
+            _scratch.block = block
     return [row[:size].reshape(shape) for row in block]
 
 
@@ -490,20 +495,23 @@ def _concentrate_round(
 
 
 def _exact_subset_stats(
-    data: np.ndarray, subset: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    # Two-pass mean/covariance/logdet of one subset; used for every
-    # quantity that ends up in the returned estimate.
-    sub = data[subset]
-    h = subset.shape[0]
-    mean = sub.mean(axis=0)
-    centered = sub - mean
-    cov = centered.T @ centered / (h - 1)
+    data: np.ndarray, subsets: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # Two-pass mean and covariance of the rows of data that each index
+    # row of subsets, shape (..., h), picks; used for every quantity
+    # that ends up in a returned estimate.
+    sub = data[subsets]
+    h = subsets.shape[-1]
+    mean = sub.mean(axis=-2)
+    centered = sub - mean[..., None, :]
+    return mean, np.swapaxes(centered, -1, -2) @ centered / (h - 1)
+
+
+def _logdet_or_inf(cov: np.ndarray) -> float:
     try:
-        logdet = cholesky(cov).log_det
+        return cholesky(cov).log_det
     except NotPositiveDefinite:
-        logdet = np.inf
-    return mean, cov, logdet
+        return np.inf
 
 
 def _extend_degenerate_starts(
@@ -522,7 +530,7 @@ def _extend_degenerate_starts(
     for b, s in zip(*np.nonzero(~ok)):
         order = np.argsort(keys[b, s], kind="stable")
         for size in range(ws.p + 2, n + 1):
-            m, cov, _ = _exact_subset_stats(ws.data[b], order[:size])
+            m, cov = _exact_subset_stats(ws.data[b], order[:size])
             prec, _, good = _fit_rows(cov[None, None])
             if good[0, 0]:
                 mean[b, s] = m
@@ -557,19 +565,18 @@ def _select_winners(
     data: np.ndarray, finalists: np.ndarray
 ) -> list[tuple[np.ndarray, float]]:
     # Exact-statistics pass over each dataset's converged candidates,
-    # given as sorted index rows of shape (b, n_keep, h); ties in the
-    # objective go to the lexicographically smallest subset.
-    b, k, h = finalists.shape
-    sub = data[np.arange(b)[:, None, None], finalists].reshape(b * k, h, -1)
-    centered = sub - sub.mean(axis=1)[:, None, :]
-    cov = centered.transpose(0, 2, 1) @ centered / (h - 1)
+    # given as sorted index rows of shape (b, n_keep, h), with all their
+    # covariances factored as one stack; ties in the objective go to the
+    # lexicographically smallest subset.
+    b, n, p = data.shape
+    rows = finalists + n * np.arange(b)[:, None, None]
+    cov = _exact_subset_stats(data.reshape(b * n, p), rows)[1].reshape(-1, p, p)
     try:
-        logdets = cholesky(cov).log_det.reshape(b, k)
-    except (NotPositiveDefinite, DomainError):
-        logdets = np.array(
-            [[_exact_subset_stats(data[i], row)[2] for row in finalists[i]]
-             for i in range(b)]
-        )
+        logdets = cholesky(cov).log_det
+    except NotPositiveDefinite:
+        # the stack stops at its first failing matrix; factor one by one
+        logdets = np.array([_logdet_or_inf(c) for c in cov])
+    logdets = logdets.reshape(finalists.shape[:2])
     winners = []
     for i in range(b):
         best = logdets[i].min()
@@ -649,7 +656,7 @@ def _assemble_estimate(
 ) -> McdEstimate:
     n, p = data.shape
     h = subset.shape[0]
-    raw_location, subset_cov, _ = _exact_subset_stats(data, subset)
+    raw_location, subset_cov = _exact_subset_stats(data, subset)
     cons = consistency_factor(p, h / n)
     small = small_sample_factor(p, n, config.alpha, reweighted=False)
     raw_scatter = subset_cov * (cons * small)
@@ -682,6 +689,12 @@ def fast_mcd_batch(
     whole stack come from a single stream, so a batch of one reproduces
     :func:`fast_mcd` exactly; larger batches are statistically
     equivalent to, but not bitwise reproducible from, separate calls.
+
+    The multistart search works in four float arrays of shape
+    ``(b, n_starts, n)``.  The calling thread keeps them for later fits
+    while together they take at most 16 MiB (``b * n_starts * n`` up to
+    524,288, e.g. one dataset of n = 1,048 at 500 starts); a larger
+    search allocates its own and frees them when it returns.
 
     Parameters
     ----------
@@ -744,6 +757,8 @@ def fast_mcd(
     rng : RngStream, optional
         Randomness source for the multistart search (unused by the
         exhaustive path); defaults to ``RngStream(0)``.
+
+    Scratch memory is kept and reused as by :func:`fast_mcd_batch`.
     """
     data = _validate_data(data)
     return fast_mcd_batch(data[None, :, :], config, rng)[0]

@@ -136,7 +136,13 @@ def oracle_multistart(data, h, config, rng):
     winners = []
     for b in range(ws.b):
         unique = np.unique(current[b], axis=0)
-        logdets = [mcd._exact_subset_stats(data[b], row)[2] for row in unique]
+        logdets = []
+        for row in unique:
+            centered = data[b][row] - data[b][row].mean(axis=0)
+            try:
+                logdets.append(cholesky(centered.T @ centered / (h - 1)).log_det)
+            except NotPositiveDefinite:
+                logdets.append(np.inf)
         best = min(logdets)
         if not np.isfinite(best):
             raise SingularSubset("every candidate subset became rank deficient")
@@ -662,7 +668,7 @@ class TestMaskSearchMatchesIndexOracle:
 
     def test_per_candidate_fallback_matches_stacked_pass(self, monkeypatch):
         # a finalist failing the stacked Cholesky gate sends the whole
-        # winner selection through one exact-statistics call per finalist
+        # winner selection through one factorisation per finalist
         data = search_data("outliers", 6, 30, 3, 5)
         expected = fast_mcd_batch(data, rng=RngStream(3))
 
@@ -713,8 +719,8 @@ def assert_same_fits(got, expected):
 
 
 class TestScratchReuse:
-    # (data, config, seed) of two fits whose scratch shapes differ; B
-    # needs a larger block than A, so B grows it and A reuses it
+    # (data, config, seed) of two fits whose scratch shapes differ; A
+    # needs a larger block than B, so A grows it and B reuses it
     A = (search_data("outliers", 6, 30, 2, 90), McdConfig(), 1)
     B = (search_data("clean", 1, 90, 3, 91), McdConfig(n_starts=300, n_keep=4), 2)
 
@@ -723,6 +729,28 @@ class TestScratchReuse:
         for case, expected in ((self.A, fresh[0]), (self.B, fresh[1]),
                                (self.A, fresh[0])):
             assert_same_fits(fast_mcd_batch(case[0], case[1], RngStream(case[2])), expected)
+
+    def test_search_above_keep_limit_leaves_block_alone(self, monkeypatch):
+        # B's block (864,000 bytes) is kept under a 1 MB limit, A's
+        # (2.88 MB) is allocated for its fit alone
+        fresh = [fit_in_new_thread(*case) for case in (self.A, self.B)]
+        monkeypatch.setattr(mcd, "_SCRATCH_KEEP_BYTES", 10**6)
+        seen = []
+
+        def work():
+            for case in (self.B, self.A, self.B):
+                ests = fast_mcd_batch(case[0], case[1], RngStream(case[2]))
+                seen.append((ests, mcd._scratch.block))
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=120)
+        assert not worker.is_alive() and len(seen) == 3
+        kept = seen[0][1]
+        assert kept.nbytes <= 10**6
+        for (ests, block), expected in zip(seen, (fresh[1], fresh[0], fresh[1])):
+            assert_same_fits(ests, expected)
+            assert block is kept
 
     def test_estimates_do_not_alias_scratch(self):
         ests = fast_mcd_batch(self.A[0], self.A[1], RngStream(self.A[2]))

@@ -3,18 +3,19 @@
 Usage::
 
     python3 tools/bench_pairs.py PARENT CHANGE OUT.json \\
-        --workload NAME PAIRS [--workload NAME PAIRS ...] \\
-        [--first-seed 401] [--seconds 20] [--fault-calls 10]
+        --workload NAME PAIRS [--workload NAME PAIRS ...]
 
 PARENT and CHANGE are checkout roots.  For each workload, pair ``k``
-runs ``perfbench/run.py --seed (first_seed + k)`` once in each checkout,
-one after the other; the side that goes first alternates from pair to
-pair.  Every end-to-end metric and the run's call counts are kept, with
-the medians and the number of pairs the change won per metric.
+runs ``perfbench/run.py --seed (FIRST_SEED + k)`` once in each checkout,
+at the run length ``perfbench/spec.py`` sets, one after the other; the
+side that goes first alternates from pair to pair.  Every end-to-end
+metric and the run's call counts are kept, with the medians and the
+number of pairs the change won per metric, in the direction
+``perfbench/spec.py`` gives it.
 
 Minor page faults per unit (replication, or CLI call) are counted apart
 from the timed runs: a fresh process per checkout sets the workload up,
-warms it with one call, and reads ``getrusage`` around ``--fault-calls``
+warms it with one call, and reads ``getrusage`` around ``FAULT_CALLS``
 further calls, so import and set-up faults are left out.
 
 The record also holds the seeds, the default ``McdConfig``, the core
@@ -34,9 +35,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-# Direction of each end-to-end metric, as in perfbench/spec.py.
-LOWER_IS_BETTER = {"setup_s": True, "reps_per_s": False,
-                   "mcd_obj_gap": True, "peak_rss_mb": True}
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+import spec  # noqa: E402
+
+FIRST_SEED = 401
+FAULT_CALLS = 10
 
 FAULT_PROBE = """
 import json, resource, sys
@@ -62,18 +65,19 @@ def single_blas_env() -> dict:
     return env
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     subprocess.run(cmd, cwd=root, check=True, capture_output=True)
     out = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
     return json.loads(out.read_text(encoding="utf-8"))
 
 
-def minor_faults(root: Path, workload: str, seed: int, calls: int) -> float:
+def minor_faults(root: Path, workload: str) -> float:
     with tempfile.TemporaryDirectory() as workdir:
         done = subprocess.run(
-            [sys.executable, "-c", FAULT_PROBE, workload, str(seed), str(calls), workdir],
+            [sys.executable, "-c", FAULT_PROBE, workload, str(FIRST_SEED),
+             str(FAULT_CALLS), workdir],
             cwd=root, check=True, capture_output=True, text=True, env=single_blas_env(),
         )
     return json.loads(done.stdout.splitlines()[-1])
@@ -81,7 +85,8 @@ def minor_faults(root: Path, workload: str, seed: int, calls: int) -> float:
 
 def summary(pairs: list[dict]) -> dict:
     out = {}
-    for name, lower in LOWER_IS_BETTER.items():
+    for name, (_, better, _) in spec.END_TO_END.items():
+        lower = better == "lower"
         parent = [pair["parent"]["metrics"][name] for pair in pairs]
         change = [pair["change"]["metrics"][name] for pair in pairs]
         quartiles = statistics.quantiles(parent, n=4)
@@ -98,15 +103,16 @@ def summary(pairs: list[dict]) -> dict:
 
 def compare(args: argparse.Namespace) -> dict:
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
-    record: dict = {"seconds": args.seconds, "workloads": {}}
+    record: dict = {"workloads": {}}
     for workload, count in args.workload:
         pairs = []
         for k in range(count):
-            seed = args.first_seed + k
+            seed = FIRST_SEED + k
             order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
             pair: dict = {"seed": seed, "first": order[0]}
             for side in order:
-                full = run_once(sides[side], workload, seed, args.seconds)
+                full = run_once(sides[side], workload, seed)
+                record.setdefault("seconds", full["seconds"])
                 record.setdefault("environment", {}).setdefault(side, full["environment"])
                 pair[side] = {
                     "metrics": {m: v["value"] for m, v in full["metrics"].items()},
@@ -121,7 +127,7 @@ def compare(args: argparse.Namespace) -> dict:
             "pairs": pairs,
             "summary": summary(pairs),
             "minor_faults_per_unit": {
-                side: minor_faults(root, workload, args.first_seed, args.fault_calls)
+                side: minor_faults(root, workload)
                 for side, root in sides.items()
             },
         }
@@ -135,9 +141,6 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("out", type=Path)
     parser.add_argument("--workload", nargs=2, action="append", metavar=("NAME", "PAIRS"),
                         required=True)
-    parser.add_argument("--first-seed", type=int, default=401)
-    parser.add_argument("--seconds", type=float, default=20.0)
-    parser.add_argument("--fault-calls", type=int, default=10)
     args = parser.parse_args(argv)
     args.workload = [(name, int(pairs)) for name, pairs in args.workload]
     if any(pairs < 2 for _, pairs in args.workload):
