@@ -18,7 +18,6 @@ from enum import Enum
 from typing import Protocol, Sequence
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .distributions import RngStream, chi2_cdf, chi2_quantile, cholesky
 from .errors import (
@@ -203,15 +202,32 @@ def validate_layout(raw_table: Sequence[Sequence]) -> TwoWayLayout:
     return TwoWayLayout(r, c, len(rows) // (r * c), p, values, row_idx, col_idx)
 
 
+def _mid_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of each column of ``x``, ties given their mean rank.
+
+    A value's mid-rank is the mean of the first and last sorted positions
+    it holds, ``(below + not_above + 1) / 2`` with ``below`` the count of
+    values < it and ``not_above`` the count <= it.  The counts are
+    integers, so every rank is an exact integer or half-integer.
+    """
+    pool = np.sort(x, axis=0)
+    ranks = np.empty(x.shape)
+    for j in range(x.shape[1]):
+        ranks[:, j] = (np.searchsorted(pool[:, j], x[:, j], "left")
+                       + np.searchsorted(pool[:, j], x[:, j], "right"))
+    return (ranks + 1) / 2
+
+
 def rank_transform(layout: TwoWayLayout) -> TwoWayLayout:
     """Replace each response coordinate by its rank among all N values.
 
-    Ties receive mid-ranks.  Ranking each coordinate separately over the
-    pooled sample is the usual rank transformation for MANOVA; the
-    classical statistics applied to the ranked layout give the rank
-    test.
+    Ties receive mid-ranks, computed with NumPy and equal to SciPy's
+    ``rankdata(..., method="average")``.  Ranking each coordinate
+    separately over the pooled sample is the usual rank transformation
+    for MANOVA; the classical statistics applied to the ranked layout
+    give the rank test.
     """
-    ranked = rankdata(layout.observations, axis=0)
+    ranked = _mid_ranks(layout.observations)
     return TwoWayLayout(
         layout.r, layout.c, layout.n, layout.p,
         ranked, layout.row_label, layout.col_label,

@@ -8,6 +8,8 @@ one is on PATH.  Heavy robust runs use tiny designs and low-precision
 on-the-fly calibration so the whole module stays fast.
 """
 
+import json
+import os
 import re
 import shutil
 import subprocess
@@ -590,6 +592,42 @@ class TestInstalledEntryPoints:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1].startswith("district ")
+
+    def test_runtime_path_never_loads_scipy(self, tmp_path):
+        # SciPy is a test-only oracle: importing the package, a rank
+        # test on --ilr data and --help must leave it unloaded.
+        data = write_balanced_csv(tmp_path / "d.csv")
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import mcdmanova\n"
+            "from mcdmanova import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "    try:\n"
+            "        cli.main(['--help'])\n"
+            "    except SystemExit:\n"
+            "        pass\n"
+            "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
+            "print(json.dumps([code, sorted(loaded)]))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "test", "--input", str(data), *BASE,
+             "--ilr", "--method", "rnk"],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
+
+    def test_scipy_is_not_a_runtime_dependency(self):
+        tomllib = pytest.importorskip("tomllib")
+        with PYPROJECT.open("rb") as fh:
+            project = tomllib.load(fh)["project"]
+        names = [re.split(r"[<>=!~ \[;]", dep)[0] for dep in project["dependencies"]]
+        assert names == ["numpy"]
+        assert any(dep.startswith("scipy") for dep in project["optional-dependencies"]["test"])
 
     def test_parser_builds(self):
         parser = build_parser()

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
+from scipy.stats import chi2, rankdata
 
 from mcdmanova import manova
 from mcdmanova.distributions import RngStream, chi2_quantile, cholesky
@@ -216,6 +216,55 @@ class TestRankTransform:
             assert sorted(ranked.observations[:, j]) == list(
                 range(1, lay.size + 1)
             )
+
+
+def assert_ranks_match_scipy(x):
+    """The private kernel equals ``scipy.stats.rankdata`` byte for byte."""
+    got = manova._mid_ranks(x)
+    want = rankdata(x, axis=0)
+    assert got.dtype == want.dtype == np.float64
+    assert got.shape == want.shape == x.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestMidRanksMatchScipy:
+    """SciPy is the oracle here only; the package ranks with NumPy."""
+
+    KINDS = {
+        "continuous": lambda rng, shape: rng.normal(size=shape),
+        "integer": lambda rng, shape: rng.integers(-3, 4, size=shape).astype(float),
+        "rounded": lambda rng, shape: np.round(rng.normal(size=shape) * 0.3, 1),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_every_size(self, kind, p):
+        for N in range(1, 201):
+            rng = np.random.default_rng([p, N, sorted(self.KINDS).index(kind)])
+            assert_ranks_match_scipy(self.KINDS[kind](rng, (N, p)))
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_all_equal_columns(self, p):
+        for N in range(1, 201):
+            rng = np.random.default_rng([p, N])
+            x = rng.normal(size=(N, p))
+            x[:, ::2] = rng.normal(size=(1, len(range(0, p, 2))))
+            assert_ranks_match_scipy(x)
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_signed_zeros_and_extreme_magnitudes(self, p):
+        pool = np.array([
+            -0.0, 0.0, -0.0, 0.0, -5e-324, 5e-324,
+            -1e300, np.nextafter(-1e300, 0.0), -1.7976931348623157e308,
+            1e300, np.nextafter(1e300, np.inf), 1.7976931348623157e308,
+        ])
+        for N in range(1, 201):
+            rng = np.random.default_rng([p, N, 99])
+            assert_ranks_match_scipy(rng.choice(pool, size=(N, p)))
+
+    def test_negative_zero_ties_positive_zero(self):
+        x = np.array([[0.0], [-0.0], [1.0], [-1.0]])
+        assert manova._mid_ranks(x)[:, 0].tolist() == [2.5, 2.5, 4.0, 1.0]
 
 
 class TestWeightSet:
