@@ -9,7 +9,6 @@ on-the-fly calibration so the whole module stays fast.
 """
 
 import json
-import os
 import re
 import shutil
 import subprocess
@@ -610,13 +609,10 @@ class TestInstalledEntryPoints:
             "loaded = [m for m in sys.modules if m.split('.')[0] == 'scipy']\n"
             "print(json.dumps([code, sorted(loaded)]))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            [src, *filter(None, [os.environ.get("PYTHONPATH")])]))
         proc = subprocess.run(
             [sys.executable, "-c", script, "test", "--input", str(data), *BASE,
              "--ilr", "--method", "rnk"],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
