@@ -150,11 +150,7 @@ def _ilr_layout(layout: TwoWayLayout) -> TwoWayLayout:
         raise DimensionError(
             "the ilr transform needs at least two response columns"
         )
-    coords = ilr(layout.observations)
-    return TwoWayLayout(
-        layout.r, layout.c, layout.n, layout.p - 1,
-        coords, layout.row_label, layout.col_label,
-    )
+    return layout.with_observations(ilr(layout.observations))
 
 
 def _hypothesis_label(hypothesis: Hypothesis, factors: list[str]) -> str:

@@ -99,13 +99,16 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
+@lru_cache(maxsize=1024)
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for positive real ``x``.
 
     Uses the Stirling asymptotic series after shifting the argument
     above 10 with the recursion ``ln Gamma(x) = ln Gamma(x + 1) - ln x``.
     Accurate to a few units in the last place over the whole positive
-    axis representable in double precision.
+    axis representable in double precision.  Results are cached: every
+    chi-square p-value of a design and hypothesis asks for the same
+    ``ln_gamma(df / 2)``.
     """
     x = float(x)
     if not x > 0.0 or not math.isfinite(x):

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -96,20 +97,12 @@ class TwoWayLayout:
             )
         if self.n < 2:
             raise DomainError(f"need at least 2 observations per cell, got n={self.n}")
-        if self.p < 1:
-            raise DimensionError(f"response dimension must be positive, got p={self.p}")
-        obs = np.ascontiguousarray(np.asarray(self.observations, dtype=np.float64))
+        N = self.r * self.c * self.n
+        obs = _checked_observations(self.observations, N, self.p)
         rows = np.asarray(self.row_label, dtype=np.intp)
         cols = np.asarray(self.col_label, dtype=np.intp)
-        N = self.r * self.c * self.n
-        if obs.shape != (N, self.p):
-            raise DimensionError(
-                f"observations shape {obs.shape} does not match (r*c*n, p) = {(N, self.p)}"
-            )
         if rows.shape != (N,) or cols.shape != (N,):
             raise DimensionError("label vectors must have one entry per observation")
-        if not np.all(np.isfinite(obs)):
-            raise NonNumeric("observations contain non-finite values")
         if rows.min() < 0 or rows.max() >= self.r:
             raise DomainError("row labels out of range")
         if cols.min() < 0 or cols.max() >= self.c:
@@ -121,7 +114,7 @@ class TwoWayLayout:
                 f"cell ({bad // self.c}, {bad % self.c}) holds {counts[bad]} "
                 f"observations, expected {self.n}"
             )
-        for arr in (obs, rows, cols):
+        for arr in (rows, cols):
             arr.setflags(write=False)
         object.__setattr__(self, "observations", obs)
         object.__setattr__(self, "row_label", rows)
@@ -132,6 +125,22 @@ class TwoWayLayout:
         """Total observation count N = r*c*n."""
         return self.r * self.c * self.n
 
+    def with_observations(self, observations: np.ndarray) -> TwoWayLayout:
+        """This design, with the same label arrays, holding ``observations``.
+
+        ``p`` is the column count of ``observations``.  The labels were
+        validated when this layout was built and are read-only, so only
+        the observations are checked, with the errors a full
+        construction would raise for them.
+        """
+        obs = np.asarray(observations, dtype=np.float64)
+        p = obs.shape[1] if obs.ndim == 2 else self.p
+        twin = object.__new__(TwoWayLayout)
+        twin.__dict__.update(
+            self.__dict__, p=p, observations=_checked_observations(obs, self.size, p)
+        )
+        return twin
+
     def cell_array(self) -> np.ndarray:
         """Observations regrouped by cell, shape (r, c, n, p).
 
@@ -141,15 +150,44 @@ class TwoWayLayout:
         return self.observations[order].reshape(self.r, self.c, self.n, self.p)
 
 
+def _checked_observations(observations, N: int, p: int) -> np.ndarray:
+    """``observations`` as a read-only contiguous (N, p) float array.
+
+    Raises what a layout construction raises for a bad ``p``, a wrong
+    shape or a non-finite value, in that order.
+    """
+    if p < 1:
+        raise DimensionError(f"response dimension must be positive, got p={p}")
+    obs = np.ascontiguousarray(np.asarray(observations, dtype=np.float64))
+    if obs.shape != (N, p):
+        raise DimensionError(
+            f"observations shape {obs.shape} does not match (r*c*n, p) = {(N, p)}"
+        )
+    if not np.all(np.isfinite(obs)):
+        raise NonNumeric("observations contain non-finite values")
+    obs.setflags(write=False)
+    return obs
+
+
+@lru_cache(maxsize=64)
+def _design_template(r: int, c: int, n: int) -> TwoWayLayout:
+    """Validated cell-ordered layout of the (r, c, n) design, p = 1.
+
+    Its labels are shared by every layout built from it; a design that
+    fails validation raises on every call, since errors are not cached.
+    """
+    rows = np.repeat(np.arange(r, dtype=np.intp), c * n)
+    cols = np.tile(np.repeat(np.arange(c, dtype=np.intp), n), r)
+    return TwoWayLayout(r, c, n, 1, np.zeros((r * c * n, 1)), rows, cols)
+
+
 def layout_from_cells(cells: np.ndarray) -> TwoWayLayout:
     """Build a layout from an (r, c, n, p) array of cell observations."""
     cells = np.asarray(cells, dtype=np.float64)
     if cells.ndim != 4:
         raise DimensionError(f"cells must be four-dimensional, got shape {cells.shape}")
     r, c, n, p = cells.shape
-    rows = np.repeat(np.arange(r, dtype=np.intp), c * n)
-    cols = np.tile(np.repeat(np.arange(c, dtype=np.intp), n), r)
-    return TwoWayLayout(r, c, n, p, cells.reshape(r * c * n, p), rows, cols)
+    return _design_template(r, c, n).with_observations(cells.reshape(r * c * n, p))
 
 
 def validate_layout(raw_table: Sequence[Sequence]) -> TwoWayLayout:
@@ -227,11 +265,7 @@ def rank_transform(layout: TwoWayLayout) -> TwoWayLayout:
     for MANOVA; the classical statistics applied to the ranked layout
     give the rank test.
     """
-    ranked = _mid_ranks(layout.observations)
-    return TwoWayLayout(
-        layout.r, layout.c, layout.n, layout.p,
-        ranked, layout.row_label, layout.col_label,
-    )
+    return layout.with_observations(_mid_ranks(layout.observations))
 
 
 @dataclass(frozen=True, eq=False)
@@ -264,10 +298,15 @@ class WeightSet:
             raise DomainError("row totals are not consistent with cell totals")
         if not np.array_equal(cell.sum(axis=0), np.asarray(self.col_totals)):
             raise DomainError("column totals are not consistent with cell totals")
-        for arr in (w, cell):
+        totals = {
+            "w": w,
+            "cell_totals": cell,
+            "row_totals": np.asarray(self.row_totals, dtype=np.int64),
+            "col_totals": np.asarray(self.col_totals, dtype=np.int64),
+        }
+        for name, arr in totals.items():
             arr.setflags(write=False)
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "cell_totals", cell)
+            object.__setattr__(self, name, arr)
 
     @classmethod
     def from_vector(cls, layout: TwoWayLayout, w: np.ndarray) -> "WeightSet":
@@ -284,8 +323,18 @@ class WeightSet:
 
 
 def unit_weights(layout: TwoWayLayout) -> WeightSet:
-    """Weight one for every observation."""
-    return WeightSet.from_vector(layout, np.ones(layout.size, dtype=np.int64))
+    """Weight one for every observation.
+
+    All weights are one and every cell holds n, so the totals depend on
+    the design alone: one read-only WeightSet serves each (r, c, n).
+    """
+    return _unit_weights(layout.r, layout.c, layout.n)
+
+
+@lru_cache(maxsize=64)
+def _unit_weights(r: int, c: int, n: int) -> WeightSet:
+    template = _design_template(r, c, n)
+    return WeightSet.from_vector(template, np.ones(template.size, dtype=np.int64))
 
 
 @dataclass(frozen=True, eq=False)

@@ -128,6 +128,22 @@ class TestLnGamma:
                 math.log(math.factorial(n - 1)), rel=1e-14, abs=1e-13
             )
 
+    def test_memo_equals_direct_evaluation_bitwise(self):
+        ln_gamma.cache_clear()
+        grid = [*np.geomspace(1e-300, 1e300, 301).tolist(),
+                *(k / 2 for k in range(1, 401)), 5e-324, 1e308]
+        for _ in range(2):
+            for x in grid:
+                memo, direct = ln_gamma(x), ln_gamma.__wrapped__(x)
+                assert math.copysign(1.0, memo) == math.copysign(1.0, direct)
+                assert memo == direct
+
+    @pytest.mark.parametrize("bad", [0.0, -0.0, -1.0, -np.inf, np.inf, np.nan])
+    def test_bad_argument_raises_on_every_call(self, bad):
+        for _ in range(2):
+            with pytest.raises(DomainError, match="ln_gamma requires x > 0"):
+                ln_gamma(bad)
+
     def test_domain(self):
         for bad in (0.0, -1.0, -0.5, math.nan, math.inf):
             with pytest.raises(DomainError):

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, rankdata
 
-from mcdmanova import manova
+from mcdmanova import manova, simulation
+from mcdmanova.cli import _ilr_layout
+from mcdmanova.compositions import ilr
 from mcdmanova.distributions import RngStream, chi2_quantile, cholesky
 from mcdmanova.errors import (
     CellWiped,
@@ -177,6 +179,134 @@ class TestLayoutStructure:
         assert lay.size == 30
 
 
+def assert_same_layout(derived, built):
+    """Field-by-field equality with a full construction, arrays read-only."""
+    assert (derived.r, derived.c, derived.n, derived.p) == (
+        built.r, built.c, built.n, built.p
+    )
+    assert derived.observations.dtype == built.observations.dtype
+    assert derived.observations.shape == built.observations.shape
+    assert derived.observations.tobytes() == built.observations.tobytes()
+    for name in ("row_label", "col_label"):
+        a, b = getattr(derived, name), getattr(built, name)
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    for arr in (derived.observations, derived.row_label, derived.col_label):
+        assert not arr.flags.writeable
+
+
+def shuffled_table_layout(seed, r=3, c=2, n=4, p=2):
+    """validate_layout of a table whose rows are in random order."""
+    rng = np.random.default_rng(seed)
+    rows = [
+        (f"r{i}", f"c{j}", *rng.normal(size=p))
+        for i in range(r) for j in range(c) for _ in range(n)
+    ]
+    return validate_layout([rows[k] for k in rng.permutation(len(rows))])
+
+
+class TestValidatedOnce:
+    """Layouts derived inside the package reuse their design's labels."""
+
+    @pytest.mark.parametrize("cells, error, message", [
+        (np.full((2, 2, 3, 2), np.nan), NonNumeric,
+         "observations contain non-finite values"),
+        (np.pad(np.zeros((2, 2, 3, 1)), ((0, 0),) * 3 + ((0, 1),),
+                constant_values=np.inf), NonNumeric,
+         "observations contain non-finite values"),
+        (np.zeros((2, 2, 3)), DimensionError,
+         "cells must be four-dimensional, got shape (2, 2, 3)"),
+        (np.zeros((1, 2, 3, 2)), TooFewLevels,
+         "need at least 2 levels per factor, got r=1, c=2"),
+        (np.zeros((2, 1, 3, 2)), TooFewLevels,
+         "need at least 2 levels per factor, got r=2, c=1"),
+        (np.zeros((2, 2, 1, 2)), DomainError,
+         "need at least 2 observations per cell, got n=1"),
+        (np.zeros((2, 2, 3, 0)), DimensionError,
+         "response dimension must be positive, got p=0"),
+    ], ids=["nan", "inf", "3d", "r1", "c1", "n1", "p0"])
+    def test_bad_cells_raise_on_every_call(self, cells, error, message):
+        for _ in range(2):
+            with pytest.raises(error) as info:
+                layout_from_cells(cells)
+            assert type(info.value) is error
+            assert str(info.value) == message
+
+    def test_layout_from_cells_equals_construction(self):
+        for r, c, n, p in ((2, 2, 2, 1), (3, 2, 5, 3), (2, 4, 3, 2)):
+            cells = np.random.default_rng(r * 100 + p).normal(size=(r, c, n, p))
+            built = TwoWayLayout(
+                r, c, n, p, cells.reshape(-1, p),
+                np.repeat(np.arange(r), c * n),
+                np.tile(np.repeat(np.arange(c), n), r),
+            )
+            assert_same_layout(layout_from_cells(cells), built)
+
+    def test_rank_transform_equals_construction(self):
+        lay = shuffled_table_layout(61)
+        built = TwoWayLayout(
+            lay.r, lay.c, lay.n, lay.p, rankdata(lay.observations, axis=0),
+            lay.row_label, lay.col_label,
+        )
+        assert_same_layout(rank_transform(lay), built)
+
+    def test_ilr_layout_equals_construction(self):
+        lay = shuffled_table_layout(62, p=3)
+        parts = np.exp(lay.observations)
+        lay = lay.with_observations(parts)
+        built = TwoWayLayout(
+            lay.r, lay.c, lay.n, 2, ilr(parts), lay.row_label, lay.col_label,
+        )
+        assert_same_layout(_ilr_layout(lay), built)
+
+    def test_with_observations_keeps_labels_and_takes_p(self):
+        lay = shuffled_table_layout(63)
+        twin = lay.with_observations(np.ones((lay.size, 5)))
+        assert twin.p == 5 and lay.p == 2
+        assert twin.row_label is lay.row_label and twin.col_label is lay.col_label
+
+    def test_with_observations_rejects_row_count_mismatch(self):
+        lay = random_layout(np.random.default_rng(64))
+        with pytest.raises(DimensionError, match=r"\(29, 2\) does not match"):
+            lay.with_observations(np.zeros((lay.size - 1, 2)))
+        with pytest.raises(DimensionError, match="must be positive, got p=0"):
+            lay.with_observations(np.zeros((lay.size, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_with_observations_rejects_non_finite(self, bad):
+        lay = random_layout(np.random.default_rng(65))
+        obs = np.zeros((lay.size, 2))
+        obs[7, 1] = bad
+        with pytest.raises(NonNumeric, match="non-finite"):
+            lay.with_observations(obs)
+
+    def test_power_experiment_validates_each_design_once(self, monkeypatch):
+        manova._design_template.cache_clear()
+        manova._unit_weights.cache_clear()
+        calls = {"layout": 0, "weights": 0}
+
+        def counted(kind, post_init):
+            def wrapper(self):
+                calls[kind] += 1
+                post_init(self)
+            return wrapper
+
+        monkeypatch.setattr(TwoWayLayout, "__post_init__",
+                            counted("layout", TwoWayLayout.__post_init__))
+        monkeypatch.setattr(WeightSet, "__post_init__",
+                            counted("weights", WeightSet.__post_init__))
+        reports = simulation.run_experiment(
+            "power_inter", simulation.Design(2, 2, 20, 2), (0.5, 1.0),
+            ("cla", "rnk"), 20, master_seed=5,
+        )
+        assert {rep.setting for rep in reports} == {0.5, 1.0}
+        assert {rep.method for rep in reports} == {"cla", "rnk"}
+        assert {rep.m for rep in reports} == {20}
+        # 40 replications, each a generated and a ranked layout with one
+        # unit weight set per method: 80 of each without the design memos
+        assert calls["layout"] <= 1
+        assert calls["weights"] <= 1
+
+
 class TestRankTransform:
     def test_simple_column(self):
         rows = [
@@ -295,6 +425,35 @@ class TestWeightSet:
         lay = random_layout(np.random.default_rng(9))
         with pytest.raises(DimensionError):
             WeightSet.from_vector(lay, np.ones(lay.size + 1, dtype=np.int64))
+
+
+class TestUnitWeightsMemo:
+    def test_equals_weights_built_from_shuffled_labels(self):
+        lay = shuffled_table_layout(71)
+        memo = unit_weights(lay)
+        built = WeightSet.from_vector(lay, np.ones(lay.size, dtype=np.int64))
+        for name in ("w", "cell_totals", "row_totals", "col_totals"):
+            a, b = getattr(memo, name), getattr(built, name)
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+            assert not a.flags.writeable
+        assert memo.grand_total == built.grand_total
+
+    def test_classical_ssp_bitwise_on_shuffled_labels(self):
+        lay = shuffled_table_layout(72, p=3)
+        memo = classical_ssp(lay)
+        built = weighted_ssp(
+            lay, WeightSet.from_vector(lay, np.ones(lay.size, dtype=np.int64))
+        )
+        for name in ("W", "E", "R_row", "R_col"):
+            assert getattr(memo, name).tobytes() == getattr(built, name).tobytes()
+        for name in ("cell", "row", "col", "grand"):
+            assert (getattr(memo.means, name).tobytes()
+                    == getattr(built.means, name).tobytes())
+
+    def test_one_weight_set_per_design(self):
+        a = unit_weights(shuffled_table_layout(73))
+        assert unit_weights(random_layout(np.random.default_rng(74), n=4)) is a
+        assert unit_weights(random_layout(np.random.default_rng(75), n=5)) is not a
 
 
 class TestWeightedSsp:

@@ -77,6 +77,11 @@ def write_inputs() -> None:
                     f"{district},{year}," + ",".join(f"{v:.6f}" for v in row)
                 )
     Path("waste.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # the same rows in another order, so factor levels are numbered in a
+    # different first-appearance order and cells interleave
+    order = np.random.default_rng(20181).permutation(len(lines) - 1) + 1
+    shuffled = [lines[0]] + [lines[k] for k in order]
+    Path("waste-shuffled.csv").write_text("\n".join(shuffled) + "\n", encoding="utf-8")
     # data row 2 with a zero part, for the error message
     bad = lines[:2] + [lines[2].rsplit(",", 2)[0] + ",0,1.5"] + lines[3:]
     Path("waste-bad.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
@@ -102,9 +107,13 @@ def commands() -> dict[str, list[str]]:
                              "--mcd-alpha", "1",
                              "--cache", "calibrate-alpha1.cache"],
     }
-    for name, extra in (("test", []), ("test-ilr", ["--ilr"]),
-                        ("test-ilr-additive", ["--ilr", "--model", "additive"])):
-        runs[name] = ["test", *TABLE_ARGS, *extra,
+    for name, table, extra in (
+        ("test", TABLE_ARGS, []),
+        ("test-shuffled", ["--input", "waste-shuffled.csv", *COLUMN_ARGS], []),
+        ("test-ilr", TABLE_ARGS, ["--ilr"]),
+        ("test-ilr-additive", TABLE_ARGS, ["--ilr", "--model", "additive"]),
+    ):
+        runs[name] = ["test", *table, *extra,
                       "--method", "cla", "--method", "rnk", "--method", "mcd",
                       "--calibrate-on-the-fly", "30", "--seed", "7",
                       "--cache", f"{name}.cache", "--out", f"{name}.tsv"]
