@@ -2,9 +2,11 @@
 
 This module owns everything the statistical layers need from "numerics":
 named substreams of a counter-based random generator, the log-gamma
-function, the chi-square distribution function and its inverse, and a
-pivoted Cholesky factorisation used as the single positive-definiteness
-gate in the package.
+function, the chi-square distribution function and its inverse, and the
+package's only Cholesky factorisation, whose pivot rule is its single
+positive-definiteness gate: :func:`cholesky` checks its input and raises
+on a failed pivot, :func:`cholesky_mask` returns a per-matrix pass mask
+for the MCD search's stacks of candidate covariances.
 
 The chi-square routines are implemented directly (Stirling series for
 ``ln_gamma``, incomplete-gamma series and continued fraction for the
@@ -29,6 +31,7 @@ __all__ = [
     "chi2_quantile",
     "CholeskyFactor",
     "cholesky",
+    "cholesky_mask",
 ]
 
 _LN_SQRT_2PI = 0.9189385332046727417803297364056176
@@ -256,6 +259,33 @@ class CholeskyFactor:
         return 2.0 * total
 
 
+def _pivot_cholesky(stack: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Cholesky factors of an (s, p, p) stack, column by column with the
+    # arithmetic of a single matrix.  A pivot at or below p * 1e-14 *
+    # max(diag) of its matrix fails and is replaced by one.  Also returns
+    # the thresholds and each matrix's first failing pivot: its index (p
+    # where none fails) and its value.
+    s, p, _ = stack.shape
+    threshold = p * 1e-14 * np.diagonal(stack, axis1=1, axis2=2).max(axis=1)
+    lower = np.zeros_like(stack)
+    fail_at, fail_value = np.full(s, p), np.zeros(s)
+    for j in range(p):
+        vec = lower[:, j, :j, None]
+        d = stack[:, j, j] - (lower[:, j, None, :j] @ vec)[:, 0, 0]
+        low = ~(d > threshold)
+        if low.any():
+            first = low & (fail_at == p)
+            fail_at[first], fail_value[first] = j, d[first]
+            d = np.where(low, 1.0, d)
+        pivot = np.sqrt(d)
+        lower[:, j, j] = pivot
+        if j + 1 < p:
+            lower[:, j + 1 :, j] = (
+                stack[:, j + 1 :, j] - (lower[:, j + 1 :, :j] @ vec)[:, :, 0]
+            ) / pivot[:, None]
+    return lower, threshold, fail_at, fail_value
+
+
 def cholesky(mat: np.ndarray) -> CholeskyFactor:
     """Pivot-checked Cholesky factorisation of a symmetric matrix or stack.
 
@@ -295,30 +325,25 @@ def cholesky(mat: np.ndarray) -> CholeskyFactor:
     for i, (scale, skew) in enumerate(zip(scales, asym.tolist())):
         if skew > 1e-12 * max(1.0, scale):
             raise DomainError(f"{where.format(i)}matrix is not symmetric")
-    threshold = p * 1e-14 * flat[:, :: p + 1].max(axis=1)
-    lower = np.zeros_like(stack)
-    # First failing pivot of each matrix; a failed pivot is replaced by
-    # one so the rest of the stack still factors.
-    failed: dict[int, tuple[np.float64, int]] = {}
-    for j in range(p):
-        vec = lower[:, j, :j, None]
-        d = stack[:, j, j] - (lower[:, j, None, :j] @ vec)[:, 0, 0]
-        low = ~(d > threshold)
-        if low.any():
-            for i in np.flatnonzero(low).tolist():
-                failed.setdefault(i, (d[i], j))
-            d = np.where(low, 1.0, d)
-        pivot = np.sqrt(d)
-        lower[:, j, j] = pivot
-        if j + 1 < p:
-            lower[:, j + 1 :, j] = (
-                stack[:, j + 1 :, j] - (lower[:, j + 1 :, :j] @ vec)[:, :, 0]
-            ) / pivot[:, None]
-    if failed:
-        i = min(failed)
-        d, j = failed[i]
+    lower, threshold, fail_at, fail_value = _pivot_cholesky(stack)
+    if (fail_at < p).any():
+        i = int(np.argmax(fail_at < p))
         raise NotPositiveDefinite(
-            f"{where.format(i)}pivot {float(d)!r} at index {j} is at or below "
-            f"threshold {float(threshold[i])!r}"
+            f"{where.format(i)}pivot {float(fail_value[i])!r} at index "
+            f"{fail_at[i]} is at or below threshold {float(threshold[i])!r}"
         )
     return CholeskyFactor(lower=lower.reshape(mat.shape))
+
+
+def cholesky_mask(mat: np.ndarray) -> tuple[CholeskyFactor, np.ndarray]:
+    """:func:`cholesky` without its checks, for square, symmetric, finite input.
+
+    Returns the factors and a mask of shape ``mat.shape[:-2]`` that is
+    False exactly where :func:`cholesky` of that matrix raises
+    :class:`NotPositiveDefinite`; the factors of those matrices are garbage.
+    """
+    mat = np.asarray(mat, dtype=np.float64)
+    p = mat.shape[-1]
+    lower, _, fail_at, _ = _pivot_cholesky(mat.reshape(-1, p, p))
+    ok = (fail_at == p).reshape(mat.shape[:-2])
+    return CholeskyFactor(lower=lower.reshape(mat.shape)), ok

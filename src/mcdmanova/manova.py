@@ -99,8 +99,8 @@ class TwoWayLayout:
             raise DomainError(f"need at least 2 observations per cell, got n={self.n}")
         N = self.r * self.c * self.n
         obs = _checked_observations(self.observations, N, self.p)
-        rows = np.asarray(self.row_label, dtype=np.intp)
-        cols = np.asarray(self.col_label, dtype=np.intp)
+        rows = np.array(self.row_label, dtype=np.intp)
+        cols = np.array(self.col_label, dtype=np.intp)
         if rows.shape != (N,) or cols.shape != (N,):
             raise DimensionError("label vectors must have one entry per observation")
         if rows.min() < 0 or rows.max() >= self.r:
@@ -151,14 +151,14 @@ class TwoWayLayout:
 
 
 def _checked_observations(observations, N: int, p: int) -> np.ndarray:
-    """``observations`` as a read-only contiguous (N, p) float array.
+    """A read-only contiguous (N, p) float copy of ``observations``.
 
     Raises what a layout construction raises for a bad ``p``, a wrong
     shape or a non-finite value, in that order.
     """
     if p < 1:
         raise DimensionError(f"response dimension must be positive, got p={p}")
-    obs = np.ascontiguousarray(np.asarray(observations, dtype=np.float64))
+    obs = np.array(observations, dtype=np.float64, order="C")
     if obs.shape != (N, p):
         raise DimensionError(
             f"observations shape {obs.shape} does not match (r*c*n, p) = {(N, p)}"
@@ -284,12 +284,12 @@ class WeightSet:
     grand_total: int
 
     def __post_init__(self):
-        w = np.asarray(self.w, dtype=np.int64)
+        w = np.array(self.w, dtype=np.int64)
         if w.ndim != 1:
             raise DimensionError("weights must form a vector")
         if not np.all((w == 0) | (w == 1)):
             raise DomainError("weights must be 0 or 1")
-        cell = np.asarray(self.cell_totals, dtype=np.int64)
+        cell = np.array(self.cell_totals, dtype=np.int64)
         if cell.ndim != 2:
             raise DimensionError("cell totals must form an r x c matrix")
         if int(cell.sum()) != int(w.sum()) or int(self.grand_total) != int(w.sum()):
@@ -301,8 +301,8 @@ class WeightSet:
         totals = {
             "w": w,
             "cell_totals": cell,
-            "row_totals": np.asarray(self.row_totals, dtype=np.int64),
-            "col_totals": np.asarray(self.col_totals, dtype=np.int64),
+            "row_totals": np.array(self.row_totals, dtype=np.int64),
+            "col_totals": np.array(self.col_totals, dtype=np.int64),
         }
         for name, arr in totals.items():
             arr.setflags(write=False)

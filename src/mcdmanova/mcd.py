@@ -33,8 +33,11 @@ fit on that thread reuses, so rounds neither allocate nor fault in
 fresh pages.  Quantities that end up in a returned estimate are
 recomputed from the finalists with the usual two-pass formulas, all
 finalists of a stack in one pass, so the fast path only influences
-which candidate wins.  Balanced-design pipelines exploit the stacking
-through :func:`fast_mcd_batch` to fit all cells of a layout together.
+which candidate wins.  Every subset and reweighting decision is the
+pivot test of :func:`~mcdmanova.distributions.cholesky_mask`, the one
+Cholesky gate (in closed form for bivariate candidate fits).
+Balanced-design pipelines exploit the stacking through
+:func:`fast_mcd_batch` to fit all cells of a layout together.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import RngStream, chi2_cdf, chi2_quantile, cholesky
-from .errors import DimensionError, DomainError, NotPositiveDefinite, SingularSubset
+from .distributions import RngStream, chi2_cdf, chi2_quantile, cholesky, cholesky_mask
+from .errors import DimensionError, DomainError, SingularSubset
 
 __all__ = [
     "McdConfig",
@@ -401,39 +404,6 @@ def _smallest(
     return out
 
 
-def _chol_stack(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Cholesky factors for a stack of matrices (leading axes arbitrary);
-    # rows failing the pivot rule are flagged in the ok mask instead of
-    # raising.
-    p = cov.shape[-1]
-    lead = cov.shape[:-2]
-    cov = cov.reshape(-1, p, p)
-    diag = np.einsum("sii->si", cov)
-    threshold = p * 1e-14 * np.maximum(diag.max(axis=1), 0.0)
-    lower = np.zeros_like(cov)
-    ok = np.ones(cov.shape[0], dtype=bool)
-    for j in range(p):
-        d = cov[:, j, j] - np.einsum("sk,sk->s", lower[:, j, :j], lower[:, j, :j])
-        ok &= d > threshold
-        safe = np.where(d > threshold, d, 1.0)
-        lower[:, j, j] = np.sqrt(safe)
-        if j + 1 < p:
-            off = cov[:, j + 1 :, j] - np.einsum(
-                "sik,sk->si", lower[:, j + 1 :, :j], lower[:, j, :j]
-            )
-            lower[:, j + 1 :, j] = off / lower[:, j, j][:, None]
-    return lower.reshape(*lead, p, p), ok.reshape(lead)
-
-
-def _logdet_stack(lower: np.ndarray, ok: np.ndarray) -> np.ndarray:
-    p = lower.shape[-1]
-    lead = lower.shape[:-2]
-    diag = np.einsum("sii->si", lower.reshape(-1, p, p))
-    flat_ok = ok.reshape(-1)
-    out = 2.0 * np.sum(np.log(np.where(flat_ok[:, None], diag, 1.0)), axis=1)
-    return np.where(flat_ok, out, np.inf).reshape(lead)
-
-
 def _precision_from_chol(lower: np.ndarray) -> np.ndarray:
     # Inverse of L L' for a stack of lower factors: invert L by forward
     # substitution, then multiply.  Garbage rows flagged by the caller's
@@ -451,10 +421,10 @@ def _precision_from_chol(lower: np.ndarray) -> np.ndarray:
 
 
 def _fit_rows(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Precision matrices, log determinants and validity of a (b, c, p, p)
-    # covariance stack, using the same pivot rule as the Cholesky gate.
-    # The bivariate case, which dominates the Monte Carlo pipelines, is
-    # closed-form; other dimensions go through the batched factorization.
+    # Precision matrices, log determinants (+inf where the Cholesky gate
+    # fails) and gate results of a (b, c, p, p) covariance stack.  The
+    # bivariate case, which dominates the Monte Carlo pipelines, is a
+    # closed form of the same pivot rule.
     p = cov.shape[-1]
     if p == 2:
         a = cov[..., 0, 0]
@@ -471,8 +441,8 @@ def _fit_rows(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         precision[..., 1, 0] = -b_ / det
         precision[..., 1, 1] = a / det
         return precision, logdet, ok
-    lower, ok = _chol_stack(cov)
-    return _precision_from_chol(lower), _logdet_stack(lower, ok), ok
+    factor, ok = cholesky_mask(cov)
+    return _precision_from_chol(factor.lower), np.where(ok, factor.log_det, np.inf), ok
 
 
 def _concentrate_round(
@@ -505,13 +475,6 @@ def _exact_subset_stats(
     mean = sub.mean(axis=-2)
     centered = sub - mean[..., None, :]
     return mean, np.swapaxes(centered, -1, -2) @ centered / (h - 1)
-
-
-def _logdet_or_inf(cov: np.ndarray) -> float:
-    try:
-        return cholesky(cov).log_det
-    except NotPositiveDefinite:
-        return np.inf
 
 
 def _extend_degenerate_starts(
@@ -570,13 +533,8 @@ def _select_winners(
     # lexicographically smallest subset.
     b, n, p = data.shape
     rows = finalists + n * np.arange(b)[:, None, None]
-    cov = _exact_subset_stats(data.reshape(b * n, p), rows)[1].reshape(-1, p, p)
-    try:
-        logdets = cholesky(cov).log_det
-    except NotPositiveDefinite:
-        # the stack stops at its first failing matrix; factor one by one
-        logdets = np.array([_logdet_or_inf(c) for c in cov])
-    logdets = logdets.reshape(finalists.shape[:2])
+    factor, ok = cholesky_mask(_exact_subset_stats(data.reshape(b * n, p), rows)[1])
+    logdets = np.where(ok, factor.log_det, np.inf)
     winners = []
     for i in range(b):
         best = logdets[i].min()
@@ -633,13 +591,8 @@ def _best_subset_exhaustive(data: np.ndarray, h: int) -> tuple[np.ndarray, float
         chunk = list(itertools.islice(combos, 16_384))
         if not chunk:
             break
-        subsets = np.array(chunk, dtype=np.intp)
-        gathered = data[subsets]
-        mean = gathered.mean(axis=1)
-        centered = gathered - mean[:, None, :]
-        cov = np.einsum("shi,shj->sij", centered, centered) / (h - 1)
-        lower, ok = _chol_stack(cov)
-        logdets = _logdet_stack(lower, ok)
+        factor, ok = cholesky_mask(_exact_subset_stats(data, np.array(chunk))[1])
+        logdets = np.where(ok, factor.log_det, np.inf)
         i = int(np.argmin(logdets))
         # Strict comparison keeps the lexicographically first optimum,
         # since combinations are generated in lexicographic order.
@@ -790,12 +743,12 @@ def reweight_batch(datasets: np.ndarray, raws: list[McdEstimate]) -> list[McdEst
     b, n, p = datasets.shape
     if len(raws) != b:
         raise DimensionError(f"need {b} raw estimates, got {len(raws)}")
-    scatters = np.stack([raw.raw_scatter for raw in raws])
-    lower, ok = _chol_stack(scatters)
+    _validate_data(datasets.reshape(b * n, p))
+    factor, ok = cholesky_mask(np.stack([raw.raw_scatter for raw in raws]))
     cutoff2 = _reweight_cutoff(p) ** 2
     out: list[McdEstimate] = []
     diffs = datasets - np.stack([raw.raw_location for raw in raws])[:, None, :]
-    d2 = _sq_distances(diffs, lower)
+    d2 = _sq_distances(diffs, factor.lower)
     for i, raw in enumerate(raws):
         if not ok[i]:
             raise SingularSubset(f"raw scatter of dataset {i} is rank deficient")
@@ -805,12 +758,8 @@ def reweight_batch(datasets: np.ndarray, raws: list[McdEstimate]) -> list[McdEst
             raise SingularSubset(
                 f"only {m} observations kept by reweighting, need more than {p}"
             )
-        sub = datasets[i][kept]
-        location = sub.mean(axis=0)
-        centered = sub - location
-        cov = centered.T @ centered / (m - 1)
-        _, good = _chol_stack(cov[None])
-        if not good[0]:
+        location, cov = _exact_subset_stats(datasets[i], np.flatnonzero(kept))
+        if not cholesky_mask(cov)[1]:
             raise SingularSubset("weight-one observations are rank deficient")
         cons = consistency_factor(p, REWEIGHT_QUANTILE)
         small = small_sample_factor(p, n, raw.alpha, reweighted=True)

@@ -21,6 +21,7 @@ from mcdmanova.distributions import (
     chi2_cdf,
     chi2_quantile,
     cholesky,
+    cholesky_mask,
     ln_gamma,
 )
 from mcdmanova.errors import DimensionError, DomainError, NotPositiveDefinite
@@ -362,6 +363,57 @@ class TestCholeskyStack:
             cholesky(np.ones((3, 2, 3)))
         with pytest.raises(DimensionError):
             cholesky(np.ones(3))
+
+
+def gate_test_stack(p: int) -> tuple[np.ndarray, int]:
+    """Eleven p x p symmetric matrices, passing and failing the gate, and
+    the pivot index where the middle-pivot failures first fail."""
+    rng = np.random.default_rng(300 + p)
+    mid = p // 2
+    a = rng.standard_normal((11, p, p + 2))
+    a[3, mid] = a[3, 0]  # duplicated row: rank deficient from pivot mid
+    a[4, :, 1:] = 0.0  # rank one
+    stack = a @ a.transpose(0, 2, 1)
+    stack[5] = 0.0
+    stack[6] = -np.eye(p)
+    stack[7] = np.eye(p)
+    stack[7, mid, mid] = -2.0  # indefinite at pivot mid
+    stack[8] = np.eye(p)
+    stack[8, mid, mid] = 1e-20  # below the threshold at pivot mid
+    stack[9] = 1e-12 * np.eye(p)  # tiny but well conditioned
+    return stack, mid
+
+
+class TestCholeskyMask:
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_mask_is_where_cholesky_raises(self, p):
+        stack, mid = gate_test_stack(p)
+        factor, ok = cholesky_mask(stack)
+        assert ok.shape == (len(stack),) and ok.dtype == bool
+        for mat, passed, lower in zip(stack, ok, factor.lower):
+            try:
+                expected = cholesky(mat).lower
+            except NotPositiveDefinite:
+                assert not passed
+            else:
+                assert passed
+                assert np.array_equal(lower, expected)
+        assert ok[[0, 1, 2, 9, 10]].all()
+        assert not ok[[5, 6, 7]].any()
+        if p >= 2:
+            assert not ok[[3, 4, 8]].any()
+            for k in (3, 7, 8):
+                with pytest.raises(NotPositiveDefinite, match=f" at index {mid} "):
+                    cholesky(stack[k])
+
+    def test_leading_axes_are_kept(self):
+        stack, _ = gate_test_stack(3)
+        factor, ok = cholesky_mask(stack[:10].reshape(2, 5, 3, 3))
+        assert factor.lower.shape == (2, 5, 3, 3)
+        assert np.array_equal(ok.reshape(-1), cholesky_mask(stack[:10])[1])
+        single_factor, single_ok = cholesky_mask(stack[0])
+        assert single_ok.shape == () and bool(single_ok)
+        assert np.array_equal(single_factor.lower, cholesky(stack[0]).lower)
 
 
 class TestLogDetPsd:

@@ -427,6 +427,43 @@ class TestWeightSet:
             WeightSet.from_vector(lay, np.ones(lay.size + 1, dtype=np.int64))
 
 
+class TestCallerArraysUntouched:
+    """Layouts and weight sets freeze their own copies, not the caller's."""
+
+    def test_layout_construction(self):
+        obs = np.arange(8.0).reshape(8, 1)
+        rows = np.repeat(np.arange(2), 4)
+        cols = np.tile(np.repeat(np.arange(2), 2), 2)
+        lay = TwoWayLayout(2, 2, 2, 1, obs, rows, cols)
+        for arr in (obs, rows, cols):
+            assert arr.flags.writeable
+        obs[0, 0], rows[0], cols[0] = 99.0, 1, 1
+        assert lay.observations[0, 0] == 0.0
+        assert lay.row_label[0] == 0 and lay.col_label[0] == 0
+
+    def test_with_observations(self):
+        lay = random_layout(np.random.default_rng(80))
+        obs = np.ones((lay.size, 2))
+        twin = lay.with_observations(obs)
+        assert obs.flags.writeable
+        obs[0, 0] = 99.0
+        assert twin.observations[0, 0] == 1.0
+
+    def test_layout_from_cells(self):
+        cells = np.zeros((2, 2, 3, 2))
+        lay = layout_from_cells(cells)
+        cells[0, 0, 0, 0] = 99.0
+        assert lay.observations[0, 0] == 0.0
+
+    def test_weight_set_from_vector(self):
+        lay = random_layout(np.random.default_rng(81))
+        w = np.ones(lay.size, dtype=np.int64)
+        ws = WeightSet.from_vector(lay, w)
+        assert w.flags.writeable
+        w[0] = 0
+        assert ws.w[0] == 1 and ws.grand_total == lay.size
+
+
 class TestUnitWeightsMemo:
     def test_equals_weights_built_from_shuffled_labels(self):
         lay = shuffled_table_layout(71)

@@ -564,6 +564,11 @@ class TestBatchSemantics:
             fast_mcd(np.full((10, 2), np.nan))
         with pytest.raises(DimensionError):
             reweight_batch(np.zeros((2, 10, 2)), [])
+        data = np.random.default_rng(63).normal(size=(2, 30, 2))
+        raws = fast_mcd_batch(data, rng=RngStream(15))
+        data[1, 4, 0] = np.nan
+        with pytest.raises(DomainError, match="must be finite"):
+            reweight_batch(data, raws)
 
 
 class TestConfigValidation:
@@ -666,19 +671,25 @@ class TestMaskSearchMatchesIndexOracle:
         assert np.array_equal(est.best_subset, subset)
         assert est.objective == objective
 
-    def test_per_candidate_fallback_matches_stacked_pass(self, monkeypatch):
-        # a finalist failing the stacked Cholesky gate sends the whole
-        # winner selection through one factorisation per finalist
-        data = search_data("outliers", 6, 30, 3, 5)
-        expected = fast_mcd_batch(data, rng=RngStream(3))
-
-        def no_stacks(mat):
-            if np.ndim(mat) > 2:
-                raise NotPositiveDefinite("forced")
-            return cholesky(mat)
-
-        monkeypatch.setattr(mcd, "cholesky", no_stacks)
-        assert_same_fits(fast_mcd_batch(data, rng=RngStream(3)), expected)
+    def test_rank_deficient_finalist_loses(self):
+        # rows 0-4 lie on a line through the origin, so every 4-subset of
+        # them has a singular covariance
+        data = np.random.default_rng(64).normal(size=(10, 2))
+        data[:5, 1] = 2.0 * data[:5, 0]
+        finalists = np.array([[0, 1, 2, 3], [3, 5, 7, 9], [1, 2, 3, 4], [0, 6, 8, 9]])
+        [(subset, objective)] = mcd._select_winners(data[None], finalists[None])
+        logdets = []
+        for row in finalists:
+            centered = data[row] - data[row].mean(axis=0)
+            try:
+                logdets.append(cholesky(centered.T @ centered / 3).log_det)
+            except NotPositiveDefinite:
+                logdets.append(np.inf)
+        assert logdets[0] == logdets[2] == np.inf
+        assert np.isfinite(objective) and objective == min(logdets)
+        assert subset.tolist() == finalists[int(np.argmin(logdets))].tolist()
+        with pytest.raises(SingularSubset, match="every candidate"):
+            mcd._select_winners(data[None], finalists[None, [0, 2]])
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_smallest_matches_argpartition_with_ties(self, k):

@@ -18,7 +18,7 @@ one checkout's outputs are compared with another's::
     diff -r a b
 
 BLAS runs single-threaded so the comparison holds on one machine.  The
-whole set takes about 15 seconds on one core.  Exits 1 if any command
+whole set takes about 20 seconds on one core.  Exits 1 if any command
 exits with another status than the one listed for it in ``EXPECTED``
 (zero for every command not listed).
 """
@@ -106,6 +106,11 @@ def commands() -> dict[str, list[str]]:
                              "--m-prime", "60", "--seed", "3",
                              "--mcd-alpha", "1",
                              "--cache", "calibrate-alpha1.cache"],
+        # multistart at p = 3 with a non-default alpha
+        "calibrate-p3-alpha075": ["calibrate", "--design", "3", "2", "20", "3",
+                                  "--m-prime", "40", "--seed", "3",
+                                  "--mcd-alpha", "0.75",
+                                  "--cache", "calibrate-p3-alpha075.cache"],
     }
     for name, table, extra in (
         ("test", TABLE_ARGS, []),
