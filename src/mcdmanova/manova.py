@@ -527,24 +527,29 @@ def _matrix(decomp: SspDecomposition, name: str) -> np.ndarray:
 
 
 def _log_dets(
-    decomp: SspDecomposition, model: Model, names: tuple[str, str]
-) -> list[float]:
-    """Log-determinants of ``names`` from the decomposition's memo.
+    decomps: Sequence[SspDecomposition], model: Model, names: tuple[str, str]
+) -> list[list[float]]:
+    """Log-determinants of ``names`` for each decomposition, from its memo.
 
-    A miss factors every matrix the model reads that is not yet memoised
-    in one stacked call, so each distinct matrix is factored once.
+    A miss factors every matrix the model reads that is not yet memoised,
+    across all ``decomps``, in one stacked call, so each distinct matrix
+    is factored once.
     """
-    memo = decomp._log_det_memo
-    missing = [m for m in _MODEL_MATRICES[model] if m not in memo]
+    missing = [
+        (d, m) for d in decomps for m in _MODEL_MATRICES[model] if m not in d._log_det_memo
+    ]
     if missing:
-        stack = np.stack([_matrix(decomp, m) for m in missing])
-        memo.update(zip(missing, cholesky(stack).log_det.tolist()))
-    return [memo[name] for name in names]
+        stack = np.stack([_matrix(d, m) for d, m in missing])
+        for (d, m), value in zip(missing, cholesky(stack).log_det.tolist()):
+            d._log_det_memo[m] = value
+    return [[d._log_det_memo[name] for name in names] for d in decomps]
 
 
 def wilks_lambda(
-    decomp: SspDecomposition, hypothesis: Hypothesis, model: Model
-) -> float:
+    decomp: SspDecomposition | Sequence[SspDecomposition],
+    hypothesis: Hypothesis,
+    model: Model,
+) -> float | np.ndarray:
     """Wilks' Lambda determinant ratio for one hypothesis.
 
     Interactions: |W|/|E|.  Row effects: |W|/|W + R_row| when the model
@@ -552,13 +557,18 @@ def wilks_lambda(
     effects use R_col.  Computed via log-determinants and clamped to
     (0, 1] against rounding.
 
+    ``decomp`` may also be a sequence of decompositions, whose matrices
+    are then factored together; the result is an array holding, bit for
+    bit, the float each decomposition gives alone.
+
     Raises
     ------
     DomainError
         Interaction hypothesis under the additive model, or a ratio
         above one by more than rounding could explain.
     NotPositiveDefinite
-        A required matrix is not positive definite.
+        A required matrix is not positive definite (for a sequence, the
+        error of its first decomposition that has one).
     """
     if hypothesis is Hypothesis.INTERACTIONS:
         if model is not Model.WITH_INTERACTIONS:
@@ -568,21 +578,28 @@ def wilks_lambda(
         num = "W" if model is Model.WITH_INTERACTIONS else "E"
         effect = "R_row" if hypothesis is Hypothesis.ROW_EFFECTS else "R_col"
         den = f"{num}+{effect}"
+    single = isinstance(decomp, SspDecomposition)
+    decomps = [decomp] if single else list(decomp)
     try:
-        log_num, log_den = _log_dets(decomp, model, (num, den))
+        log_dets = _log_dets(decomps, model, (num, den))
     except (DomainError, NotPositiveDefinite):
+        if not single:
+            # Find the failing members, each with its own fallback below.
+            return np.array([wilks_lambda(d, hypothesis, model) for d in decomps])
         # Some matrix of the stack failed the gate, maybe one only another
         # Lambda reads: factor this ratio's two alone, as a lone test would.
-        log_num = cholesky(_matrix(decomp, num)).log_det
-        log_den = cholesky(_matrix(decomp, den)).log_det
-    lam = math.exp(log_num - log_den)
-    if lam > 1.0:
-        if lam > 1.0 + _LAMBDA_SLACK:
-            raise DomainError(
-                f"determinant ratio {lam} exceeds 1 beyond rounding tolerance"
-            )
-        lam = 1.0
-    return lam
+        log_dets = [[cholesky(_matrix(decomp, name)).log_det for name in (num, den)]]
+    lams = []
+    for log_num, log_den in log_dets:
+        lam = math.exp(log_num - log_den)
+        if lam > 1.0:
+            if lam > 1.0 + _LAMBDA_SLACK:
+                raise DomainError(
+                    f"determinant ratio {lam} exceeds 1 beyond rounding tolerance"
+                )
+            lam = 1.0
+        lams.append(lam)
+    return lams[0] if single else np.array(lams)
 
 
 def bartlett_dfs(

@@ -79,6 +79,9 @@ GRID_POINTS = 201
 # the simulated data (for example, too many coincident points).
 _DEGENERATE = (SingularSubset, DegenerateWeights, CellWiped, NotPositiveDefinite)
 
+# Attempts evaluated together by `replicate`; it bounds memory only.
+_BLOCK = 64
+
 
 @dataclass(frozen=True)
 class Design:
@@ -140,9 +143,13 @@ class ContaminationSpec:
             raise DomainError(f"nu must be non-negative, got {self.nu}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExperimentReport:
-    """Rejection tally of one method on one hypothesis at one setting."""
+    """Rejection tally of one method on one hypothesis at one setting.
+
+    ``p_values`` is read-only; a writeable input is copied first, so the
+    caller's array stays writeable.
+    """
 
     design: Design
     method: str
@@ -156,7 +163,9 @@ class ExperimentReport:
     rejection_rate: float
 
     def __post_init__(self) -> None:
-        pv = np.ascontiguousarray(np.asarray(self.p_values, dtype=np.float64))
+        pv = np.asarray(self.p_values, dtype=np.float64)
+        if pv.flags.writeable or not pv.flags.c_contiguous:
+            pv = pv.copy()
         if pv.shape != (self.m,):
             raise DimensionError(
                 f"expected {self.m} p-values, got shape {pv.shape}"
@@ -308,6 +317,12 @@ def replicate(
     discarded and the next attempt is drawn; after ``10 * m + 1000``
     attempts the last degeneracy is raised.
 
+    Attempts run in blocks: each method's SSP decompositions of a block
+    are computed one attempt at a time, and their Wilks' Lambdas with one
+    stacked :func:`wilks_lambda` call per pair.  Lambdas, redraws,
+    attempts and the raised error equal those of evaluating one attempt
+    at a time.
+
     Returns
     -------
     lambdas : dict
@@ -324,20 +339,43 @@ def replicate(
         if attempt >= max_attempts:
             assert last_error is not None
             raise last_error
-        stream = base.substream(attempt)
-        attempt += 1
-        layout = make_layout(stream.substream(0))
-        weights_rng = stream.substream(1)
-        try:
-            for method in methods:
-                decomp = method_ssp(layout, method, mcd_config, weights_rng)
-                for pair in pairs:
-                    lambdas[method, pair][done] = wilks_lambda(decomp, pair[1], pair[0])
-        except _DEGENERATE as exc:
-            redraws += 1
-            last_error = exc
-            continue
-        done += 1
+        # Never more attempts than successes still needed, so a block
+        # draws exactly the attempts a one-at-a-time loop would.
+        size = min(m - done, max_attempts - attempt, _BLOCK)
+        streams = [base.substream(a) for a in range(attempt, attempt + size)]
+        attempt += size
+        layouts = [make_layout(stream.substream(0)) for stream in streams]
+        block = {key: np.empty(size) for key in lambdas}
+        failed: dict[int, Exception] = {}
+        alive = range(size)
+        for method in methods:
+            decomps = {}
+            for i in alive:
+                try:
+                    decomps[i] = method_ssp(
+                        layouts[i], method, mcd_config, streams[i].substream(1)
+                    )
+                except _DEGENERATE as exc:
+                    failed[i] = exc
+            for model, hypothesis in pairs:
+                try:
+                    lams = wilks_lambda(list(decomps.values()), hypothesis, model)
+                except _DEGENERATE:
+                    lams = []
+                    for i, decomp in list(decomps.items()):
+                        try:
+                            lams.append(wilks_lambda(decomp, hypothesis, model))
+                        except _DEGENERATE as exc:
+                            failed[i] = exc
+                            del decomps[i]
+                block[method, (model, hypothesis)][list(decomps)] = lams
+            alive = list(decomps)
+        if failed:
+            redraws += len(failed)
+            last_error = failed[max(failed)]
+        for key, values in block.items():
+            lambdas[key][done : done + len(alive)] = values[alive]
+        done += len(alive)
     return lambdas, redraws, attempt
 
 
@@ -387,7 +425,14 @@ def run_experiment(
         raise DomainError(f"m must be positive, got {m}")
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    settings = tuple(float(s) for s in settings) if settings else ()
+    grid = np.asarray(settings, dtype=np.float64)
+    if grid.ndim != 1:
+        raise DomainError(f"settings must be one-dimensional, got shape {grid.shape}")
+    if not np.all(np.isfinite(grid)):
+        raise DomainError("settings must be finite")
+    settings = tuple(grid.tolist())
+    if len(set(settings)) != len(settings):
+        raise DomainError("duplicate settings")
     if kind == "size":
         if not settings:
             settings = (0.0,)
@@ -423,30 +468,32 @@ def run_experiment(
                 "replication(s) out of %d attempts",
                 kind, setting, redraws, attempts,
             )
-        for method in methods:
-            for pair in pairs:
-                lams = lambdas[method, pair].tolist()
-                if method == "mcd":
-                    values = [calibrated_pvalue(lam, entries[pair]) for lam in lams]
-                else:
-                    nu1, nu2 = dfs[pair]
-                    values = [bartlett_pvalue(lam, design.p, nu1, nu2) for lam in lams]
-                values = np.array(values)
-                rate = int(np.count_nonzero(values < alpha)) / m
-                reports.append(
-                    ExperimentReport(
-                        design=design,
-                        method=method,
-                        model=pair[0],
-                        hypothesis=pair[1],
-                        kind=kind,
-                        setting=float(setting),
-                        alpha=alpha,
-                        m=m,
-                        p_values=values,
-                        rejection_rate=rate,
-                    )
+        # One read-only block per setting; each report holds a row view.
+        p_values = np.empty((len(methods) * len(pairs), m))
+        keys = [(method, pair) for method in methods for pair in pairs]
+        for row, (method, pair) in zip(p_values, keys):
+            lams = lambdas[method, pair].tolist()
+            if method == "mcd":
+                row[:] = [calibrated_pvalue(lam, entries[pair]) for lam in lams]
+            else:
+                nu1, nu2 = dfs[pair]
+                row[:] = [bartlett_pvalue(lam, design.p, nu1, nu2) for lam in lams]
+        p_values.setflags(write=False)
+        for row, (method, pair) in zip(p_values, keys):
+            reports.append(
+                ExperimentReport(
+                    design=design,
+                    method=method,
+                    model=pair[0],
+                    hypothesis=pair[1],
+                    kind=kind,
+                    setting=setting,
+                    alpha=alpha,
+                    m=m,
+                    p_values=row,
+                    rejection_rate=int(np.count_nonzero(row < alpha)) / m,
                 )
+            )
     return reports
 
 

@@ -734,6 +734,51 @@ class TestWilksMemo:
             with pytest.raises(NotPositiveDefinite):
                 wilks_lambda(d, hyp, Model.WITH_INTERACTIONS)
 
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_sequence_equals_lone_decompositions(self, p):
+        rng = np.random.default_rng(45 + p)
+        layouts = [random_layout(rng, r=3, c=2, n=6, p=p) for _ in range(7)]
+        for model in Model:
+            for hyp in hypotheses_for(model):
+                # fresh decompositions on both sides, so no memo is shared
+                stacked = wilks_lambda([classical_ssp(lay) for lay in layouts], hyp, model)
+                lone = [wilks_lambda(classical_ssp(lay), hyp, model) for lay in layouts]
+                assert isinstance(stacked, np.ndarray) and stacked.dtype == np.float64
+                assert stacked.tobytes() == np.array(lone).tobytes()
+                assert all(type(lam) is float for lam in lone)
+
+    @pytest.mark.parametrize(
+        "model, expected",
+        [(Model.WITH_INTERACTIONS, [(20, 3, 3)]), (Model.ADDITIVE_ONLY, [(15, 3, 3)])],
+    )
+    def test_sequence_factored_in_one_call(self, calls, model, expected):
+        rng = np.random.default_rng(50)
+        ds = [classical_ssp(random_layout(rng, p=3)) for _ in range(5)]
+        for hyp in hypotheses_for(model):
+            assert wilks_lambda(ds, hyp, model).shape == (5,)
+        assert calls == expected
+        assert wilks_lambda([], Hypothesis.ROW_EFFECTS, model).shape == (0,)
+
+    def test_sequence_with_failing_members(self):
+        # one member needs the lone-pair fallback, another is singular
+        rng = np.random.default_rng(51)
+        a = rng.standard_normal((2, 12))
+        W, R_row = a @ a.T, np.diag([0.5, 0.25])
+        means = WeightedMeans(*(np.zeros(2) for _ in range(4)))
+        sibling = SspDecomposition(W, W + R_row, R_row, np.diag([1e20, 0.0]), means)
+        good = classical_ssp(random_layout(rng))
+        model = Model.WITH_INTERACTIONS
+        lams = wilks_lambda([good, sibling], Hypothesis.ROW_EFFECTS, model)
+        assert lams.tolist() == [
+            min(lone_lambda(good.W, good.W + good.R_row), 1.0), lone_lambda(W, W + R_row)
+        ]
+        singular = SspDecomposition(np.zeros((2, 2)), W, R_row, R_row, means)
+        with pytest.raises(NotPositiveDefinite) as stacked:
+            wilks_lambda([good, singular, sibling], Hypothesis.ROW_EFFECTS, model)
+        with pytest.raises(NotPositiveDefinite) as alone:
+            wilks_lambda(singular, Hypothesis.ROW_EFFECTS, model)
+        assert str(stacked.value) == str(alone.value)
+
     def test_matrices_are_read_only(self):
         d = classical_ssp(random_layout(np.random.default_rng(44)))
         for mat in (d.W, d.E, d.R_row, d.R_col):

@@ -1,6 +1,7 @@
 """Tests for the Monte Carlo experiments and EDF emitters."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from mcdmanova.errors import (
     DomainError,
     MismatchedReports,
     MissingCalibration,
+    NotPositiveDefinite,
     SingularSubset,
 )
 from mcdmanova.manova import Hypothesis, Model
@@ -73,6 +75,13 @@ class TestDesignAndSpecs:
     def test_mean_layout_shape_checked(self):
         with pytest.raises(DimensionError):
             sim.MeanLayout(BOLD, np.zeros((2, 2, 2)))
+
+    def test_report_leaves_caller_array_writeable(self):
+        values = np.linspace(0.01, 0.99, 50)
+        report = uniform_report(values=values)
+        assert values.flags.writeable and not report.p_values.flags.writeable
+        values[0] = 0.5
+        assert report.p_values[0] == 0.01
 
     def test_report_tally_must_be_exact(self):
         values = np.linspace(0.01, 0.99, 50)
@@ -295,6 +304,41 @@ class TestRunExperiment:
         with pytest.raises(DomainError):
             run_experiment("power_inter", design, (), ("cla",), m=5)
 
+    def test_settings_array_accepted(self):
+        design = Design(2, 2, 6, 1)
+        from_array = run_experiment("power_inter", design, np.array([0.5, 1.0]),
+                                    ("cla",), m=10, master_seed=9)
+        from_tuple = run_experiment("power_inter", design, (0.5, 1.0),
+                                    ("cla",), m=10, master_seed=9)
+        assert [r.setting for r in from_array] == [0.5] * 3 + [1.0] * 3
+        for ra, rt in zip(from_array, from_tuple):
+            assert type(ra.setting) is float
+            assert ra.p_values.tobytes() == rt.p_values.tobytes()
+
+    @pytest.mark.parametrize(
+        "settings",
+        [(0.5, 0.5), (0.0, -0.0), [1.0, 0.5, 1.0], (math.nan,), (0.5, math.inf),
+         np.array([[0.5, 1.0]])],
+    )
+    def test_bad_settings_rejected_before_replication(self, monkeypatch, settings):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("replicated before validating the settings")
+
+        monkeypatch.setattr(sim, "replicate", unreachable)
+        with pytest.raises(DomainError):
+            run_experiment("power_inter", Design(2, 2, 6, 1), settings, ("cla",), m=5)
+
+    def test_reports_share_one_read_only_block(self):
+        reports = run_experiment("power_inter", Design(2, 2, 6, 1), (0.5, 1.0),
+                                 ("cla", "rnk"), m=10, master_seed=10)
+        first, second = reports[:6], reports[6:]
+        for group in (first, second):
+            base = group[0].p_values.base
+            assert base.shape == (6, 10) and not base.flags.writeable
+            assert all(r.p_values.base is base for r in group)
+        assert first[0].p_values.base is not second[0].p_values.base
+        assert not hasattr(reports[0], "__dict__")
+
     def test_degenerate_replication_redrawn(self, monkeypatch, caplog):
         # calibrate before patching, so the forced degeneracy lands in the
         # experiment's replications; the shared replication loop reaches
@@ -320,6 +364,154 @@ class TestRunExperiment:
         assert [r.name for r in caplog.records] == ["mcdmanova.simulation"]
         assert calls["n"] == 6
         assert all(len(r.p_values) == 5 for r in reports)
+
+
+def loop_replicate(make_layout, base, methods, pairs, m, mcd_config=None):
+    """Reference: ``replicate`` evaluating one attempt at a time."""
+    lambdas = {(method, pair): np.empty(m) for method in methods for pair in pairs}
+    done = attempt = redraws = 0
+    max_attempts = 10 * m + 1000
+    last_error = None
+    while done < m:
+        if attempt >= max_attempts:
+            assert last_error is not None
+            raise last_error
+        stream = base.substream(attempt)
+        attempt += 1
+        layout = make_layout(stream.substream(0))
+        weights_rng = stream.substream(1)
+        try:
+            for method in methods:
+                decomp = manova.method_ssp(layout, method, mcd_config, weights_rng)
+                for pair in pairs:
+                    lambdas[method, pair][done] = manova.wilks_lambda(decomp, pair[1], pair[0])
+        except sim._DEGENERATE as exc:
+            redraws += 1
+            last_error = exc
+            continue
+        done += 1
+    return lambdas, redraws, attempt
+
+
+SETTINGS = {"size": 0.0, "power_inter": 1.0, "power_additive": 1.0, "robustness": 5.0}
+TINY = McdConfig(n_starts=10, n_keep=2)
+
+
+def attempt_of(stream):
+    # replicate hands attempt a the streams base.substream(a, 0) and (a, 1)
+    return stream.path[-2]
+
+
+def degenerate_layouts(design, bad):
+    """``gen_null`` data, made rank-deficient at the attempts in ``bad``:
+    "dup" repeats the first coordinate (every method's W is singular),
+    "exp" appends its exponential (only the ranks are collinear)."""
+
+    def make(stream):
+        layout = gen_null(design, stream)
+        how = bad.get(attempt_of(stream))
+        if how is None:
+            return layout
+        x = layout.observations[:, :1]
+        extra = x if how == "dup" else np.exp(x)
+        return layout.with_observations(np.hstack([x, extra]))
+
+    return make
+
+
+def assert_same_run(block, reference):
+    (lam_b, red_b, att_b), (lam_r, red_r, att_r) = block, reference
+    assert (red_b, att_b) == (red_r, att_r)
+    assert lam_b.keys() == lam_r.keys()
+    for key in lam_r:
+        assert lam_b[key].tobytes() == lam_r[key].tobytes(), key
+
+
+def run_both(*args, **kwargs):
+    return sim.replicate(*args, **kwargs), loop_replicate(*args, **kwargs)
+
+
+class TestBlockReplicate:
+    """``replicate``'s blocks reproduce the one-at-a-time loop bit for bit."""
+
+    @pytest.mark.parametrize("kind", sim.EXPERIMENT_KINDS)
+    @pytest.mark.parametrize(
+        "design",
+        [Design(2, 2, 20, 2), Design(3, 2, 10, 1), Design(4, 3, 6, 3), Design(2, 3, 8, 5)],
+        ids=str,
+    )
+    @pytest.mark.parametrize(
+        "methods, m", [(("cla", "rnk"), 70), (("cla", "mcd", "rnk"), 5)]
+    )
+    def test_matches_reference(self, kind, design, methods, m):
+        make = partial(sim._layout_for, kind, design, SETTINGS[kind], 0.1)
+        pairs = sim.experiment_pairs(kind)
+        assert_same_run(*run_both(make, RngStream(60), methods, pairs, m, TINY))
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_forced_robust_weights_failures(self, monkeypatch, block):
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        real = manova.robust_weights
+        calls = []
+
+        def flaky(layout, config, rng):
+            calls.append(attempt_of(rng))
+            if attempt_of(rng) in (1, 4, 5, 9):
+                raise SingularSubset(f"forced at attempt {attempt_of(rng)}")
+            return real(layout, config, rng)
+
+        monkeypatch.setattr(manova, "robust_weights", flaky)
+        make = degenerate_layouts(Design(2, 2, 8, 2), {2: "dup", 7: "exp"})
+        args = (make, RngStream(61), ("cla", "mcd", "rnk"), sim.experiment_pairs("size"), 7, TINY)
+        block_run = sim.replicate(*args)
+        block_calls, calls[:] = calls[:], []
+        reference = loop_replicate(*args)
+        assert_same_run(block_run, reference)
+        assert block_calls == calls
+        # attempt 2 fails at cla, before the robust pipeline; 7 at rnk, after it
+        assert 2 not in calls and 7 in calls
+        assert block_run[1:] == (6, 13)
+
+    @pytest.mark.parametrize("block", [1, 4, 64])
+    def test_forced_wilks_failures(self, monkeypatch, block):
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        design = Design(3, 2, 6, 2)
+        bad = {0: "dup", 3: "exp", 4: "dup", 11: "exp", 12: "exp"}
+        args = (degenerate_layouts(design, bad), RngStream(62), ("cla", "rnk"),
+                sim.experiment_pairs("size"), 10)
+        block_run, reference = run_both(*args)
+        assert_same_run(block_run, reference)
+        assert block_run[1:] == (5, 15)
+
+    def test_exhaustion_raises_reference_error(self, monkeypatch):
+        # even attempts fail at cla's Wilks step, odd ones in the robust
+        # pipeline; the last attempt's first failure is raised
+        def broken(layout, config, rng):
+            raise SingularSubset(f"forced at attempt {attempt_of(rng)}")
+
+        monkeypatch.setattr(manova, "robust_weights", broken)
+        design = Design(2, 2, 6, 2)
+
+        def make(stream):
+            bad = {attempt_of(stream): "dup"} if attempt_of(stream) % 2 == 0 else {}
+            return degenerate_layouts(design, bad)(stream)
+
+        errors = []
+        for run in (sim.replicate, loop_replicate):
+            with pytest.raises(SingularSubset) as info:
+                run(make, RngStream(63), ("cla", "mcd"), sim.experiment_pairs("size"), 2, TINY)
+            errors.append(str(info.value))
+        assert errors == ["forced at attempt 1019"] * 2
+
+    def test_exhaustion_in_wilks_step(self):
+        design = Design(2, 2, 6, 2)
+        make = degenerate_layouts(design, {a: "dup" for a in range(1020)})
+        errors = []
+        for run in (sim.replicate, loop_replicate):
+            with pytest.raises(NotPositiveDefinite) as info:
+                run(make, RngStream(64), ("cla",), sim.experiment_pairs("size"), 2)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1]
 
 
 class TestEdfEmitters:

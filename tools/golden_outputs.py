@@ -46,9 +46,15 @@ KINDS = {
     "robustness": "5.0, 10.0",
 }
 
-# Experiment file name -> (kind, p).  Every kind runs at p = 2; the size
-# run at p = 3 also reaches the Wilks matrices' p >= 3 arithmetic.
-EXPERIMENTS = {kind: (kind, 2) for kind in KINDS} | {"size-p3": ("size", 3)}
+# Experiment file name -> (kind, (r, c, n, p), methods, m).  Every kind
+# runs on 3x2 n=12 at p = 2; the size run at p = 3 also reaches the Wilks
+# matrices' p >= 3 arithmetic, and the cla/rnk run on 4x3 at p = 1 spans
+# several blocks of simulation attempts.
+ALL_METHODS = "cla, rnk, mcd"
+EXPERIMENTS = {kind: (kind, (3, 2, 12, 2), ALL_METHODS, 25) for kind in KINDS} | {
+    "size-p3": ("size", (3, 2, 12, 3), ALL_METHODS, 25),
+    "power_inter-4x3-p1": ("power_inter", (4, 3, 6, 1), "cla, rnk", 150),
+}
 
 COLUMN_ARGS = [
     "--factors", "district", "year",
@@ -85,10 +91,10 @@ def write_inputs() -> None:
     # data row 2 with a zero part, for the error message
     bad = lines[:2] + [lines[2].rsplit(",", 2)[0] + ",0,1.5"] + lines[3:]
     Path("waste-bad.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
-    for name, (kind, p) in EXPERIMENTS.items():
+    for name, (kind, (r, c, n, p), methods, m) in EXPERIMENTS.items():
         Path(f"{name}.txt").write_text(
-            f"kind = {kind}\nr = 3\nc = 2\nn = 12\np = {p}\n"
-            f"methods = cla, rnk, mcd\nsettings = {KINDS[kind]}\nm = 25\n"
+            f"kind = {kind}\nr = {r}\nc = {c}\nn = {n}\np = {p}\n"
+            f"methods = {methods}\nsettings = {KINDS[kind]}\nm = {m}\n"
             f"seed = 12\n",
             encoding="utf-8",
         )
