@@ -754,10 +754,10 @@ class TestWilksMemo:
     def test_sequence_factored_in_one_call(self, calls, model, expected):
         rng = np.random.default_rng(50)
         ds = [classical_ssp(random_layout(rng, p=3)) for _ in range(5)]
+        assert wilks_lambda([], Hypothesis.ROW_EFFECTS, model).shape == (0,)
         for hyp in hypotheses_for(model):
             assert wilks_lambda(ds, hyp, model).shape == (5,)
         assert calls == expected
-        assert wilks_lambda([], Hypothesis.ROW_EFFECTS, model).shape == (0,)
 
     def test_sequence_with_failing_members(self):
         # one member needs the lone-pair fallback, another is singular
