@@ -241,22 +241,41 @@ def validate_layout(raw_table: Sequence[Sequence]) -> TwoWayLayout:
 
 
 def _mid_ranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of each column of ``x``, ties given their mean rank.
+    """1-based ranks down axis -2 of ``x``, ties given their mean rank.
 
-    A value's mid-rank is the mean of the first and last sorted positions
-    it holds, ``(below + not_above + 1) / 2`` with ``below`` the count of
-    values < it and ``not_above`` the count <= it.  The counts are
-    integers, so every rank is an exact integer or half-integer.
+    ``x`` is one (N, p) sample or a (b, N, p) stack of them.  A stable
+    argsort orders each column; a run of equal values holding sorted
+    positions ``first .. end - 1`` (0-based) gets the mid-rank
+    ``(first + end + 1) / 2``.  The positions are integers, so every rank
+    is an exact integer or half-integer.
     """
-    pool = np.sort(x, axis=0)
+    order = np.argsort(x, axis=-2, kind="stable")
+    ordered = np.take_along_axis(x, order, axis=-2)
+    N = x.shape[-2]
+    pos = np.arange(N)[:, None]
+    starts = np.ones(x.shape, dtype=bool)  # a run of equal values starts here
+    starts[..., 1:, :] = ordered[..., 1:, :] != ordered[..., :-1, :]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-2)
+    ends = np.ones(x.shape, dtype=bool)  # ... and ends here
+    ends[..., :-1, :] = starts[..., 1:, :]
+    end = np.flip(
+        np.minimum.accumulate(np.flip(np.where(ends, pos + 1, N), -2), axis=-2), -2
+    )
     ranks = np.empty(x.shape)
-    for j in range(x.shape[1]):
-        ranks[:, j] = (np.searchsorted(pool[:, j], x[:, j], "left")
-                       + np.searchsorted(pool[:, j], x[:, j], "right"))
-    return (ranks + 1) / 2
+    np.put_along_axis(ranks, order, (first + end + 1) / 2, axis=-2)
+    return ranks
 
 
-def rank_transform(layout: TwoWayLayout) -> TwoWayLayout:
+def _stacked_observations(layouts: list[TwoWayLayout]) -> np.ndarray:
+    """The observations of one design's layouts as a (b, N, p) stack."""
+    if len({(lay.r, lay.c, lay.n, lay.p) for lay in layouts}) > 1:
+        raise DimensionError("layouts of one call must share their design (r, c, n, p)")
+    return np.stack([lay.observations for lay in layouts])
+
+
+def rank_transform(
+    layout: TwoWayLayout | Sequence[TwoWayLayout],
+) -> TwoWayLayout | list[TwoWayLayout]:
     """Replace each response coordinate by its rank among all N values.
 
     Ties receive mid-ranks, computed with NumPy and equal to SciPy's
@@ -264,8 +283,18 @@ def rank_transform(layout: TwoWayLayout) -> TwoWayLayout:
     separately over the pooled sample is the usual rank transformation
     for MANOVA; the classical statistics applied to the ranked layout
     give the rank test.
+
+    ``layout`` may also be a sequence of layouts of one design, ranked
+    together in one stacked pass; the result is then a list holding, bit
+    for bit, the layout each one gives alone.
     """
-    return layout.with_observations(_mid_ranks(layout.observations))
+    if isinstance(layout, TwoWayLayout):
+        return layout.with_observations(_mid_ranks(layout.observations))
+    layouts = list(layout)
+    if not layouts:
+        return []
+    ranks = _mid_ranks(_stacked_observations(layouts))
+    return [lay.with_observations(rk) for lay, rk in zip(layouts, ranks)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,7 +402,10 @@ class SspDecomposition:
             object.__setattr__(self, name, mat)
 
 
-def weighted_ssp(layout: TwoWayLayout, weights: WeightSet) -> SspDecomposition:
+def weighted_ssp(
+    layout: TwoWayLayout | Sequence[TwoWayLayout],
+    weights: WeightSet | Sequence[WeightSet],
+) -> SspDecomposition | list[SspDecomposition]:
     """Weighted SSP matrices and means of a balanced two-way layout.
 
     Weighted means divide by the weighted counts (cell, row, column,
@@ -386,62 +418,105 @@ def weighted_ssp(layout: TwoWayLayout, weights: WeightSet) -> SspDecomposition:
 
     and R_col analogously over columns.
 
+    ``layout`` may also be a sequence of layouts of one design (r, c, n,
+    p), with a sequence of one WeightSet each; all are then decomposed in
+    one stacked pass, and the result is a list holding, bit for bit, the
+    decomposition each pair gives alone.
+
     Raises
     ------
+    DimensionError
+        A weight vector does not match its layout, or the layouts of a
+        sequence differ in design.
     DegenerateWeights
         Fewer than p + 2 observations carry weight one.
     CellWiped
         Some cell has weight total zero, so its mean is undefined.
+
+    For a sequence, the error raised is that of its first failing pair.
     """
-    if weights.w.shape != (layout.size,):
+    single = isinstance(layout, TwoWayLayout)
+    layouts = [layout] if single else list(layout)
+    weight_sets = [weights] if single else list(weights)
+    if len(weight_sets) != len(layouts):
         raise DimensionError(
-            f"weight vector shape {weights.w.shape} does not match N = {layout.size}"
+            f"{len(layouts)} layouts but {len(weight_sets)} weight sets"
         )
-    r, c, p = layout.r, layout.c, layout.p
-    if weights.grand_total < p + 2:
-        raise DegenerateWeights(
-            f"only {weights.grand_total} observations have weight one, "
-            f"need at least p + 2 = {p + 2}"
-        )
-    if np.any(weights.cell_totals == 0):
-        bad = np.argwhere(weights.cell_totals == 0)[0]
-        raise CellWiped(f"cell ({bad[0]}, {bad[1]}) has zero weight total")
+    for lay, ws in zip(layouts, weight_sets):
+        if ws.w.shape != (lay.size,):
+            raise DimensionError(
+                f"weight vector shape {ws.w.shape} does not match N = {lay.size}"
+            )
+        if ws.grand_total < lay.p + 2:
+            raise DegenerateWeights(
+                f"only {ws.grand_total} observations have weight one, "
+                f"need at least p + 2 = {lay.p + 2}"
+            )
+        if np.any(ws.cell_totals == 0):
+            bad = np.argwhere(ws.cell_totals == 0)[0]
+            raise CellWiped(f"cell ({bad[0]}, {bad[1]}) has zero weight total")
+    if not layouts:
+        return []
 
-    Y = layout.observations
-    w = weights.w.astype(np.float64)
-    idx = layout.row_label * c + layout.col_label
-    wY = Y * w[:, None]
-    cell_sums = np.column_stack(
-        [np.bincount(idx, weights=wY[:, j], minlength=r * c) for j in range(p)]
-    ).reshape(r, c, p)
-    cell_n = weights.cell_totals.astype(np.float64)
-    row_n = weights.row_totals.astype(np.float64)
-    col_n = weights.col_totals.astype(np.float64)
-    cell_means = cell_sums / cell_n[:, :, None]
-    row_means = cell_sums.sum(axis=1) / row_n[:, None]
-    col_means = cell_sums.sum(axis=0) / col_n[:, None]
-    grand_mean = cell_sums.sum(axis=(0, 1)) / float(weights.grand_total)
+    Y = _stacked_observations(layouts)
+    b, _, p = Y.shape
+    member = np.arange(b)[:, None]  # indexes the stack beside per-row labels
+    r, c, n = layouts[0].r, layouts[0].c, layouts[0].n
+    rows = np.stack([lay.row_label for lay in layouts])
+    cols = np.stack([lay.col_label for lay in layouts])
+    idx = rows * c + cols
+    w = np.stack([ws.w for ws in weight_sets]).astype(np.float64)[:, :, None]
+    cell_n = np.stack([ws.cell_totals for ws in weight_sets]).astype(np.float64)
+    row_n = np.stack([ws.row_totals for ws in weight_sets]).astype(np.float64)
+    col_n = np.stack([ws.col_totals for ws in weight_sets]).astype(np.float64)
+    grand_n = np.array([ws.grand_total for ws in weight_sets], dtype=np.float64)
 
-    resid_w = Y - cell_means[layout.row_label, layout.col_label]
-    W = (resid_w * w[:, None]).T @ resid_w
+    # Each cell's weighted rows, in observation order, summed one after
+    # another from +0.0 (what np.bincount does): a running sum adds in
+    # that order, and adding +0.0 turns its -0.0 for an all -0.0 cell
+    # into the +0.0 a sum from +0.0 gives.
+    by_cell = (Y * w)[member, np.argsort(idx, axis=1, kind="stable")]
+    running = np.cumsum(by_cell.reshape(b, r * c, n, p), axis=2)
+    cell_sums = running[:, :, -1].reshape(b, r, c, p) + 0.0
+    cell_means = cell_sums / cell_n[:, :, :, None]
+    row_means = cell_sums.sum(axis=2) / row_n[:, :, None]
+    col_means = cell_sums.sum(axis=1) / col_n[:, :, None]
+    grand_mean = cell_sums.sum(axis=(1, 2)) / grand_n[:, None]
+
+    def weighted_cross(dev: np.ndarray, weight: np.ndarray) -> np.ndarray:
+        """``(dev * weight).T @ dev`` for every member of the stack."""
+        return np.matmul((dev * weight).transpose(0, 2, 1), dev)
+
+    resid_w = Y - cell_means.reshape(b, r * c, p)[member, idx]
+    W = weighted_cross(resid_w, w)
     resid_e = (
-        Y
-        - row_means[layout.row_label]
-        - col_means[layout.col_label]
-        + grand_mean
+        Y - row_means[member, rows] - col_means[member, cols] + grand_mean[:, None]
     )
-    E = (resid_e * w[:, None]).T @ resid_e
-    dev_row = row_means - grand_mean
-    R_row = (dev_row * row_n[:, None]).T @ dev_row
-    dev_col = col_means - grand_mean
-    R_col = (dev_col * col_n[:, None]).T @ dev_col
-    means = WeightedMeans(cell_means, row_means, col_means, grand_mean)
-    return SspDecomposition(W, E, R_row, R_col, means)
+    E = weighted_cross(resid_e, w)
+    R_row = weighted_cross(row_means - grand_mean[:, None], row_n[:, :, None])
+    R_col = weighted_cross(col_means - grand_mean[:, None], col_n[:, :, None])
+    decomps = [
+        SspDecomposition(
+            W[i], E[i], R_row[i], R_col[i],
+            WeightedMeans(cell_means[i], row_means[i], col_means[i], grand_mean[i]),
+        )
+        for i in range(b)
+    ]
+    return decomps[0] if single else decomps
 
 
-def classical_ssp(layout: TwoWayLayout) -> SspDecomposition:
-    """SSP decomposition with every observation at weight one."""
-    return weighted_ssp(layout, unit_weights(layout))
+def classical_ssp(
+    layout: TwoWayLayout | Sequence[TwoWayLayout],
+) -> SspDecomposition | list[SspDecomposition]:
+    """SSP decomposition with every observation at weight one.
+
+    A sequence of layouts is decomposed in one stacked pass, as by
+    :func:`weighted_ssp`.
+    """
+    if isinstance(layout, TwoWayLayout):
+        return weighted_ssp(layout, unit_weights(layout))
+    layouts = list(layout)
+    return weighted_ssp(layouts, [unit_weights(lay) for lay in layouts])
 
 
 def robust_weights(
@@ -491,17 +566,20 @@ def robust_weights(
 
 
 def method_ssp(
-    layout: TwoWayLayout,
+    layout: TwoWayLayout | Sequence[TwoWayLayout],
     method: str,
     config: McdConfig | None = None,
     rng: RngStream | None = None,
-) -> SspDecomposition:
+) -> SspDecomposition | list[SspDecomposition]:
     """SSP decomposition of ``layout`` under one of the ``METHODS``.
 
     "cla" uses unit weights, "rnk" unit weights on the rank-transformed
     layout, and "mcd" the robust weights (with ``config`` and ``rng``).
     This is the single place the three pipelines are told apart, so a
     calibrated null and the test it serves always share one pipeline.
+
+    For "cla" and "rnk", ``layout`` may also be a sequence of layouts of
+    one design, decomposed in one stacked pass into a list.
     """
     if method == "cla":
         return classical_ssp(layout)

@@ -13,6 +13,7 @@ import logging
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 from pathlib import Path
 from typing import Callable
 
@@ -147,8 +148,11 @@ class ContaminationSpec:
 class ExperimentReport:
     """Rejection tally of one method on one hypothesis at one setting.
 
-    ``p_values`` is read-only; a writeable input is copied first, so the
-    caller's array stays writeable.
+    The report's p-values are row ``row`` of ``block``, a read-only
+    (k, m) array that :func:`run_experiment` shares among the reports of
+    one call; a single vector of m p-values is a block of one row.  A
+    writeable ``block`` is copied first, so the caller's array stays
+    writeable.
     """
 
     design: Design
@@ -159,25 +163,33 @@ class ExperimentReport:
     setting: float
     alpha: float
     m: int
-    p_values: np.ndarray
-    rejection_rate: float
+    block: np.ndarray
+    row: int = 0
 
     def __post_init__(self) -> None:
-        pv = np.asarray(self.p_values, dtype=np.float64)
-        if pv.flags.writeable or not pv.flags.c_contiguous:
-            pv = pv.copy()
-        if pv.shape != (self.m,):
+        block = np.atleast_2d(np.asarray(self.block, dtype=np.float64))
+        if block.flags.writeable or not block.flags.c_contiguous:
+            block = block.copy()
+        if block.ndim != 2 or block.shape[1] != self.m:
             raise DimensionError(
-                f"expected {self.m} p-values, got shape {pv.shape}"
+                f"expected rows of {self.m} p-values, got shape {block.shape}"
             )
-        pv.setflags(write=False)
-        object.__setattr__(self, "p_values", pv)
-        count = int(np.count_nonzero(pv < self.alpha))
-        if self.rejection_rate != count / self.m:
-            raise DomainError(
-                "rejection_rate is not exactly the fraction of p-values "
-                "below alpha"
+        if not 0 <= self.row < block.shape[0]:
+            raise DimensionError(
+                f"row {self.row} is outside a block of {block.shape[0]} rows"
             )
+        block.setflags(write=False)
+        object.__setattr__(self, "block", block)
+
+    @property
+    def p_values(self) -> np.ndarray:
+        """The m p-values: a read-only view of this report's row."""
+        return self.block[self.row]
+
+    @property
+    def rejection_rate(self) -> float:
+        """The exact fraction of p-values below ``alpha``."""
+        return int(np.count_nonzero(self.p_values < self.alpha)) / self.m
 
 
 def gen_null(design: Design, rng: RngStream) -> TwoWayLayout:
@@ -317,9 +329,11 @@ def replicate(
     discarded and the next attempt is drawn; after ``10 * m + 1000``
     attempts the last degeneracy is raised.
 
-    Attempts run in blocks: each method's SSP decompositions of a block
-    are computed one attempt at a time, and their Wilks' Lambdas with one
-    stacked :func:`wilks_lambda` call per pair.  Lambdas, redraws,
+    Attempts run in blocks.  The "cla" and "rnk" SSP decompositions of a
+    block come from one stacked :func:`method_ssp` call each, the "mcd"
+    ones one attempt at a time, and the Wilks' Lambdas from one stacked
+    :func:`wilks_lambda` call per method and pair; a stacked call that
+    degenerates is redone one attempt at a time.  Lambdas, redraws,
     attempts and the raised error equal those of evaluating one attempt
     at a time.
 
@@ -350,13 +364,21 @@ def replicate(
         alive = range(size)
         for method in methods:
             decomps = {}
-            for i in alive:
+            stacked = method != "mcd"
+            if stacked:
                 try:
-                    decomps[i] = method_ssp(
-                        layouts[i], method, mcd_config, streams[i].substream(1)
-                    )
-                except _DEGENERATE as exc:
-                    failed[i] = exc
+                    ssps = method_ssp([layouts[i] for i in alive], method)
+                    decomps = dict(zip(alive, ssps))
+                except _DEGENERATE:
+                    stacked = False
+            if not stacked:
+                for i in alive:
+                    try:
+                        decomps[i] = method_ssp(
+                            layouts[i], method, mcd_config, streams[i].substream(1)
+                        )
+                    except _DEGENERATE as exc:
+                        failed[i] = exc
             for model, hypothesis in pairs:
                 try:
                     lams = wilks_lambda(list(decomps.values()), hypothesis, model)
@@ -456,7 +478,9 @@ def run_experiment(
     dfs = {pair: bartlett_dfs(design, pair[0], pair[1]) for pair in pairs}
 
     root = RngStream(master_seed)
-    reports: list[ExperimentReport] = []
+    keys = [(method, pair) for method in methods for pair in pairs]
+    # One block per call, one row per report in report order.
+    p_values = np.empty((len(settings) * len(keys), m))
     for si, setting in enumerate(settings):
         lambdas, redraws, attempts = replicate(
             partial(_layout_for, kind, design, setting, epsilon),
@@ -468,33 +492,29 @@ def run_experiment(
                 "replication(s) out of %d attempts",
                 kind, setting, redraws, attempts,
             )
-        # One read-only block per setting; each report holds a row view.
-        p_values = np.empty((len(methods) * len(pairs), m))
-        keys = [(method, pair) for method in methods for pair in pairs]
-        for row, (method, pair) in zip(p_values, keys):
+        for row, (method, pair) in zip(p_values[si * len(keys) :], keys):
             lams = lambdas[method, pair].tolist()
             if method == "mcd":
                 row[:] = [calibrated_pvalue(lam, entries[pair]) for lam in lams]
             else:
                 nu1, nu2 = dfs[pair]
                 row[:] = [bartlett_pvalue(lam, design.p, nu1, nu2) for lam in lams]
-        p_values.setflags(write=False)
-        for row, (method, pair) in zip(p_values, keys):
-            reports.append(
-                ExperimentReport(
-                    design=design,
-                    method=method,
-                    model=pair[0],
-                    hypothesis=pair[1],
-                    kind=kind,
-                    setting=setting,
-                    alpha=alpha,
-                    m=m,
-                    p_values=row,
-                    rejection_rate=int(np.count_nonzero(row < alpha)) / m,
-                )
-            )
-    return reports
+    p_values.setflags(write=False)
+    return [
+        ExperimentReport(
+            design=design,
+            method=method,
+            model=pair[0],
+            hypothesis=pair[1],
+            kind=kind,
+            setting=setting,
+            alpha=alpha,
+            m=m,
+            block=p_values,
+            row=row,
+        )
+        for row, (setting, (method, pair)) in enumerate(product(settings, keys))
+    ]
 
 
 def _edf_on_grid(p_values: np.ndarray, grid: np.ndarray) -> np.ndarray:

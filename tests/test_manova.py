@@ -493,6 +493,161 @@ class TestUnitWeightsMemo:
         assert unit_weights(random_layout(np.random.default_rng(75), n=5)) is not a
 
 
+def frozen_weighted_ssp(layout, weights):
+    """The np.bincount body ``weighted_ssp`` had before it was stacked, kept
+    as a bitwise oracle: (W, E, R_row, R_col, cell, row, col, grand)."""
+    r, c, p = layout.r, layout.c, layout.p
+    Y = layout.observations
+    w = weights.w.astype(np.float64)
+    idx = layout.row_label * c + layout.col_label
+    wY = Y * w[:, None]
+    cell_sums = np.column_stack(
+        [np.bincount(idx, weights=wY[:, j], minlength=r * c) for j in range(p)]
+    ).reshape(r, c, p)
+    cell_n = weights.cell_totals.astype(np.float64)
+    row_n = weights.row_totals.astype(np.float64)
+    col_n = weights.col_totals.astype(np.float64)
+    cell_means = cell_sums / cell_n[:, :, None]
+    row_means = cell_sums.sum(axis=1) / row_n[:, None]
+    col_means = cell_sums.sum(axis=0) / col_n[:, None]
+    grand_mean = cell_sums.sum(axis=(0, 1)) / float(weights.grand_total)
+
+    resid_w = Y - cell_means[layout.row_label, layout.col_label]
+    W = (resid_w * w[:, None]).T @ resid_w
+    resid_e = (
+        Y
+        - row_means[layout.row_label]
+        - col_means[layout.col_label]
+        + grand_mean
+    )
+    E = (resid_e * w[:, None]).T @ resid_e
+    dev_row = row_means - grand_mean
+    R_row = (dev_row * row_n[:, None]).T @ dev_row
+    dev_col = col_means - grand_mean
+    R_col = (dev_col * col_n[:, None]).T @ dev_col
+    return W, E, R_row, R_col, cell_means, row_means, col_means, grand_mean
+
+
+def frozen_mid_ranks(x):
+    """The np.searchsorted body ``_mid_ranks`` had before it was stacked,
+    kept as a bitwise oracle; ``x`` is one (N, p) sample."""
+    pool = np.sort(x, axis=0)
+    ranks = np.empty(x.shape)
+    for j in range(x.shape[1]):
+        ranks[:, j] = (np.searchsorted(pool[:, j], x[:, j], "left")
+                       + np.searchsorted(pool[:, j], x[:, j], "right"))
+    return (ranks + 1) / 2
+
+
+def oracle_case(case, p, design, seed, b=4):
+    """``b`` layouts of one (r, c, n) design with one WeightSet each."""
+    r, c, n = design
+    rng = np.random.default_rng([seed, p, r, c, n])
+    layouts, weights = [], []
+    for _ in range(b):
+        cells = rng.normal(size=(r, c, n, p))
+        if case == "ties":
+            cells = np.where(
+                rng.random(cells.shape) < 0.5,
+                rng.choice([-0.0, 0.0, -1.0, 1.0, 0.5], size=cells.shape),
+                np.round(cells, 1),
+            )
+        elif case.startswith("scaled"):
+            cells = cells * float(case.removeprefix("scaled"))
+        lay = layout_from_cells(cells)
+        if case == "shuffled":
+            order = rng.permutation(lay.size)
+            lay = TwoWayLayout(r, c, n, p, lay.observations[order],
+                               lay.row_label[order], lay.col_label[order])
+        w = np.ones(lay.size, dtype=np.int64)
+        if case == "zero_weights":
+            # each cell keeps its first two rows, so nothing degenerates
+            w = (rng.random(lay.size) < 0.6).astype(np.int64)
+            w.reshape(r * c, n)[:, :2] = 1
+        layouts.append(lay)
+        weights.append(WeightSet.from_vector(lay, w))
+    return layouts, weights
+
+
+class TestStackedKernelsMatchFrozen:
+    """The stacked SSP and rank kernels, on a stack and on one layout,
+    equal the bodies they replaced bit for bit."""
+
+    CASES = ("shuffled", "ties", "zero_weights", "scaled1e-3", "scaled1e3")
+    # the (r, c, n) designs: c = 9 and r = 9 sum more than 8 cells into a
+    # row or column total, and n = 20 more than 8 rows into a cell
+    DESIGNS = ((2, 2, 5), (3, 4, 3), (2, 9, 3), (9, 2, 2), (3, 2, 20))
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("p", range(1, 6))
+    def test_weighted_ssp(self, case, p):
+        names = ("W", "E", "R_row", "R_col")
+        for seed, design in enumerate(self.DESIGNS):
+            layouts, weights = oracle_case(case, p, design, seed)
+            stacked = weighted_ssp(layouts, weights)
+            for lay, ws, got in zip(layouts, weights, stacked):
+                want = frozen_weighted_ssp(lay, ws)
+                for d in (got, weighted_ssp(lay, ws)):
+                    mats = [getattr(d, name) for name in names]
+                    means = [d.means.cell, d.means.row, d.means.col, d.means.grand]
+                    for a, b in zip(mats + means, want):
+                        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("p", range(1, 6))
+    def test_rank_transform(self, case, p):
+        for seed, design in enumerate(self.DESIGNS):
+            layouts, _ = oracle_case(case, p, design, seed)
+            for lay, got in zip(layouts, rank_transform(layouts)):
+                want = frozen_mid_ranks(lay.observations).tobytes()
+                assert got.observations.tobytes() == want
+                assert rank_transform(lay).observations.tobytes() == want
+                assert got.row_label is lay.row_label
+
+    def test_all_negative_zero_cell_sums_to_positive_zero(self):
+        # bincount adds from +0.0; a running sum of -0.0 values stays -0.0
+        cells = np.full((2, 2, 3, 1), -0.0)
+        cells[1, 1] = [[1.0], [2.0], [4.0]]
+        lay = layout_from_cells(cells)
+        got = classical_ssp([lay, lay])[1].means.cell
+        want = frozen_weighted_ssp(lay, unit_weights(lay))[4]
+        assert got.tobytes() == want.tobytes()
+        assert math.copysign(1.0, got[0, 0, 0]) == 1.0
+
+
+class TestStackedCalls:
+    def test_empty_sequences(self):
+        assert weighted_ssp([], []) == []
+        assert classical_ssp([]) == []
+        assert rank_transform([]) == []
+        assert manova.method_ssp([], "rnk") == []
+
+    def test_first_failing_member_raises(self):
+        good = random_layout(np.random.default_rng(18), r=2, c=2, n=4)
+        bad = random_layout(np.random.default_rng(19), r=2, c=2, n=4)
+        wiped = np.ones(bad.size, dtype=np.int64)
+        wiped[(bad.row_label == 1) & (bad.col_label == 0)] = 0
+        few = np.zeros(bad.size, dtype=np.int64)
+        few[:3] = 1
+        weights = [unit_weights(good), WeightSet.from_vector(bad, wiped),
+                   WeightSet.from_vector(bad, few)]
+        with pytest.raises(CellWiped, match=r"cell \(1, 0\)"):
+            weighted_ssp([good, bad, bad], weights)
+        with pytest.raises(DegenerateWeights):
+            weighted_ssp([good, bad, bad], [weights[0], weights[2], weights[1]])
+
+    def test_mismatched_members_rejected(self):
+        rng = np.random.default_rng(20)
+        a = random_layout(rng, r=2, c=4, n=2)
+        b = random_layout(rng, r=4, c=2, n=2)  # same N and p, another design
+        with pytest.raises(DimensionError):
+            classical_ssp([a, b])
+        with pytest.raises(DimensionError):
+            rank_transform([a, b])
+        with pytest.raises(DimensionError):
+            weighted_ssp([a, a], [unit_weights(a)])
+
+
 class TestWeightedSsp:
     def test_matches_reference_unit_weights(self):
         rng = np.random.default_rng(10)

@@ -11,6 +11,7 @@ from mcdmanova import simulation as sim
 from mcdmanova.calibration import CalibrationSource, calibrate_design
 from mcdmanova.distributions import RngStream, chi2_quantile
 from mcdmanova.errors import (
+    DegenerateWeights,
     DimensionError,
     DomainError,
     MismatchedReports,
@@ -43,13 +44,10 @@ FAST = McdConfig(n_starts=40, n_keep=4)
 def uniform_report(m=1000, seed=0, method="cla", values=None):
     if values is None:
         values = np.random.default_rng(seed).random(m)
-    values = np.asarray(values, dtype=np.float64)
-    m = len(values)
-    rate = int(np.count_nonzero(values < 0.05)) / m
     return ExperimentReport(
         design=BOLD, method=method, model=Model.WITH_INTERACTIONS,
         hypothesis=Hypothesis.INTERACTIONS, kind="size", setting=0.0,
-        alpha=0.05, m=m, p_values=values, rejection_rate=rate,
+        alpha=0.05, m=len(values), block=values,
     )
 
 
@@ -83,14 +81,18 @@ class TestDesignAndSpecs:
         values[0] = 0.5
         assert report.p_values[0] == 0.01
 
-    def test_report_tally_must_be_exact(self):
-        values = np.linspace(0.01, 0.99, 50)
-        with pytest.raises(DomainError):
-            ExperimentReport(
-                design=BOLD, method="cla", model=Model.WITH_INTERACTIONS,
-                hypothesis=Hypothesis.INTERACTIONS, kind="size", setting=0.0,
-                alpha=0.05, m=50, p_values=values, rejection_rate=0.5,
-            )
+    def test_rejection_rate_is_derived_exactly(self):
+        # strictly below alpha: 3 of 7, neither 0.05 nor the float above it
+        values = [0.01, 0.05, np.nextafter(0.05, 0.0), 0.5, 0.0, 1.0, np.nextafter(0.05, 1.0)]
+        assert uniform_report(values=values).rejection_rate == 3 / 7
+
+    def test_report_rows_checked(self):
+        block = np.zeros((2, 5))
+        for bad in ({"m": 4}, {"row": 2}, {"row": -1}):
+            args = {"m": 5, "block": block, **bad}
+            with pytest.raises(DimensionError):
+                ExperimentReport(BOLD, "cla", Model.WITH_INTERACTIONS,
+                                 Hypothesis.INTERACTIONS, "size", 0.0, 0.05, **args)
 
 
 class TestGenerators:
@@ -331,12 +333,13 @@ class TestRunExperiment:
     def test_reports_share_one_read_only_block(self):
         reports = run_experiment("power_inter", Design(2, 2, 6, 1), (0.5, 1.0),
                                  ("cla", "rnk"), m=10, master_seed=10)
-        first, second = reports[:6], reports[6:]
-        for group in (first, second):
-            base = group[0].p_values.base
-            assert base.shape == (6, 10) and not base.flags.writeable
-            assert all(r.p_values.base is base for r in group)
-        assert first[0].p_values.base is not second[0].p_values.base
+        block = reports[0].block
+        assert block.shape == (12, 10) and not block.flags.writeable
+        assert [r.row for r in reports] == list(range(12))
+        assert all(r.block is block for r in reports)
+        for r in reports:
+            assert r.p_values.base is block and not r.p_values.flags.writeable
+            assert r.p_values.tobytes() == block[r.row].tobytes()
         assert not hasattr(reports[0], "__dict__")
 
     def test_degenerate_replication_redrawn(self, monkeypatch, caplog):
@@ -502,6 +505,26 @@ class TestBlockReplicate:
                 run(make, RngStream(63), ("cla", "mcd"), sim.experiment_pairs("size"), 2, TINY)
             errors.append(str(info.value))
         assert errors == ["forced at attempt 1019"] * 2
+
+    @pytest.mark.parametrize("methods", [("cla",), ("rnk", "cla"), ("cla", "mcd")])
+    def test_exhaustion_in_ssp_step(self, methods):
+        # N = 8 < p + 2 = 9: every attempt raises DegenerateWeights at its
+        # first method's SSP step
+        design = Design(2, 2, 2, 7)
+        errors, drawn = [], []
+        for run in (sim.replicate, loop_replicate):
+            attempts = []
+
+            def make(stream):
+                attempts.append(attempt_of(stream))
+                return gen_null(design, stream)
+
+            with pytest.raises(DegenerateWeights) as info:
+                run(make, RngStream(65), methods, sim.experiment_pairs("size"), 3, TINY)
+            errors.append(str(info.value))
+            drawn.append(attempts)
+        assert errors[0] == errors[1]
+        assert drawn[0] == drawn[1] == list(range(1030))
 
     def test_exhaustion_in_wilks_step(self):
         design = Design(2, 2, 6, 2)

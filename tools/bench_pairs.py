@@ -16,7 +16,12 @@ number of pairs the change won per metric, in the direction
 Minor page faults per unit (replication, or CLI call) are counted apart
 from the timed runs: a fresh process per checkout sets the workload up,
 warms it with one call, and reads ``getrusage`` around ``FAULT_CALLS``
-further calls, so import and set-up faults are left out.
+further calls, so import and set-up faults are left out.  The probe
+process alone runs with glibc's ``MALLOC_TRIM_THRESHOLD_`` pinned at
+``TRIM_THRESHOLD`` bytes: with the default, glibc hands freed heap top
+back to the kernel and faults it in again, and the count then follows
+where the heap top happens to lie rather than the work done.  The timed
+runs keep the default environment.
 
 The record also holds the seeds, the default ``McdConfig``, the core
 count and the BLAS thread count, as ``perfbench/run.py`` reports them.
@@ -40,6 +45,7 @@ import spec  # noqa: E402
 
 FIRST_SEED = 401
 FAULT_CALLS = 10
+TRIM_THRESHOLD = 256 << 20
 
 FAULT_PROBE = """
 import json, resource, sys
@@ -78,7 +84,8 @@ def minor_faults(root: Path, workload: str) -> float:
         done = subprocess.run(
             [sys.executable, "-c", FAULT_PROBE, workload, str(FIRST_SEED),
              str(FAULT_CALLS), workdir],
-            cwd=root, check=True, capture_output=True, text=True, env=single_blas_env(),
+            cwd=root, check=True, capture_output=True, text=True,
+            env=single_blas_env() | {"MALLOC_TRIM_THRESHOLD_": str(TRIM_THRESHOLD)},
         )
     return json.loads(done.stdout.splitlines()[-1])
 

@@ -88,6 +88,12 @@ def write_inputs() -> None:
     order = np.random.default_rng(20181).permutation(len(lines) - 1) + 1
     shuffled = [lines[0]] + [lines[k] for k in order]
     Path("waste-shuffled.csv").write_text("\n".join(shuffled) + "\n", encoding="utf-8")
+    # the amounts to one decimal, so the rank test meets tied values
+    rounded = [lines[0]] + [
+        ",".join(line.split(",")[:2] + [f"{float(v):.1f}" for v in line.split(",")[2:]])
+        for line in lines[1:]
+    ]
+    Path("waste-rounded.csv").write_text("\n".join(rounded) + "\n", encoding="utf-8")
     # data row 2 with a zero part, for the error message
     bad = lines[:2] + [lines[2].rsplit(",", 2)[0] + ",0,1.5"] + lines[3:]
     Path("waste-bad.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
@@ -112,7 +118,8 @@ def commands() -> dict[str, list[str]]:
                              "--m-prime", "60", "--seed", "3",
                              "--mcd-alpha", "1",
                              "--cache", "calibrate-alpha1.cache"],
-        # multistart at p = 3 with a non-default alpha
+        # p = 3 with a non-default alpha: the cells enumerate all
+        # C(20, 15) = 15,504 subsets, and only the pooled fit is multistart
         "calibrate-p3-alpha075": ["calibrate", "--design", "3", "2", "20", "3",
                                   "--m-prime", "40", "--seed", "3",
                                   "--mcd-alpha", "0.75",
@@ -128,6 +135,9 @@ def commands() -> dict[str, list[str]]:
                       "--method", "cla", "--method", "rnk", "--method", "mcd",
                       "--calibrate-on-the-fly", "30", "--seed", "7",
                       "--cache", f"{name}.cache", "--out", f"{name}.tsv"]
+    runs["test-rounded"] = ["test", "--input", "waste-rounded.csv", *COLUMN_ARGS,
+                            "--method", "cla", "--method", "rnk",
+                            "--out", "test-rounded.tsv"]
     runs["ilr-bad-part"] = ["ilr", "--input", "waste-bad.csv", *COLUMN_ARGS]
     for name in EXPERIMENTS:
         runs[f"simulate-{name}"] = [
