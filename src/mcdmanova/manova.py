@@ -243,34 +243,36 @@ def validate_layout(raw_table: Sequence[Sequence]) -> TwoWayLayout:
 def _mid_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks down axis -2 of ``x``, ties given their mean rank.
 
-    ``x`` is one (N, p) sample or a (b, N, p) stack of them.  A stable
-    argsort orders each column; a run of equal values holding sorted
+    ``x`` is one (N, p) sample or a (b, N, p) stack of them; every
+    column of every sample becomes one line of N values.  A stable
+    argsort orders each line; a run of equal values holding sorted
     positions ``first .. end - 1`` (0-based) gets the mid-rank
     ``(first + end + 1) / 2``.  The positions are integers, so every rank
     is an exact integer or half-integer.
     """
-    order = np.argsort(x, axis=-2, kind="stable")
-    ordered = np.take_along_axis(x, order, axis=-2)
-    N = x.shape[-2]
-    pos = np.arange(N)[:, None]
-    starts = np.ones(x.shape, dtype=bool)  # a run of equal values starts here
-    starts[..., 1:, :] = ordered[..., 1:, :] != ordered[..., :-1, :]
-    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=-2)
-    ends = np.ones(x.shape, dtype=bool)  # ... and ends here
-    ends[..., :-1, :] = starts[..., 1:, :]
-    end = np.flip(
-        np.minimum.accumulate(np.flip(np.where(ends, pos + 1, N), -2), axis=-2), -2
-    )
-    ranks = np.empty(x.shape)
-    np.put_along_axis(ranks, order, (first + end + 1) / 2, axis=-2)
-    return ranks
+    columns = np.swapaxes(x, -1, -2)
+    lines = columns.reshape(-1, columns.shape[-1])
+    count, N = lines.shape
+    order = np.argsort(lines, axis=1, kind="stable")
+    line = np.arange(count)[:, None]
+    ordered = lines[line, order]
+    pos = np.arange(N)
+    starts = np.ones(lines.shape, dtype=bool)  # a run of equal values starts here
+    starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    first = np.maximum.accumulate(np.where(starts, pos, 0), axis=1)
+    ends = np.ones(lines.shape, dtype=bool)  # ... and ends here
+    ends[:, :-1] = starts[:, 1:]
+    end = np.minimum.accumulate(np.where(ends, pos + 1, N)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty(lines.shape)
+    ranks[line, order] = (first + end + 1) / 2
+    return np.swapaxes(ranks.reshape(columns.shape), -1, -2)
 
 
 def _stacked_observations(layouts: list[TwoWayLayout]) -> np.ndarray:
     """The observations of one design's layouts as a (b, N, p) stack."""
     if len({(lay.r, lay.c, lay.n, lay.p) for lay in layouts}) > 1:
         raise DimensionError("layouts of one call must share their design (r, c, n, p)")
-    return np.stack([lay.observations for lay in layouts])
+    return np.array([lay.observations for lay in layouts])
 
 
 def rank_transform(
@@ -433,7 +435,8 @@ def weighted_ssp(
     CellWiped
         Some cell has weight total zero, so its mean is undefined.
 
-    For a sequence, the error raised is that of its first failing pair.
+    For a sequence, every weight vector's shape is checked first, then
+    the first pair that degenerates raises its error.
     """
     single = isinstance(layout, TwoWayLayout)
     layouts = [layout] if single else list(layout)
@@ -447,29 +450,32 @@ def weighted_ssp(
             raise DimensionError(
                 f"weight vector shape {ws.w.shape} does not match N = {lay.size}"
             )
-        if ws.grand_total < lay.p + 2:
-            raise DegenerateWeights(
-                f"only {ws.grand_total} observations have weight one, "
-                f"need at least p + 2 = {lay.p + 2}"
-            )
-        if np.any(ws.cell_totals == 0):
-            bad = np.argwhere(ws.cell_totals == 0)[0]
-            raise CellWiped(f"cell ({bad[0]}, {bad[1]}) has zero weight total")
     if not layouts:
         return []
 
     Y = _stacked_observations(layouts)
     b, _, p = Y.shape
-    member = np.arange(b)[:, None]  # indexes the stack beside per-row labels
     r, c, n = layouts[0].r, layouts[0].c, layouts[0].n
-    rows = np.stack([lay.row_label for lay in layouts])
-    cols = np.stack([lay.col_label for lay in layouts])
-    idx = rows * c + cols
-    w = np.stack([ws.w for ws in weight_sets]).astype(np.float64)[:, :, None]
-    cell_n = np.stack([ws.cell_totals for ws in weight_sets]).astype(np.float64)
-    row_n = np.stack([ws.row_totals for ws in weight_sets]).astype(np.float64)
-    col_n = np.stack([ws.col_totals for ws in weight_sets]).astype(np.float64)
+    cell_n = np.array([ws.cell_totals for ws in weight_sets], dtype=np.float64)
     grand_n = np.array([ws.grand_total for ws in weight_sets], dtype=np.float64)
+    failing = np.flatnonzero((grand_n < p + 2) | (cell_n == 0).any(axis=(1, 2)))
+    if failing.size:
+        ws = weight_sets[failing[0]]
+        if ws.grand_total < p + 2:
+            raise DegenerateWeights(
+                f"only {ws.grand_total} observations have weight one, "
+                f"need at least p + 2 = {p + 2}"
+            )
+        bad = np.argwhere(ws.cell_totals == 0)[0]
+        raise CellWiped(f"cell ({bad[0]}, {bad[1]}) has zero weight total")
+
+    member = np.arange(b)[:, None]  # indexes the stack beside per-row labels
+    rows = np.array([lay.row_label for lay in layouts])
+    cols = np.array([lay.col_label for lay in layouts])
+    idx = rows * c + cols
+    w = np.array([ws.w for ws in weight_sets], dtype=np.float64)[:, :, None]
+    row_n = np.array([ws.row_totals for ws in weight_sets], dtype=np.float64)
+    col_n = np.array([ws.col_totals for ws in weight_sets], dtype=np.float64)
 
     # Each cell's weighted rows, in observation order, summed one after
     # another from +0.0 (what np.bincount does): a running sum adds in
