@@ -469,7 +469,7 @@ def weighted_ssp(
         bad = np.argwhere(ws.cell_totals == 0)[0]
         raise CellWiped(f"cell ({bad[0]}, {bad[1]}) has zero weight total")
 
-    member = np.arange(b)[:, None]  # indexes the stack beside per-row labels
+    member = np.arange(b)[:, None]  # beside (b, N) labels, picks each member's own
     rows = np.array([lay.row_label for lay in layouts])
     cols = np.array([lay.col_label for lay in layouts])
     idx = rows * c + cols
