@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -408,13 +409,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process; parsing leaves the parser unchanged.
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
     """Entry point: parse arguments, run the subcommand, print its report.
 
     Package errors map to their exit codes; files named by ``--out`` are
     written before printing.
     """
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if (args.subcommand == "test" and args.model == Model.ADDITIVE_ONLY.value
             and Hypothesis.INTERACTIONS.value in (args.hypothesis or ())):

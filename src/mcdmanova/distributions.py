@@ -317,14 +317,14 @@ def cholesky(mat: np.ndarray) -> CholeskyFactor:
     flat = stack.reshape(-1, p * p)
     where = "" if mat.ndim == 2 else "matrix {} of the stack: "
     # max propagates NaN, so a non-finite entry shows in its matrix's scale
-    scales = np.abs(flat).max(axis=1).tolist()
-    for i, scale in enumerate(scales):
-        if not math.isfinite(scale):
-            raise DomainError(f"{where.format(i)}matrix entries must be finite")
+    scales = np.abs(flat).max(axis=1)
+    bad = ~np.isfinite(scales)
+    if bad.any():
+        raise DomainError(f"{where.format(np.argmax(bad))}matrix entries must be finite")
     asym = np.abs(stack - stack.transpose(0, 2, 1)).reshape(flat.shape).max(axis=1)
-    for i, (scale, skew) in enumerate(zip(scales, asym.tolist())):
-        if skew > 1e-12 * max(1.0, scale):
-            raise DomainError(f"{where.format(i)}matrix is not symmetric")
+    bad = asym > 1e-12 * np.maximum(scales, 1.0)
+    if bad.any():
+        raise DomainError(f"{where.format(np.argmax(bad))}matrix is not symmetric")
     lower, threshold, fail_at, fail_value = _pivot_cholesky(stack)
     if (fail_at < p).any():
         i = int(np.argmax(fail_at < p))

@@ -135,10 +135,12 @@ class TwoWayLayout:
         """
         obs = np.asarray(observations, dtype=np.float64)
         p = obs.shape[1] if obs.ndim == 2 else self.p
+        return self._holding(_checked_observations(obs, self.size, p))
+
+    def _holding(self, obs: np.ndarray) -> TwoWayLayout:
+        # This design holding ``obs``, a checked read-only (N, p) array.
         twin = object.__new__(TwoWayLayout)
-        twin.__dict__.update(
-            self.__dict__, p=p, observations=_checked_observations(obs, self.size, p)
-        )
+        twin.__dict__.update(self.__dict__, p=obs.shape[1], observations=obs)
         return twin
 
     def cell_array(self) -> np.ndarray:
@@ -288,15 +290,18 @@ def rank_transform(
 
     ``layout`` may also be a sequence of layouts of one design, ranked
     together in one stacked pass; the result is then a list holding, bit
-    for bit, the layout each one gives alone.
+    for bit, the layout each one gives alone.  Their observations are the
+    rows of one read-only rank array, taken as they are: ranks of finite
+    data are finite.
     """
     if isinstance(layout, TwoWayLayout):
         return layout.with_observations(_mid_ranks(layout.observations))
     layouts = list(layout)
     if not layouts:
         return []
-    ranks = _mid_ranks(_stacked_observations(layouts))
-    return [lay.with_observations(rk) for lay, rk in zip(layouts, ranks)]
+    ranks = np.ascontiguousarray(_mid_ranks(_stacked_observations(layouts)))
+    ranks.setflags(write=False)
+    return [lay._holding(rk) for lay, rk in zip(layouts, ranks)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,12 +385,18 @@ class WeightedMeans:
 
 @dataclass(frozen=True, eq=False)
 class SspDecomposition:
-    """Weighted sums-of-squares-and-products matrices of a layout.
+    """Weighted sums-of-squares-and-products matrices of a layout, or of a
+    stack of layouts.
 
     W is the within-cell matrix, E the additive-model residual matrix,
-    R_row and R_col the row- and column-effect matrices.  All are p x p
-    and read-only, so the log-determinants :func:`wilks_lambda` takes of
-    them are memoised on the decomposition.
+    R_row and R_col the row- and column-effect matrices.  Each is one
+    p x p matrix, or a (b, p, p) stack holding member i's matrix at
+    index i, and the means carry the same leading axis.  The matrices
+    are read-only, so the log-determinants :func:`wilks_lambda` takes of
+    them are memoised on the decomposition, one array per matrix name.
+
+    A stack has a length, and indexing it gives a member (read-only
+    views) or, for a slice or an index array, a smaller stack.
     """
 
     W: np.ndarray
@@ -403,11 +414,40 @@ class SspDecomposition:
             mat.setflags(write=False)
             object.__setattr__(self, name, mat)
 
+    @classmethod
+    def stack(cls, members: Sequence[SspDecomposition]) -> SspDecomposition:
+        """One stacked decomposition of single ``members``, in order."""
+        means = [d.means for d in members]
+        return cls(
+            *(np.stack([getattr(d, name) for d in members])
+              for name in ("W", "E", "R_row", "R_col")),
+            WeightedMeans(*(np.stack([getattr(m, name) for m in means])
+                            for name in ("cell", "row", "col", "grand"))),
+        )
+
+    def __len__(self) -> int:
+        if self.W.ndim == 2:
+            raise TypeError("a single decomposition has no members")
+        return len(self.W)
+
+    def __getitem__(self, index) -> SspDecomposition:
+        if self.W.ndim == 2:
+            raise TypeError("a single decomposition has no members")
+        m = self.means
+        part = SspDecomposition(
+            self.W[index], self.E[index], self.R_row[index], self.R_col[index],
+            WeightedMeans(m.cell[index], m.row[index], m.col[index], m.grand[index]),
+        )
+        part._log_det_memo.update(
+            (name, values[index]) for name, values in self._log_det_memo.items()
+        )
+        return part
+
 
 def weighted_ssp(
     layout: TwoWayLayout | Sequence[TwoWayLayout],
     weights: WeightSet | Sequence[WeightSet],
-) -> SspDecomposition | list[SspDecomposition]:
+) -> SspDecomposition:
     """Weighted SSP matrices and means of a balanced two-way layout.
 
     Weighted means divide by the weighted counts (cell, row, column,
@@ -420,16 +460,17 @@ def weighted_ssp(
 
     and R_col analogously over columns.
 
-    ``layout`` may also be a sequence of layouts of one design (r, c, n,
-    p), with a sequence of one WeightSet each; all are then decomposed in
-    one stacked pass, and the result is a list holding, bit for bit, the
-    decomposition each pair gives alone.
+    ``layout`` may also be a non-empty sequence of layouts of one design
+    (r, c, n, p), with a sequence of one WeightSet each; all are then
+    decomposed in one stacked pass, and the result is one stacked
+    decomposition whose member i equals, bit for bit, the decomposition
+    pair i gives alone.
 
     Raises
     ------
     DimensionError
-        A weight vector does not match its layout, or the layouts of a
-        sequence differ in design.
+        A weight vector does not match its layout, the sequence is empty,
+        or the layouts of a sequence differ in design.
     DegenerateWeights
         Fewer than p + 2 observations carry weight one.
     CellWiped
@@ -451,11 +492,19 @@ def weighted_ssp(
                 f"weight vector shape {ws.w.shape} does not match N = {lay.size}"
             )
     if not layouts:
-        return []
+        raise DimensionError("an empty sequence of layouts has no design")
 
     Y = _stacked_observations(layouts)
     b, _, p = Y.shape
     r, c, n = layouts[0].r, layouts[0].c, layouts[0].n
+    # Members sharing one weight set, or one design's labels, share one
+    # row of the arrays below, broadcast over the stack.
+    if all(ws is weight_sets[0] for ws in weight_sets):
+        weight_sets = weight_sets[:1]
+    first = layouts[0]
+    if all(lay.row_label is first.row_label and lay.col_label is first.col_label
+           for lay in layouts):
+        layouts = layouts[:1]
     cell_n = np.array([ws.cell_totals for ws in weight_sets], dtype=np.float64)
     grand_n = np.array([ws.grand_total for ws in weight_sets], dtype=np.float64)
     failing = np.flatnonzero((grand_n < p + 2) | (cell_n == 0).any(axis=(1, 2)))
@@ -469,7 +518,7 @@ def weighted_ssp(
         bad = np.argwhere(ws.cell_totals == 0)[0]
         raise CellWiped(f"cell ({bad[0]}, {bad[1]}) has zero weight total")
 
-    member = np.arange(b)[:, None]  # beside (b, N) labels, picks each member's own
+    member = np.arange(b)[:, None]  # beside (b or 1, N) labels, picks each member's own
     rows = np.array([lay.row_label for lay in layouts])
     cols = np.array([lay.col_label for lay in layouts])
     idx = rows * c + cols
@@ -501,19 +550,15 @@ def weighted_ssp(
     E = weighted_cross(resid_e, w)
     R_row = weighted_cross(row_means - grand_mean[:, None], row_n[:, :, None])
     R_col = weighted_cross(col_means - grand_mean[:, None], col_n[:, :, None])
-    decomps = [
-        SspDecomposition(
-            W[i], E[i], R_row[i], R_col[i],
-            WeightedMeans(cell_means[i], row_means[i], col_means[i], grand_mean[i]),
-        )
-        for i in range(b)
-    ]
-    return decomps[0] if single else decomps
+    decomp = SspDecomposition(
+        W, E, R_row, R_col, WeightedMeans(cell_means, row_means, col_means, grand_mean)
+    )
+    return decomp[0] if single else decomp
 
 
 def classical_ssp(
     layout: TwoWayLayout | Sequence[TwoWayLayout],
-) -> SspDecomposition | list[SspDecomposition]:
+) -> SspDecomposition:
     """SSP decomposition with every observation at weight one.
 
     A sequence of layouts is decomposed in one stacked pass, as by
@@ -576,7 +621,7 @@ def method_ssp(
     method: str,
     config: McdConfig | None = None,
     rng: RngStream | None = None,
-) -> SspDecomposition | list[SspDecomposition]:
+) -> SspDecomposition:
     """SSP decomposition of ``layout`` under one of the ``METHODS``.
 
     "cla" uses unit weights, "rnk" unit weights on the rank-transformed
@@ -585,7 +630,8 @@ def method_ssp(
     calibrated null and the test it serves always share one pipeline.
 
     For "cla" and "rnk", ``layout`` may also be a sequence of layouts of
-    one design, decomposed in one stacked pass into a list.
+    one design, decomposed in one stacked pass into one stacked
+    decomposition.
     """
     if method == "cla":
         return classical_ssp(layout)
@@ -611,28 +657,28 @@ def _matrix(decomp: SspDecomposition, name: str) -> np.ndarray:
 
 
 def _log_dets(
-    decomps: Sequence[SspDecomposition], model: Model, names: tuple[str, str]
-) -> list[list[float]]:
-    """Log-determinants of ``names`` for each decomposition, from its memo.
+    decomp: SspDecomposition, model: Model, names: tuple[str, str]
+) -> list[float | np.ndarray]:
+    """Log-determinants of ``names``, one per member, from the memo.
 
     A miss factors every matrix the model reads that is not yet memoised,
-    across all ``decomps``, in one stacked call, so each distinct matrix
-    is factored once.
+    of every member, in one stacked call, so each distinct matrix is
+    factored once.
     """
-    missing = [
-        (d, m) for d in decomps for m in _MODEL_MATRICES[model] if m not in d._log_det_memo
-    ]
+    memo = decomp._log_det_memo
+    missing = [name for name in _MODEL_MATRICES[model] if name not in memo]
     if missing:
-        stack = np.stack([_matrix(d, m) for d, m in missing])
-        for (d, m), value in zip(missing, cholesky(stack).log_det.tolist()):
-            d._log_det_memo[m] = value
-    return [[d._log_det_memo[name] for name in names] for d in decomps]
+        # member-major, as one (k, p, p) stack per member laid end to end
+        mats = np.stack([_matrix(decomp, name) for name in missing], axis=-3)
+        p = mats.shape[-1]
+        log_det = cholesky(mats.reshape(-1, p, p)).log_det.reshape(mats.shape[:-2])
+        for j, name in enumerate(missing):
+            memo[name] = log_det[..., j]
+    return [memo[name] for name in names]
 
 
 def wilks_lambda(
-    decomp: SspDecomposition | Sequence[SspDecomposition],
-    hypothesis: Hypothesis,
-    model: Model,
+    decomp: SspDecomposition, hypothesis: Hypothesis, model: Model
 ) -> float | np.ndarray:
     """Wilks' Lambda determinant ratio for one hypothesis.
 
@@ -641,9 +687,9 @@ def wilks_lambda(
     effects use R_col.  Computed via log-determinants and clamped to
     (0, 1] against rounding.
 
-    ``decomp`` may also be a sequence of decompositions, whose matrices
-    are then factored together; the result is an array holding, bit for
-    bit, the float each decomposition gives alone.
+    For a stacked decomposition the matrices of all members are factored
+    together, and the result is an array holding, bit for bit, the float
+    each member gives alone.
 
     Raises
     ------
@@ -651,8 +697,8 @@ def wilks_lambda(
         Interaction hypothesis under the additive model, or a ratio
         above one by more than rounding could explain.
     NotPositiveDefinite
-        A required matrix is not positive definite (for a sequence, the
-        error of its first decomposition that has one).
+        A required matrix is not positive definite (for a stack, the
+        error of its first member that has one).
     """
     if hypothesis is Hypothesis.INTERACTIONS:
         if model is not Model.WITH_INTERACTIONS:
@@ -662,20 +708,20 @@ def wilks_lambda(
         num = "W" if model is Model.WITH_INTERACTIONS else "E"
         effect = "R_row" if hypothesis is Hypothesis.ROW_EFFECTS else "R_col"
         den = f"{num}+{effect}"
-    single = isinstance(decomp, SspDecomposition)
-    decomps = [decomp] if single else list(decomp)
+    single = decomp.W.ndim == 2
     try:
-        log_dets = _log_dets(decomps, model, (num, den))
+        log_num, log_den = _log_dets(decomp, model, (num, den))
     except (DomainError, NotPositiveDefinite):
         if not single:
             # Find the failing members, each with its own fallback below.
-            return np.array([wilks_lambda(d, hypothesis, model) for d in decomps])
+            return np.array([wilks_lambda(d, hypothesis, model) for d in decomp])
         # Some matrix of the stack failed the gate, maybe one only another
         # Lambda reads: factor this ratio's two alone, as a lone test would.
-        log_dets = [[cholesky(_matrix(decomp, name)).log_det for name in (num, den)]]
+        log_num, log_den = (cholesky(_matrix(decomp, name)).log_det for name in (num, den))
     lams = []
-    for log_num, log_den in log_dets:
-        lam = math.exp(log_num - log_den)
+    # math.exp, not np.exp: the two differ in the last bit on some inputs
+    for log_ratio in np.ravel(log_num - log_den).tolist():
+        lam = math.exp(log_ratio)
         if lam > 1.0:
             if lam > 1.0 + _LAMBDA_SLACK:
                 raise DomainError(

@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 from pathlib import Path
 from typing import Callable
@@ -34,6 +33,7 @@ from .manova import (
     METHODS,
     Hypothesis,
     Model,
+    SspDecomposition,
     TwoWayLayout,
     bartlett_dfs,
     bartlett_pvalue,
@@ -144,7 +144,7 @@ class ContaminationSpec:
             raise DomainError(f"nu must be non-negative, got {self.nu}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ExperimentReport:
     """Rejection tally of one method on one hypothesis at one setting.
 
@@ -152,7 +152,7 @@ class ExperimentReport:
     (k, m) array that :func:`run_experiment` shares among the reports of
     one call; a single vector of m p-values is a block of one row.  A
     writeable ``block`` is copied first, so the caller's array stays
-    writeable.
+    writeable.  Reports compare and hash by identity.
     """
 
     design: Design
@@ -294,22 +294,21 @@ def experiment_pairs(kind: str) -> tuple[tuple[Model, Hypothesis], ...]:
     raise DomainError(f"unknown experiment kind {kind!r}")
 
 
-def _layout_for(
-    kind: str, design: Design, setting: float, epsilon: float, rng: RngStream
-) -> TwoWayLayout:
+def _layout_maker(
+    kind: str, design: Design, setting: float, epsilon: float
+) -> Callable[[RngStream], TwoWayLayout]:
+    """The data draw of one setting: one ``gen_*`` call per stream.
+
+    The setting's mean layout or contamination spec is built here, once.
+    """
     if kind == "size":
-        return gen_null(design, rng)
-    if kind == "power_inter":
-        return gen_alternative(
-            design, gen_power_with_interactions(design, setting), rng
-        )
-    if kind == "power_additive":
-        return gen_alternative(
-            design, gen_power_additive(design, setting), rng
-        )
-    return gen_contaminated(
-        design, ContaminationSpec(epsilon, setting), rng
-    )
+        return lambda rng: gen_null(design, rng)
+    if kind == "robustness":
+        spec = ContaminationSpec(epsilon, setting)
+        return lambda rng: gen_contaminated(design, spec, rng)
+    make_means = gen_power_with_interactions if kind == "power_inter" else gen_power_additive
+    means = make_means(design, setting)
+    return lambda rng: gen_alternative(design, means, rng)
 
 
 def replicate(
@@ -330,12 +329,12 @@ def replicate(
     attempts the last degeneracy is raised.
 
     Attempts run in blocks.  The "cla" and "rnk" SSP decompositions of a
-    block come from one stacked :func:`method_ssp` call each, the "mcd"
-    ones one attempt at a time, and the Wilks' Lambdas from one stacked
-    :func:`wilks_lambda` call per method and pair; a stacked call that
-    degenerates is redone one attempt at a time.  Lambdas, redraws,
-    attempts and the raised error equal those of evaluating one attempt
-    at a time.
+    block come from one stacked :func:`method_ssp` call each; the "mcd"
+    ones come one attempt at a time and are stacked.  The Wilks' Lambdas
+    come from one :func:`wilks_lambda` call per method and pair on the
+    stack of live attempts; a stacked call that degenerates is redone one
+    attempt (member) at a time.  Lambdas, redraws, attempts and the
+    raised error equal those of evaluating one attempt at a time.
 
     Returns
     -------
@@ -361,37 +360,41 @@ def replicate(
         layouts = [make_layout(stream.substream(0)) for stream in streams]
         block = {key: np.empty(size) for key in lambdas}
         failed: dict[int, Exception] = {}
-        alive = range(size)
+        alive = list(range(size))
         for method in methods:
-            decomps = {}
-            stacked = method != "mcd"
-            if stacked:
+            stack = None
+            if method != "mcd" and alive:
                 try:
-                    ssps = method_ssp([layouts[i] for i in alive], method)
-                    decomps = dict(zip(alive, ssps))
+                    stack = method_ssp([layouts[i] for i in alive], method)
                 except _DEGENERATE:
-                    stacked = False
-            if not stacked:
+                    pass
+            if stack is None:
+                singles = {}
                 for i in alive:
                     try:
-                        decomps[i] = method_ssp(
+                        singles[i] = method_ssp(
                             layouts[i], method, mcd_config, streams[i].substream(1)
                         )
                     except _DEGENERATE as exc:
                         failed[i] = exc
+                alive = list(singles)
+                if not alive:
+                    break
+                stack = SspDecomposition.stack(list(singles.values()))
             for model, hypothesis in pairs:
                 try:
-                    lams = wilks_lambda(list(decomps.values()), hypothesis, model)
+                    lams = wilks_lambda(stack, hypothesis, model)
                 except _DEGENERATE:
-                    lams = []
-                    for i, decomp in list(decomps.items()):
+                    lams, kept = [], []
+                    for k, i in enumerate(alive):
                         try:
-                            lams.append(wilks_lambda(decomp, hypothesis, model))
+                            lams.append(wilks_lambda(stack[k], hypothesis, model))
+                            kept.append(k)
                         except _DEGENERATE as exc:
                             failed[i] = exc
-                            del decomps[i]
-                block[method, (model, hypothesis)][list(decomps)] = lams
-            alive = list(decomps)
+                    alive = [alive[k] for k in kept]
+                    stack = stack[kept]
+                block[method, (model, hypothesis)][alive] = lams
         if failed:
             redraws += len(failed)
             last_error = failed[max(failed)]
@@ -483,7 +486,7 @@ def run_experiment(
     p_values = np.empty((len(settings) * len(keys), m))
     for si, setting in enumerate(settings):
         lambdas, redraws, attempts = replicate(
-            partial(_layout_for, kind, design, setting, epsilon),
+            _layout_maker(kind, design, setting, epsilon),
             root.substream(si), methods, pairs, m, mcd_config,
         )
         if redraws:

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from mcdmanova.calibration import CalibrationKey, calibrate_design, read_cache
+from mcdmanova import cli
 from mcdmanova.cli import build_parser, main, parse_table
 from mcdmanova.errors import (
     DimensionError,
@@ -269,6 +270,21 @@ class TestTestSubcommand:
         lines = out.splitlines()
         assert lines[0].split() == ["rnk", "cla"]
         assert [line.split()[0] for line in lines[1:]] == ["year", "district"]
+
+    def test_reused_parser_keeps_calls_apart(self, tmp_path, capsys):
+        # main() parses with one parser per process; a repeatable option
+        # of one call must not leak into the next
+        data = write_balanced_csv(tmp_path / "d.csv")
+        heads = []
+        for methods in (["cla", "rnk"], ["rnk"], ["cla"]):
+            flags = [arg for m in methods for arg in ("--method", m)]
+            code, out, _ = run_cli(
+                ["test", "--input", str(data), *BASE, *flags], capsys
+            )
+            assert code == 0
+            heads.append(out.splitlines()[0].split())
+        assert heads == [["cla", "rnk"], ["rnk"], ["cla"]]
+        assert cli._parser() is cli._parser()
 
     def test_rerun_is_byte_identical(self, tmp_path, capsys):
         data = write_balanced_csv(tmp_path / "d.csv")

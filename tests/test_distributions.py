@@ -348,6 +348,16 @@ class TestCholeskyStack:
         stack[2, 1, 1] = np.inf
         with pytest.raises(DomainError, match="^matrix 2 of the stack: .*finite"):
             cholesky(stack)
+        # every matrix's entries are checked before any matrix's symmetry,
+        # and the first of several failing matrices is reported
+        stack = np.stack([np.eye(2)] * 4)
+        stack[0, 0, 1] = stack[2, 0, 1] = 0.5
+        stack[3, 0, 0] = stack[1, 1, 0] = np.nan
+        with pytest.raises(DomainError, match="^matrix 1 of the stack: .*finite"):
+            cholesky(stack)
+        stack[[1, 3]] = np.eye(2)
+        with pytest.raises(DomainError, match="^matrix 0 of the stack: .*not symmetric"):
+            cholesky(stack)
 
     def test_symmetry_tolerance_is_per_matrix(self):
         # 1e-10 asymmetry is far beyond 1e-12 of a unit-scale matrix but

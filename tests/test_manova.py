@@ -617,10 +617,12 @@ class TestStackedKernelsMatchFrozen:
 
 class TestStackedCalls:
     def test_empty_sequences(self):
-        assert weighted_ssp([], []) == []
-        assert classical_ssp([]) == []
+        # an empty stack has no design to decompose
+        for call in (lambda: weighted_ssp([], []), lambda: classical_ssp([]),
+                     lambda: manova.method_ssp([], "rnk")):
+            with pytest.raises(DimensionError):
+                call()
         assert rank_transform([]) == []
-        assert manova.method_ssp([], "rnk") == []
 
     def test_first_failing_member_raises(self):
         good = random_layout(np.random.default_rng(18), r=2, c=2, n=4)
@@ -646,6 +648,56 @@ class TestStackedCalls:
             rank_transform([a, b])
         with pytest.raises(DimensionError):
             weighted_ssp([a, a], [unit_weights(a)])
+
+
+def ssp_fields(d):
+    """The matrices and means of a decomposition, in a fixed order."""
+    return ([getattr(d, name) for name in ("W", "E", "R_row", "R_col")]
+            + [getattr(d.means, name) for name in ("cell", "row", "col", "grand")])
+
+
+class TestStackedDecomposition:
+    """A sequence call gives one stacked decomposition; its members equal
+    the single-layout decompositions bit for bit."""
+
+    @pytest.mark.parametrize("case", TestStackedKernelsMatchFrozen.CASES)
+    @pytest.mark.parametrize("p", range(1, 6))
+    def test_members_equal_single_layouts(self, case, p):
+        for seed, design in enumerate(TestStackedKernelsMatchFrozen.DESIGNS):
+            layouts, weights = oracle_case(case, p, design, seed)
+            calls = [(weighted_ssp, (layouts, weights), zip(layouts, weights))]
+            calls += [(manova.method_ssp, (layouts, method), [(lay, method) for lay in layouts])
+                      for method in ("cla", "rnk")]
+            for func, stack_args, single_args in calls:
+                stacked = func(*stack_args)
+                assert len(stacked) == len(layouts)
+                assert stacked.W.shape == (len(layouts), p, p)
+                singles = [func(*args) for args in single_args]
+                for i, single in enumerate(singles):
+                    for got, want in zip(ssp_fields(stacked[i]), ssp_fields(single)):
+                        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                restacked = SspDecomposition.stack(singles)
+                for got, want in zip(ssp_fields(restacked), ssp_fields(stacked)):
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_members_are_read_only_views(self):
+        rng = np.random.default_rng(21)
+        stacked = classical_ssp([random_layout(rng) for _ in range(3)])
+        member = stacked[1]
+        for mat, whole in zip(ssp_fields(member)[:4], ssp_fields(stacked)[:4]):
+            assert np.shares_memory(mat, whole)
+            with pytest.raises(ValueError):
+                mat[0, 0] = 1.0
+        with pytest.raises(TypeError):
+            len(member)
+        with pytest.raises(TypeError):
+            member[0]
+        sub = stacked[[2, 0]]
+        assert len(sub) == 2
+        for k, i in enumerate((2, 0)):
+            for got, want in zip(ssp_fields(sub[k]), ssp_fields(stacked[i])):
+                assert got.tobytes() == want.tobytes()
+        assert [d.W.tobytes() for d in stacked] == [stacked[i].W.tobytes() for i in range(3)]
 
 
 class TestWeightedSsp:
@@ -896,7 +948,7 @@ class TestWilksMemo:
         for model in Model:
             for hyp in hypotheses_for(model):
                 # fresh decompositions on both sides, so no memo is shared
-                stacked = wilks_lambda([classical_ssp(lay) for lay in layouts], hyp, model)
+                stacked = wilks_lambda(classical_ssp(layouts), hyp, model)
                 lone = [wilks_lambda(classical_ssp(lay), hyp, model) for lay in layouts]
                 assert isinstance(stacked, np.ndarray) and stacked.dtype == np.float64
                 assert stacked.tobytes() == np.array(lone).tobytes()
@@ -908,28 +960,71 @@ class TestWilksMemo:
     )
     def test_sequence_factored_in_one_call(self, calls, model, expected):
         rng = np.random.default_rng(50)
-        ds = [classical_ssp(random_layout(rng, p=3)) for _ in range(5)]
-        assert wilks_lambda([], Hypothesis.ROW_EFFECTS, model).shape == (0,)
+        ds = classical_ssp([random_layout(rng, p=3) for _ in range(5)])
         for hyp in hypotheses_for(model):
             assert wilks_lambda(ds, hyp, model).shape == (5,)
         assert calls == expected
+
+    def test_members_and_sub_stacks_reuse_the_memo(self, calls):
+        rng = np.random.default_rng(52)
+        ds = classical_ssp([random_layout(rng) for _ in range(4)])
+        model = Model.WITH_INTERACTIONS
+        lams = wilks_lambda(ds, Hypothesis.ROW_EFFECTS, model)
+        assert wilks_lambda(ds[2], Hypothesis.ROW_EFFECTS, model) == lams[2]
+        sub = wilks_lambda(ds[[3, 1]], Hypothesis.COL_EFFECTS, model)
+        assert sub.tolist() == wilks_lambda(ds, Hypothesis.COL_EFFECTS, model)[[3, 1]].tolist()
+        assert calls == [(16, 2, 2)]
+
+    def test_stack_takes_math_exp_of_each_log_ratio(self):
+        # np.exp may differ from math.exp in the last bit (it does on
+        # AVX-512 builds); every Lambda of a stack must be the math.exp
+        # of its member's own log ratio, as a lone decomposition gives
+        rng = np.random.default_rng(53)
+        layouts = [random_layout(rng, r=3, c=2, n=6, p=p) for p in (1, 2, 3) for _ in range(40)]
+        ratios, got = [], []
+        for p in (1, 2, 3):
+            members = [lay for lay in layouts if lay.p == p]
+            stacked = classical_ssp(members)
+            for model in Model:
+                for hyp in hypotheses_for(model):
+                    got += wilks_lambda(stacked, hyp, model).tolist()
+                    for lay in members:
+                        d = classical_ssp(lay)
+                        num, den = {
+                            Hypothesis.INTERACTIONS: (d.W, d.E),
+                            Hypothesis.ROW_EFFECTS: (d.W, d.W + d.R_row),
+                            Hypothesis.COL_EFFECTS: (d.W, d.W + d.R_col),
+                        }[hyp] if model is Model.WITH_INTERACTIONS else {
+                            Hypothesis.ROW_EFFECTS: (d.E, d.E + d.R_row),
+                            Hypothesis.COL_EFFECTS: (d.E, d.E + d.R_col),
+                        }[hyp]
+                        ratios.append(cholesky(num).log_det - cholesky(den).log_det)
+                        assert wilks_lambda(d, hyp, model) == min(math.exp(ratios[-1]), 1.0)
+        assert got == [min(math.exp(x), 1.0) for x in ratios]
+        vector_exp = np.exp(np.array(ratios)).tolist()
+        differs = [x for x, v in zip(ratios, vector_exp) if v != math.exp(x)]
+        probe = np.linspace(-8.0, 0.0, 10001)
+        if any(v != math.exp(x) for x, v in zip(probe.tolist(), np.exp(probe).tolist())):
+            assert differs  # the witness: a ratio whose np.exp is another float
 
     def test_sequence_with_failing_members(self):
         # one member needs the lone-pair fallback, another is singular
         rng = np.random.default_rng(51)
         a = rng.standard_normal((2, 12))
         W, R_row = a @ a.T, np.diag([0.5, 0.25])
-        means = WeightedMeans(*(np.zeros(2) for _ in range(4)))
-        sibling = SspDecomposition(W, W + R_row, R_row, np.diag([1e20, 0.0]), means)
         good = classical_ssp(random_layout(rng))
+        means = good.means  # carried along only, so a stack can hold both
+        sibling = SspDecomposition(W, W + R_row, R_row, np.diag([1e20, 0.0]), means)
         model = Model.WITH_INTERACTIONS
-        lams = wilks_lambda([good, sibling], Hypothesis.ROW_EFFECTS, model)
+        lams = wilks_lambda(SspDecomposition.stack([good, sibling]),
+                            Hypothesis.ROW_EFFECTS, model)
         assert lams.tolist() == [
             min(lone_lambda(good.W, good.W + good.R_row), 1.0), lone_lambda(W, W + R_row)
         ]
         singular = SspDecomposition(np.zeros((2, 2)), W, R_row, R_row, means)
         with pytest.raises(NotPositiveDefinite) as stacked:
-            wilks_lambda([good, singular, sibling], Hypothesis.ROW_EFFECTS, model)
+            wilks_lambda(SspDecomposition.stack([good, singular, sibling]),
+                         Hypothesis.ROW_EFFECTS, model)
         with pytest.raises(NotPositiveDefinite) as alone:
             wilks_lambda(singular, Hypothesis.ROW_EFFECTS, model)
         assert str(stacked.value) == str(alone.value)

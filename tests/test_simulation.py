@@ -1,7 +1,6 @@
 """Tests for the Monte Carlo experiments and EDF emitters."""
 
 import math
-from functools import partial
 
 import numpy as np
 import pytest
@@ -342,6 +341,40 @@ class TestRunExperiment:
             assert r.p_values.tobytes() == block[r.row].tobytes()
         assert not hasattr(reports[0], "__dict__")
 
+    @pytest.mark.parametrize("kind, builder, gen", [
+        ("power_inter", "gen_power_with_interactions", "gen_alternative"),
+        ("power_additive", "gen_power_additive", "gen_alternative"),
+        ("robustness", "ContaminationSpec", "gen_contaminated"),
+    ])
+    def test_setting_built_once_and_one_draw_per_attempt(self, monkeypatch, kind, builder, gen):
+        counts = {"built": 0, "drawn": 0}
+        real_build, real_gen = getattr(sim, builder), getattr(sim, gen)
+
+        def build(*args):
+            counts["built"] += 1
+            return real_build(*args)
+
+        def draw(*args):
+            counts["drawn"] += 1
+            return real_gen(*args)
+
+        expected = run_experiment(kind, Design(2, 2, 6, 2), (0.5, 1.0), ("cla", "rnk"), m=7)
+        monkeypatch.setattr(sim, builder, build)
+        monkeypatch.setattr(sim, gen, draw)
+        reports = run_experiment(kind, Design(2, 2, 6, 2), (0.5, 1.0), ("cla", "rnk"), m=7)
+        assert counts == {"built": 2, "drawn": 14}
+        assert reports[0].block.tobytes() == expected[0].block.tobytes()
+
+    def test_reports_compare_and_hash_by_identity(self):
+        args = ("size", Design(2, 2, 3, 1), (), ("cla",), 4)
+        a = run_experiment(*args, master_seed=1)
+        b = run_experiment(*args, master_seed=1)
+        assert a[0].p_values.tobytes() == b[0].p_values.tobytes()
+        assert a[0] == a[0] and a[0] != b[0] and a[0] != a[1]
+        assert hash(a[0]) == hash(a[0])
+        assert len({*a, *b}) == len(a) + len(b)
+        assert a.index(a[2]) == 2
+
     def test_degenerate_replication_redrawn(self, monkeypatch, caplog):
         # calibrate before patching, so the forced degeneracy lands in the
         # experiment's replications; the shared replication loop reaches
@@ -447,7 +480,7 @@ class TestBlockReplicate:
         "methods, m", [(("cla", "rnk"), 70), (("cla", "mcd", "rnk"), 5)]
     )
     def test_matches_reference(self, kind, design, methods, m):
-        make = partial(sim._layout_for, kind, design, SETTINGS[kind], 0.1)
+        make = sim._layout_maker(kind, design, SETTINGS[kind], 0.1)
         pairs = sim.experiment_pairs(kind)
         assert_same_run(*run_both(make, RngStream(60), methods, pairs, m, TINY))
 
