@@ -383,6 +383,11 @@ class WeightedMeans:
     grand: np.ndarray
 
 
+def _read_only(mat: np.ndarray) -> np.ndarray:
+    mat.setflags(write=False)
+    return mat
+
+
 @dataclass(frozen=True, eq=False)
 class SspDecomposition:
     """Weighted sums-of-squares-and-products matrices of a layout, or of a
@@ -411,7 +416,9 @@ class SspDecomposition:
     def __post_init__(self):
         for name in ("W", "E", "R_row", "R_col"):
             mat = np.asarray(getattr(self, name), dtype=np.float64)
-            mat.setflags(write=False)
+            if mat.flags.writeable:
+                # the caller's array stays writeable; the copy is frozen
+                mat = _read_only(mat.copy())
             object.__setattr__(self, name, mat)
 
     @classmethod
@@ -419,7 +426,7 @@ class SspDecomposition:
         """One stacked decomposition of single ``members``, in order."""
         means = [d.means for d in members]
         return cls(
-            *(np.stack([getattr(d, name) for d in members])
+            *(_read_only(np.stack([getattr(d, name) for d in members]))
               for name in ("W", "E", "R_row", "R_col")),
             WeightedMeans(*(np.stack([getattr(m, name) for m in means])
                             for name in ("cell", "row", "col", "grand"))),
@@ -551,7 +558,8 @@ def weighted_ssp(
     R_row = weighted_cross(row_means - grand_mean[:, None], row_n[:, :, None])
     R_col = weighted_cross(col_means - grand_mean[:, None], col_n[:, :, None])
     decomp = SspDecomposition(
-        W, E, R_row, R_col, WeightedMeans(cell_means, row_means, col_means, grand_mean)
+        *map(_read_only, (W, E, R_row, R_col)),
+        WeightedMeans(cell_means, row_means, col_means, grand_mean),
     )
     return decomp[0] if single else decomp
 

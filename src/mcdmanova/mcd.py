@@ -24,18 +24,22 @@ subset of every dataset in a stack at once.  A candidate is held as a
 the finalists, so subset sums of the monomials (x_i, x_i x_j) come from
 one batched matrix product with a per-dataset feature matrix, and
 squared distances come from a second product with the quadratic-form
-coefficients of each candidate fit.  The next mask marks the entries at
+coefficients of each candidate fit.  A bivariate candidate keeps its
+covariance and precision as their three distinct entries, each stored
+as one contiguous run over the stack, from the moments through the
+closed-form Cholesky gate to the distance coefficients; at other
+dimensions they are full matrices.  The next mask marks the entries at
 or below each row's h-th smallest distance, found by sorting a copy of
 the row; rows where that value ties with the next take the set
 ``np.argpartition`` picks, so the masks equal the index sets it gives.
 The start-phase arrays live in a scratch block per thread that every
 fit on that thread reuses, so rounds neither allocate nor fault in
 fresh pages.  Quantities that end up in a returned estimate are
-recomputed from the finalists with the usual two-pass formulas, all
-finalists of a stack in one pass, so the fast path only influences
-which candidate wins.  Every subset and reweighting decision is the
-pivot test of :func:`~mcdmanova.distributions.cholesky_mask`, the one
-Cholesky gate (in closed form for bivariate candidate fits).
+recomputed with the usual two-pass formulas, for all finalists and
+then all winners of a stack in one pass each, so the fast path only
+influences which candidate wins.  Every subset and reweighting decision
+is the pivot test of :func:`~mcdmanova.distributions.cholesky_mask`,
+the one Cholesky gate (in closed form for bivariate candidate fits).
 Balanced-design pipelines exploit the stacking through
 :func:`fast_mcd_batch` to fit all cells of a layout together.
 """
@@ -45,7 +49,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -66,8 +70,9 @@ __all__ = [
     "reweight_batch",
 ]
 
-# Enumerate all h-subsets whenever their number is at most this bound.
-EXHAUSTIVE_LIMIT = 100_000
+# Enumerate all h-subsets whenever their number is at most this bound;
+# above about a thousand subsets the multistart search is cheaper.
+EXHAUSTIVE_LIMIT = 1_000
 
 # Reweighting keeps observations within the 97.5% chi-square cutoff.
 REWEIGHT_QUANTILE = 0.975
@@ -226,6 +231,7 @@ def _fp_curve(stage: str, p: int, anchor: float, n: int) -> float:
     return 1.0 - math.exp(a) / n**b
 
 
+@lru_cache(maxsize=1024)
 def small_sample_factor(p: int, n: int, alpha: float, reweighted: bool = False) -> float:
     """Finite-sample correction multiplied into the scatter matrix.
 
@@ -326,16 +332,29 @@ class _Workspace:
         feat[:, :, :p] = data
         feat[:, :, p:] = data[:, :, iu[0]] * data[:, :, iu[1]]
         self.feat = feat
-        self.feat_t = np.ascontiguousarray(feat.transpose(0, 2, 1))
+        # transposed, with a row of ones that carries each fit's constant
+        self.feat_t = np.ones((b, q + 1, n))
+        self.feat_t[:, :q] = feat.transpose(0, 2, 1)
         # doubling of off-diagonal coefficients in the quadratic form
         self.cross_scale = np.where(iu[0] == iu[1], 1.0, 2.0)
 
     def moments(self, mask: np.ndarray, h: int) -> tuple[np.ndarray, np.ndarray]:
         # Mean and covariance of every candidate h-subset via one batched
         # product of the 0/1 membership masks with the feature matrices.
+        # A bivariate covariance is packed as its entries (c00, c01, c11),
+        # any other as a full (b, c, p, p) stack; entry (i, j) is
+        # (s_ij - (h*m_i)*m_j) / (h - 1) either way.
         b, c, _ = mask.shape
         p = self.p
         sums = mask @ self.feat
+        if p == 2:
+            # Entry-major (entry, b, c) rows keep the elementwise work on
+            # contiguous runs; callers get (b, c, entry) views of them.
+            sums = np.ascontiguousarray(sums.transpose(2, 0, 1))
+            mean = sums[:p] / h
+            hm = h * mean
+            cov = (sums[p:] - hm[self.iu[0]] * mean[self.iu[1]]) / (h - 1)
+            return mean.transpose(1, 2, 0), cov.transpose(1, 2, 0)
         mean = sums[:, :, :p] / h
         ss = np.empty((b, c, p, p))
         ss[:, :, self.iu[0], self.iu[1]] = sums[:, :, p:]
@@ -343,20 +362,61 @@ class _Workspace:
         cov = (ss - h * mean[:, :, :, None] * mean[:, :, None, :]) / (h - 1)
         return mean, cov
 
+    def pack(self, cov: np.ndarray) -> np.ndarray:
+        # A full (..., p, p) covariance in the layout moments gives.
+        return cov[..., self.iu[0], self.iu[1]] if self.p == 2 else cov
+
+    def fit(self, cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Precision matrices, log determinants (+inf where the Cholesky
+        # gate fails) and gate results of a covariance stack laid out as
+        # moments gives it; a bivariate precision is packed like its
+        # covariance and comes from a closed form of the same pivot rule.
+        if self.p != 2:
+            factor, ok = cholesky_mask(cov)
+            return _precision_from_chol(factor.lower), np.where(ok, factor.log_det, np.inf), ok
+        a, b_, c = cov[..., 0], cov[..., 1], cov[..., 2]
+        threshold = 2e-14 * np.maximum(np.maximum(a, c), 0.0)
+        a_ok = a > threshold
+        pivot2 = c - b_ * b_ / np.where(a_ok, a, 1.0)
+        ok = a_ok & (pivot2 > threshold)
+        det = np.where(ok, a * pivot2, 1.0)
+        logdet = np.where(ok, np.log(det), np.inf)
+        precision = np.empty_like(cov)
+        np.divide(c, det, out=precision[..., 0])
+        np.divide(-b_, det, out=precision[..., 1])
+        np.divide(a, det, out=precision[..., 2])
+        return precision, logdet, ok
+
     def sq_distances(
         self, mean: np.ndarray, precision: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
         # d2(x) = x'Ax - 2(Am)'x + m'Am, assembled per candidate and
-        # evaluated for all observations in one batched product into out.
+        # evaluated for all observations in one batched product into out;
+        # m'Am is the last coefficient, against the row of ones, so the
+        # product adds it after the other terms, as a separate addition
+        # would.  The bivariate sums are written out; they equal the
+        # einsum's.
         p = self.p
-        am = np.einsum("bcij,bcj->bci", precision, mean)
-        const = np.einsum("bci,bci->bc", am, mean)
-        coef = np.empty((mean.shape[0], mean.shape[1], self.feat.shape[2]))
-        coef[:, :, :p] = -2.0 * am
-        coef[:, :, p:] = precision[:, :, self.iu[0], self.iu[1]] * self.cross_scale
-        np.matmul(coef, self.feat_t, out=out)
-        out += const[:, :, None]
-        return out
+        q = self.feat.shape[2]
+        coef = np.empty((q + 1,) + mean.shape[:2])
+        if p == 2:
+            m0, m1 = mean[:, :, 0], mean[:, :, 1]
+            p00, p01, p11 = precision[:, :, 0], precision[:, :, 1], precision[:, :, 2]
+            am0 = p00 * m0 + p01 * m1
+            am1 = p01 * m0 + p11 * m1
+            np.multiply(am0, -2.0, out=coef[0])
+            np.multiply(am1, -2.0, out=coef[1])
+            np.multiply(precision.transpose(2, 0, 1), self.cross_scale[:, None, None],
+                        out=coef[p:q])
+            np.add(am0 * m0, am1 * m1, out=coef[q])
+        else:
+            am = np.einsum("bcij,bcj->bci", precision, mean)
+            coef[:p] = (-2.0 * am).transpose(2, 0, 1)
+            coef[p:q] = (
+                precision[:, :, self.iu[0], self.iu[1]] * self.cross_scale
+            ).transpose(2, 0, 1)
+            coef[q] = np.einsum("bci,bci->bc", am, mean)
+        return np.matmul(coef.transpose(1, 2, 0), self.feat_t, out=out)
 
 
 # Scratch memory of the multistart search, one block per thread, and
@@ -394,7 +454,7 @@ def _smallest(
         return out
     np.copyto(scratch, values)
     scratch.sort(axis=-1)
-    np.less_equal(values, scratch[..., k - 1 : k], out=out, casting="unsafe")
+    np.copyto(out, values <= scratch[..., k - 1 : k])
     tied = ~(scratch[..., k - 1] < scratch[..., k])
     if tied.any():
         picked = np.argpartition(values[tied], k - 1, axis=-1)[:, :k]
@@ -420,31 +480,6 @@ def _precision_from_chol(lower: np.ndarray) -> np.ndarray:
     return np.einsum("ski,skj->sij", linv, linv).reshape(*lead, p, p)
 
 
-def _fit_rows(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Precision matrices, log determinants (+inf where the Cholesky gate
-    # fails) and gate results of a (b, c, p, p) covariance stack.  The
-    # bivariate case, which dominates the Monte Carlo pipelines, is a
-    # closed form of the same pivot rule.
-    p = cov.shape[-1]
-    if p == 2:
-        a = cov[..., 0, 0]
-        b_ = cov[..., 0, 1]
-        c = cov[..., 1, 1]
-        threshold = 2e-14 * np.maximum(np.maximum(a, c), 0.0)
-        pivot2 = c - b_ * b_ / np.where(a > threshold, a, 1.0)
-        ok = (a > threshold) & (pivot2 > threshold)
-        det = np.where(ok, a * pivot2, 1.0)
-        logdet = np.where(ok, np.log(det), np.inf)
-        precision = np.empty_like(cov)
-        precision[..., 0, 0] = c / det
-        precision[..., 0, 1] = -b_ / det
-        precision[..., 1, 0] = -b_ / det
-        precision[..., 1, 1] = a / det
-        return precision, logdet, ok
-    factor, ok = cholesky_mask(cov)
-    return _precision_from_chol(factor.lower), np.where(ok, factor.log_det, np.inf), ok
-
-
 def _concentrate_round(
     ws: _Workspace,
     subsets: np.ndarray,
@@ -457,10 +492,11 @@ def _concentrate_round(
     # returned as out; candidates whose covariance fails the Cholesky
     # gate are copied unchanged.  d2 and scratch are overwritten.
     mean, cov = ws.moments(subsets, h)
-    precision, _, ok = _fit_rows(cov)
-    if np.any(ok):
+    precision, _, ok = ws.fit(cov)
+    if ok.any():
         _smallest(ws.sq_distances(mean, precision, out=d2), h, out, scratch)
-    out[~ok] = subsets[~ok]
+    if not ok.all():
+        out[~ok] = subsets[~ok]
     return out
 
 
@@ -494,7 +530,7 @@ def _extend_degenerate_starts(
         order = np.argsort(keys[b, s], kind="stable")
         for size in range(ws.p + 2, n + 1):
             m, cov = _exact_subset_stats(ws.data[b], order[:size])
-            prec, _, good = _fit_rows(cov[None, None])
+            prec, _, good = ws.fit(ws.pack(cov)[None, None])
             if good[0, 0]:
                 mean[b, s] = m
                 precision[b, s] = prec[0, 0]
@@ -515,12 +551,13 @@ def _initial_subsets(
     # liveness mask.  keys and scratch are overwritten.
     p = ws.p
     mean, cov = ws.moments(_smallest(keys, p + 1, out, scratch), p + 1)
-    precision, _, ok = _fit_rows(cov)
-    if not np.all(ok):
+    precision, _, ok = ws.fit(cov)
+    if not ok.all():
         precision, ok = _extend_degenerate_starts(ws, keys, mean, precision, ok)
-    if np.any(ok):
+    if ok.any():
         _smallest(ws.sq_distances(mean, precision, out=keys), h, out, scratch)
-    out[~ok] = np.arange(ws.n) < h
+    if not ok.all():
+        out[~ok] = np.arange(ws.n) < h
     return out, ok
 
 
@@ -562,7 +599,7 @@ def _best_subsets_multistart(
     for _ in range(_CSTEPS_BEFORE_SELECTION):
         subsets, spare = _concentrate_round(ws, subsets, h, spare, d2, scratch), subsets
     # log determinants of the candidates, +inf where the gate fails
-    logdets = _fit_rows(ws.moments(subsets, h)[1])[1]
+    logdets = ws.fit(ws.moments(subsets, h)[1])[1]
 
     order = np.argsort(logdets, axis=1, kind="stable")[:, : config.n_keep]
     current = np.take_along_axis(subsets, order[:, :, None], axis=1)
@@ -604,29 +641,37 @@ def _best_subset_exhaustive(data: np.ndarray, h: int) -> tuple[np.ndarray, float
     return np.array(best_subset, dtype=np.intp), best_logdet
 
 
-def _assemble_estimate(
-    data: np.ndarray, subset: np.ndarray, objective: float, config: McdConfig
-) -> McdEstimate:
-    n, p = data.shape
-    h = subset.shape[0]
-    raw_location, subset_cov = _exact_subset_stats(data, subset)
+def _assemble_estimates(
+    datasets: np.ndarray, winners: list[tuple[np.ndarray, float]], config: McdConfig
+) -> list[McdEstimate]:
+    # Raw estimates of a stack from each dataset's winning h-subset, the
+    # exact statistics of all winners in one pass.
+    b, n, p = datasets.shape
+    subsets = np.stack([subset for subset, _ in winners])
+    h = subsets.shape[1]
+    locations, covs = _exact_subset_stats(
+        datasets.reshape(b * n, p), subsets + n * np.arange(b)[:, None]
+    )
     cons = consistency_factor(p, h / n)
     small = small_sample_factor(p, n, config.alpha, reweighted=False)
-    raw_scatter = subset_cov * (cons * small)
-    weights = np.zeros(n, dtype=np.int64)
-    weights[subset] = 1
-    return McdEstimate(
-        location=raw_location.copy(),
-        scatter=raw_scatter.copy(),
-        raw_location=raw_location,
-        raw_scatter=raw_scatter,
-        best_subset=subset,
-        weights=weights,
-        objective=objective,
-        consistency_factor=cons,
-        small_sample_factor=small,
-        alpha=config.alpha,
-    )
+    scatters = covs * (cons * small)
+    weights = np.zeros((b, n), dtype=np.int64)
+    np.put_along_axis(weights, subsets, 1, axis=1)
+    return [
+        McdEstimate(
+            location=locations[i].copy(),
+            scatter=scatters[i].copy(),
+            raw_location=locations[i],
+            raw_scatter=scatters[i],
+            best_subset=subset,
+            weights=weights[i],
+            objective=objective,
+            consistency_factor=cons,
+            small_sample_factor=small,
+            alpha=config.alpha,
+        )
+        for i, (subset, objective) in enumerate(winners)
+    ]
 
 
 def fast_mcd_batch(
@@ -683,10 +728,7 @@ def fast_mcd_batch(
     else:
         winners = _best_subsets_multistart(centered, h, config, rng)
 
-    return [
-        _assemble_estimate(datasets[i], subset, objective, config)
-        for i, (subset, objective) in enumerate(winners)
-    ]
+    return _assemble_estimates(datasets, winners, config)
 
 
 def fast_mcd(
@@ -745,32 +787,37 @@ def reweight_batch(datasets: np.ndarray, raws: list[McdEstimate]) -> list[McdEst
         raise DimensionError(f"need {b} raw estimates, got {len(raws)}")
     _validate_data(datasets.reshape(b * n, p))
     factor, ok = cholesky_mask(np.stack([raw.raw_scatter for raw in raws]))
-    cutoff2 = _reweight_cutoff(p) ** 2
-    out: list[McdEstimate] = []
     diffs = datasets - np.stack([raw.raw_location for raw in raws])[:, None, :]
-    d2 = _sq_distances(diffs, factor.lower)
-    for i, raw in enumerate(raws):
+    kept = _sq_distances(diffs, factor.lower) <= _reweight_cutoff(p) ** 2
+    weights = kept.astype(np.int64)
+    stats = []
+    for i in range(b):
         if not ok[i]:
             raise SingularSubset(f"raw scatter of dataset {i} is rank deficient")
-        kept = d2[i] <= cutoff2
-        m = int(np.count_nonzero(kept))
+        m = int(np.count_nonzero(kept[i]))
         if m <= p:
             raise SingularSubset(
                 f"only {m} observations kept by reweighting, need more than {p}"
             )
-        location, cov = _exact_subset_stats(datasets[i], np.flatnonzero(kept))
-        if not cholesky_mask(cov)[1]:
-            raise SingularSubset("weight-one observations are rank deficient")
-        cons = consistency_factor(p, REWEIGHT_QUANTILE)
+        stats.append(_exact_subset_stats(datasets[i], np.flatnonzero(kept[i])))
+    if not cholesky_mask(np.stack([cov for _, cov in stats]))[1].all():
+        raise SingularSubset("weight-one observations are rank deficient")
+    cons = consistency_factor(p, REWEIGHT_QUANTILE)
+    out = []
+    for raw, (location, cov), w in zip(raws, stats, weights):
         small = small_sample_factor(p, n, raw.alpha, reweighted=True)
         out.append(
-            replace(
-                raw,
+            McdEstimate(
                 location=location,
                 scatter=cov * (cons * small),
-                weights=kept.astype(np.int64),
+                raw_location=raw.raw_location,
+                raw_scatter=raw.raw_scatter,
+                best_subset=raw.best_subset,
+                weights=w,
+                objective=raw.objective,
                 consistency_factor=cons,
                 small_sample_factor=small,
+                alpha=raw.alpha,
             )
         )
     return out

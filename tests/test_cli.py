@@ -9,6 +9,7 @@ on-the-fly calibration so the whole module stays fast.
 """
 
 import json
+import os
 import re
 import shutil
 import subprocess
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import mcdmanova
 from mcdmanova.calibration import CalibrationKey, calibrate_design, read_cache
 from mcdmanova import cli
 from mcdmanova.cli import build_parser, main, parse_table
@@ -603,11 +605,15 @@ class TestExitCodes:
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 SUBCOMMANDS = ("test", "calibrate", "simulate", "ilr")
+# Subprocesses import the package these tests import, installed or not.
+SUBPROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    filter(None, (str(Path(mcdmanova.__file__).parents[1]), os.environ.get("PYTHONPATH")))
+))
 
 
 def assert_help(cmd):
     """``cmd`` exits 0 and its usage line lists every subcommand."""
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=SUBPROCESS_ENV)
     assert proc.returncode == 0, proc.stderr
     choices = re.search(r"\{([^}]*)\}", proc.stdout)
     assert choices is not None, proc.stdout
@@ -636,7 +642,7 @@ class TestInstalledEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-m", "mcdmanova", "test",
              "--input", str(data), *BASE, "--method", "cla"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[1].startswith("district ")
@@ -661,7 +667,7 @@ class TestInstalledEntryPoints:
         proc = subprocess.run(
             [sys.executable, "-c", script, "test", "--input", str(data), *BASE,
              "--ilr", "--method", "rnk"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=SUBPROCESS_ENV,
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]

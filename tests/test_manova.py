@@ -463,6 +463,16 @@ class TestCallerArraysUntouched:
         w[0] = 0
         assert ws.w[0] == 1 and ws.grand_total == lay.size
 
+    def test_ssp_decomposition(self):
+        mats = [np.eye(2), 2.0 * np.eye(2), np.eye(2), np.eye(2)]
+        d = SspDecomposition(*mats, WeightedMeans(*(np.zeros(2) for _ in range(4))))
+        for mat in mats:
+            assert mat.flags.writeable
+        mats[0][0, 0] = 5.0
+        assert d.W[0, 0] == 1.0
+        for mat in (d.W, d.E, d.R_row, d.R_col):
+            assert not mat.flags.writeable
+
 
 class TestUnitWeightsMemo:
     def test_equals_weights_built_from_shuffled_labels(self):

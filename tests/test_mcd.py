@@ -12,7 +12,7 @@ from scipy.linalg import solve_triangular
 from scipy.stats import chi2
 
 from mcdmanova import mcd
-from mcdmanova.distributions import RngStream, chi2_quantile, cholesky
+from mcdmanova.distributions import RngStream, chi2_quantile, cholesky, cholesky_mask
 from mcdmanova.errors import (
     DimensionError,
     DomainError,
@@ -81,17 +81,109 @@ def oracle_c_step(data, subset):
     return np.sort(order)
 
 
+class FrozenKernels:
+    """The search kernels of the first mask search, frozen: full (b, c, p, p)
+    covariance and precision stacks at every p, the closed bivariate form
+    of the Cholesky gate, distance coefficients from ``einsum`` and the
+    degenerate-start extension.  The production kernels must pick the
+    same subsets, bit for bit, whatever layout they keep.
+    """
+
+    def __init__(self, data):
+        b, n, p = data.shape
+        self.data, self.b, self.n, self.p = data, b, n, p
+        iu = np.triu_indices(p)
+        self.iu = iu
+        q = p + iu[0].shape[0]
+        feat = np.empty((b, n, q))
+        feat[:, :, :p] = data
+        feat[:, :, p:] = data[:, :, iu[0]] * data[:, :, iu[1]]
+        self.feat = feat
+        self.feat_t = np.ascontiguousarray(feat.transpose(0, 2, 1))
+        self.cross_scale = np.where(iu[0] == iu[1], 1.0, 2.0)
+
+    def moments(self, mask, h):
+        b, c, _ = mask.shape
+        p = self.p
+        sums = mask @ self.feat
+        mean = sums[:, :, :p] / h
+        ss = np.empty((b, c, p, p))
+        ss[:, :, self.iu[0], self.iu[1]] = sums[:, :, p:]
+        ss[:, :, self.iu[1], self.iu[0]] = sums[:, :, p:]
+        cov = (ss - h * mean[:, :, :, None] * mean[:, :, None, :]) / (h - 1)
+        return mean, cov
+
+    def sq_distances(self, mean, precision, out):
+        p = self.p
+        am = np.einsum("bcij,bcj->bci", precision, mean)
+        const = np.einsum("bci,bci->bc", am, mean)
+        coef = np.empty((mean.shape[0], mean.shape[1], self.feat.shape[2]))
+        coef[:, :, :p] = -2.0 * am
+        coef[:, :, p:] = precision[:, :, self.iu[0], self.iu[1]] * self.cross_scale
+        np.matmul(coef, self.feat_t, out=out)
+        out += const[:, :, None]
+        return out
+
+    @staticmethod
+    def fit_rows(cov):
+        p = cov.shape[-1]
+        if p == 2:
+            a = cov[..., 0, 0]
+            b_ = cov[..., 0, 1]
+            c = cov[..., 1, 1]
+            threshold = 2e-14 * np.maximum(np.maximum(a, c), 0.0)
+            pivot2 = c - b_ * b_ / np.where(a > threshold, a, 1.0)
+            ok = (a > threshold) & (pivot2 > threshold)
+            det = np.where(ok, a * pivot2, 1.0)
+            logdet = np.where(ok, np.log(det), np.inf)
+            precision = np.empty_like(cov)
+            precision[..., 0, 0] = c / det
+            precision[..., 0, 1] = -b_ / det
+            precision[..., 1, 0] = -b_ / det
+            precision[..., 1, 1] = a / det
+            return precision, logdet, ok
+        factor, ok = cholesky_mask(cov)
+        lower = factor.lower.reshape(-1, p, p)
+        linv = np.zeros_like(lower)
+        for i in range(p):
+            linv[:, i, i] = 1.0 / lower[:, i, i]
+            for j in range(i):
+                acc = np.einsum("sk,sk->s", lower[:, i, j:i], linv[:, j:i, j])
+                linv[:, i, j] = -acc / lower[:, i, i]
+        precision = np.einsum("ski,skj->sij", linv, linv).reshape(cov.shape)
+        return precision, np.where(ok, factor.log_det, np.inf), ok
+
+    def extend_degenerate_starts(self, keys, mean, precision, ok):
+        precision = precision.copy()
+        ok = ok.copy()
+        for b, s in zip(*np.nonzero(~ok)):
+            order = np.argsort(keys[b, s], kind="stable")
+            for size in range(self.p + 2, self.n + 1):
+                sub = self.data[b][order[:size]]
+                m = sub.mean(axis=-2)
+                centered = sub - m
+                cov = centered.T @ centered / (size - 1)
+                prec, _, good = self.fit_rows(cov[None, None])
+                if good[0, 0]:
+                    mean[b, s] = m
+                    precision[b, s] = prec[0, 0]
+                    ok[b, s] = True
+                    break
+        return precision, ok
+
+
 def oracle_multistart(data, h, config, rng):
     """The multistart search with candidates as index arrays, frozen.
 
     Each round picks index sets with ``np.argpartition``, scatters them
     into a fresh 0/1 mask for the moments, and the winner is chosen over
-    ``np.unique`` candidates one exact-statistics call at a time.  The
-    production search keeps masks in reused buffers instead and must
-    pick the same subsets, bit for bit.  Returns one (subset, objective)
-    pair per dataset of the (b, n, p) stack ``data``.
+    ``np.unique`` candidates one exact-statistics call at a time; the
+    arithmetic is that of :class:`FrozenKernels`.  The production search
+    keeps masks in reused buffers instead and must pick the same
+    subsets, bit for bit.  Returns one (subset, objective) pair per
+    dataset of the (b, n, p) stack ``data``.
     """
-    ws = mcd._Workspace(data)
+    ws = FrozenKernels(data)
 
     def moments(subsets):
         b, c, k = subsets.shape
@@ -104,7 +196,7 @@ def oracle_multistart(data, h, config, rng):
 
     def c_step(subsets):
         mean, cov = moments(subsets)
-        precision, _, ok = mcd._fit_rows(cov)
+        precision, _, ok = ws.fit_rows(cov)
         if not np.any(ok):
             return subsets
         d2 = sq_distances(mean, precision)
@@ -115,16 +207,16 @@ def oracle_multistart(data, h, config, rng):
     keys = rng.generator().random((ws.b, config.n_starts, ws.n))
     idx = np.argpartition(keys, ws.p, axis=-1)[:, :, : ws.p + 1]
     mean, cov = moments(idx)
-    precision, _, ok = mcd._fit_rows(cov)
+    precision, _, ok = ws.fit_rows(cov)
     if not np.all(ok):
-        precision, ok = mcd._extend_degenerate_starts(ws, keys, mean, precision, ok)
+        precision, ok = ws.extend_degenerate_starts(keys, mean, precision, ok)
     subsets = np.tile(np.arange(h, dtype=np.intp), (ws.b, config.n_starts, 1))
     if np.any(ok):
         ranked = np.argpartition(sq_distances(mean, precision), h - 1, axis=-1)
         subsets[ok] = ranked[:, :, :h][ok]
     for _ in range(mcd._CSTEPS_BEFORE_SELECTION):
         subsets = c_step(subsets)
-    logdets = mcd._fit_rows(moments(subsets)[1])[1]
+    logdets = ws.fit_rows(moments(subsets)[1])[1]
     order = np.argsort(logdets, axis=1, kind="stable")[:, : config.n_keep]
     current = np.sort(np.take_along_axis(subsets, order[:, :, None], axis=1), axis=-1)
     for _ in range(mcd._MAX_CSTEPS):
@@ -659,6 +751,30 @@ class TestMaskSearchMatchesIndexOracle:
                 assert est.best_subset.dtype == subset.dtype
                 assert np.array_equal(est.best_subset, subset), (n, kind)
                 assert est.objective == objective
+
+    @pytest.mark.parametrize("kind", ["clean", "outliers", "rounded"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
+    def test_kernels_bitwise_equal_to_frozen(self, p, kind):
+        # every intermediate of a round, not only the subsets it picks; a
+        # bivariate fit is compared on its three distinct entries
+        data = search_data(kind, 6, 20, p, 30 + p)
+        ws, frozen = mcd._Workspace(data), FrozenKernels(data)
+        iu = np.triu_indices(p) if p == 2 else (slice(None), slice(None))
+        for h, seed in ((p + 1, 1), (11, 2), (20, 3)):
+            keys = np.random.default_rng(seed).random((6, 50, 20))
+            mask = np.zeros_like(keys)
+            np.put_along_axis(mask, np.argsort(keys, axis=-1)[..., :h], 1.0, axis=-1)
+            mean, cov = ws.moments(mask, h)
+            want_mean, want_cov = frozen.moments(mask, h)
+            assert mean.tobytes() == want_mean.tobytes()
+            assert cov.tobytes() == want_cov[..., iu[0], iu[1]].tobytes()
+            precision, logdet, ok = ws.fit(cov)
+            want_precision, want_logdet, want_ok = frozen.fit_rows(want_cov)
+            assert np.array_equal(ok, want_ok) and logdet.tobytes() == want_logdet.tobytes()
+            assert precision.tobytes() == want_precision[..., iu[0], iu[1]].tobytes()
+            got = ws.sq_distances(mean, precision, np.empty_like(keys))
+            want = frozen.sq_distances(want_mean, want_precision, np.empty_like(keys))
+            assert got.tobytes() == want.tobytes()
 
     def test_whole_sample_subsets(self, monkeypatch):
         # n = p + 1 makes both the starts and the h-subsets the whole sample

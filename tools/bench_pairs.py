@@ -3,7 +3,7 @@
 Usage::
 
     python3 tools/bench_pairs.py PARENT CHANGE OUT.json \\
-        --workload NAME PAIRS [--workload NAME PAIRS ...]
+        --workload NAME PAIRS [--workload NAME PAIRS ...] [--traced NAME ...]
 
 PARENT and CHANGE are checkout roots.  For each workload, pair ``k``
 runs ``perfbench/run.py --seed (FIRST_SEED + k)`` once in each checkout,
@@ -22,6 +22,10 @@ process alone runs with glibc's ``MALLOC_TRIM_THRESHOLD_`` pinned at
 back to the kernel and faults it in again, and the count then follows
 where the heap top happens to lie rather than the work done.  The timed
 runs keep the default environment.
+
+``--traced NAME`` adds one ``--trace 1`` run per checkout of workload
+NAME at the first seed, parent first, and keeps all its metrics, the
+per-layer ones included, under the workload's ``traced`` key.
 
 The record also holds the seeds, the default ``McdConfig``, the core
 count and the BLAS thread count, as ``perfbench/run.py`` reports them.
@@ -71,12 +75,22 @@ def single_blas_env() -> dict:
     return env
 
 
-def run_once(root: Path, workload: str, seed: int) -> dict:
+def run_once(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--trace", "0"]
+           "--seed", str(seed), "--trace", str(trace)]
     subprocess.run(cmd, cwd=root, check=True, capture_output=True)
-    out = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace0.json"
+    out = root / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
     return json.loads(out.read_text(encoding="utf-8"))
+
+
+def side_record(full: dict) -> dict:
+    return {
+        "metrics": {m: v["value"] for m, v in full["metrics"].items()},
+        "correct": full["correct"],
+        "calls": full["details"]["calls"],
+        "units": full["details"]["units"],
+        "failed": full["details"]["failed"],
+    }
 
 
 def minor_faults(root: Path, workload: str) -> float:
@@ -121,13 +135,7 @@ def compare(args: argparse.Namespace) -> dict:
                 full = run_once(sides[side], workload, seed)
                 record.setdefault("seconds", full["seconds"])
                 record.setdefault("environment", {}).setdefault(side, full["environment"])
-                pair[side] = {
-                    "metrics": {m: v["value"] for m, v in full["metrics"].items()},
-                    "correct": full["correct"],
-                    "calls": full["details"]["calls"],
-                    "units": full["details"]["units"],
-                    "failed": full["details"]["failed"],
-                }
+                pair[side] = side_record(full)
             pairs.append(pair)
             print(workload, seed, {s: pair[s]["metrics"] for s in sides}, file=sys.stderr)
         record["workloads"][workload] = {
@@ -138,6 +146,11 @@ def compare(args: argparse.Namespace) -> dict:
                 for side, root in sides.items()
             },
         }
+    for workload in args.traced:
+        traced: dict = {"seed": FIRST_SEED}
+        for side, root in sides.items():
+            traced[side] = side_record(run_once(root, workload, FIRST_SEED, trace=1))
+        record["workloads"].setdefault(workload, {})["traced"] = traced
     return record
 
 
@@ -148,6 +161,8 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("out", type=Path)
     parser.add_argument("--workload", nargs=2, action="append", metavar=("NAME", "PAIRS"),
                         required=True)
+    parser.add_argument("--traced", action="append", default=[], metavar="NAME",
+                        choices=sorted(spec.WORKLOADS))
     args = parser.parse_args(argv)
     args.workload = [(name, int(pairs)) for name, pairs in args.workload]
     if any(pairs < 2 for _, pairs in args.workload):

@@ -118,8 +118,8 @@ def commands() -> dict[str, list[str]]:
                              "--m-prime", "60", "--seed", "3",
                              "--mcd-alpha", "1",
                              "--cache", "calibrate-alpha1.cache"],
-        # p = 3 with a non-default alpha: the cells enumerate all
-        # C(20, 15) = 15,504 subsets, and only the pooled fit is multistart
+        # p = 3 with a non-default alpha: each cell has C(20, 15) = 15,504
+        # h-subsets, above mcd.EXHAUSTIVE_LIMIT, so every fit is multistart
         "calibrate-p3-alpha075": ["calibrate", "--design", "3", "2", "20", "3",
                                   "--m-prime", "40", "--seed", "3",
                                   "--mcd-alpha", "0.75",
