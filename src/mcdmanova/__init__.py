@@ -35,7 +35,6 @@ from .calibration import (
     CalibrationEntry,
     CalibrationKey,
     CalibrationSource,
-    calibrate,
     calibrate_design,
     read_cache,
     write_cache,
@@ -91,7 +90,6 @@ __all__ = [
     "WeightSet",
     "WilksTestReport",
     "bartlett_pvalue",
-    "calibrate",
     "calibrate_design",
     "calibrated_pvalue",
     "chi2_cdf",

@@ -48,7 +48,6 @@ __all__ = [
     "CalibrationKey",
     "CalibrationSource",
     "cache_path_from_env",
-    "calibrate",
     "calibrate_design",
     "merge_cache",
     "null_statistic_samples",
@@ -147,16 +146,14 @@ def null_statistic_samples(
     n: int,
     m_prime: int,
     seed: int,
-    method: str = "mcd",
     mcd_config: McdConfig | None = None,
 ) -> dict[tuple[Model, Hypothesis], np.ndarray]:
-    """Simulate null-distribution samples of ``-ln(lambda)``.
+    """Simulate null-distribution samples of the robust ``-ln(lambda_R)``.
 
     Draws ``m_prime`` datasets of standard-normal cells and computes the
     statistic for every (model, hypothesis) pair from a single SSP
     decomposition per dataset, so all pairs share the identical
-    replications.  ``method`` selects the robust pipeline (``"mcd"``) or
-    the classical one (``"cla"``, used for sanity checks).
+    replications.
 
     Replications on which the robust pipeline degenerates are discarded
     and redrawn from the next sub-stream; the redraw count is logged.
@@ -167,12 +164,10 @@ def null_statistic_samples(
         Maps each (model, hypothesis) pair to an ``m_prime``-vector of
         statistics, aligned across pairs by replication.
     """
-    if method not in ("mcd", "cla"):
-        raise DomainError(f"unknown calibration method {method!r}")
     pairs = experiment_pairs("size")
     lambdas, redraws, attempts = replicate(
         partial(gen_null, Design(r, c, n, p)), RngStream(seed),
-        (method,), pairs, m_prime, mcd_config,
+        ("mcd",), pairs, m_prime, mcd_config,
     )
     if redraws:
         logger.warning(
@@ -180,7 +175,7 @@ def null_statistic_samples(
             "replication(s) out of %d attempts",
             p, r, c, n, seed, redraws, attempts,
         )
-    return {pair: -np.log(lambdas[method, pair]) for pair in pairs}
+    return {pair: -np.log(lambdas["mcd", pair]) for pair in pairs}
 
 
 def _entry_from_samples(key: CalibrationKey, values: np.ndarray) -> CalibrationEntry:
@@ -196,21 +191,6 @@ def _entry_from_samples(key: CalibrationKey, values: np.ndarray) -> CalibrationE
     return CalibrationEntry(key, delta, q, ave, var)
 
 
-def calibrate(
-    key: CalibrationKey, mcd_config: McdConfig | None = None
-) -> CalibrationEntry:
-    """Fit (delta, q) for one key by Monte Carlo moment matching.
-
-    Deterministic given ``key.seed``; the same seed always reproduces
-    the identical entry.  ``mcd_config`` must match the configuration
-    later used for testing.
-    """
-    samples = null_statistic_samples(
-        key.p, key.r, key.c, key.n, key.m_prime, key.seed, "mcd", mcd_config
-    )
-    return _entry_from_samples(key, samples[(key.model, key.hypothesis)])
-
-
 def calibrate_design(
     p: int,
     r: int,
@@ -220,13 +200,14 @@ def calibrate_design(
     seed: int,
     mcd_config: McdConfig | None = None,
 ) -> tuple[CalibrationEntry, ...]:
-    """Calibrate every (model, hypothesis) pair of one design at once.
+    """Fit (delta, q) for every (model, hypothesis) pair of one design by
+    Monte Carlo moment matching.
 
-    The five entries share a single simulation pass, so this costs the
-    same as one :func:`calibrate` call and each returned entry is
-    bit-identical to what the corresponding single-key call produces.
+    The five entries share a single simulation pass.  Deterministic
+    given ``seed``: the same seed always reproduces identical entries.
+    ``mcd_config`` must match the configuration later used for testing.
     """
-    samples = null_statistic_samples(p, r, c, n, m_prime, seed, "mcd", mcd_config)
+    samples = null_statistic_samples(p, r, c, n, m_prime, seed, mcd_config)
     entries = []
     for (model, hyp), values in samples.items():
         key = CalibrationKey(p, r, c, n, model, hyp, m_prime, seed)

@@ -145,6 +145,21 @@ def _cache_path(args: argparse.Namespace) -> Path | None:
     return args.cache if args.cache is not None else cache_path_from_env()
 
 
+def _calibration_source(
+    args: argparse.Namespace, methods: tuple[str, ...], mcd_config: McdConfig, seed: int
+) -> CalibrationSource | None:
+    # The calibration lookup of cmd_test and cmd_simulate, None when the
+    # run has no mcd method.
+    if "mcd" not in methods:
+        return None
+    return CalibrationSource(
+        cache_file=_cache_path(args),
+        mcd_config=mcd_config,
+        on_the_fly=args.calibrate_on_the_fly,
+        seed=seed,
+    )
+
+
 def _ilr_layout(layout: TwoWayLayout) -> TwoWayLayout:
     """Replace each observation by its ilr coordinates."""
     if layout.p < 2:
@@ -176,14 +191,7 @@ def cmd_test(args: argparse.Namespace) -> str:
         if args.hypothesis else hypotheses_for(model)
     )
     mcd_config = _mcd_config(args)
-    source = None
-    if "mcd" in methods:
-        source = CalibrationSource(
-            cache_file=_cache_path(args),
-            mcd_config=mcd_config,
-            on_the_fly=args.calibrate_on_the_fly,
-            seed=args.seed,
-        )
+    source = _calibration_source(args, methods, mcd_config, args.seed)
     reports: dict[str, dict[Hypothesis, object]] = {}
     for method in methods:
         try:
@@ -260,14 +268,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     mcd_config = _mcd_config(args)
-    source = None
-    if "mcd" in spec.methods:
-        source = CalibrationSource(
-            cache_file=_cache_path(args),
-            mcd_config=mcd_config,
-            on_the_fly=args.calibrate_on_the_fly,
-            seed=spec.seed,
-        )
+    source = _calibration_source(args, spec.methods, mcd_config, spec.seed)
     reports = spec.run(mcd_config, source)
     if args.out is not None:
         d = spec.design

@@ -1,9 +1,10 @@
 """Minimum covariance determinant estimation.
 
 Implements the fast MCD algorithm: many random starts are concentrated
-with a couple of C-steps each, the most promising candidates are then
-iterated to convergence, and the winning h-subset defines the raw
-estimate.  Small subset spaces are enumerated exhaustively instead.  A
+with a couple of C-steps each, and the most promising candidates are
+then iterated to convergence.  Small subset spaces skip that search:
+their candidates are all h-subsets.  Either way the candidates reach
+one exact scorer, and its winning h-subset defines the raw estimate.  A
 one-step reweighting based on the 97.5% chi-square cutoff produces the
 final location and scatter.
 
@@ -35,11 +36,12 @@ the row; rows where that value ties with the next take the set
 The start-phase arrays live in a scratch block per thread that every
 fit on that thread reuses, so rounds neither allocate nor fault in
 fresh pages.  Quantities that end up in a returned estimate are
-recomputed with the usual two-pass formulas, for all finalists and
+recomputed with the usual two-pass formulas, for all candidates and
 then all winners of a stack in one pass each, so the fast path only
-influences which candidate wins.  Every subset and reweighting decision
-is the pivot test of :func:`~mcdmanova.distributions.cholesky_mask`,
-the one Cholesky gate (in closed form for bivariate candidate fits).
+influences which candidates reach the scorer.  Every subset and
+reweighting decision is the pivot test of
+:func:`~mcdmanova.distributions.cholesky_mask`, the one Cholesky gate
+(in closed form for bivariate candidate fits).
 Balanced-design pipelines exploit the stacking through
 :func:`fast_mcd_batch` to fit all cells of a layout together.
 """
@@ -562,14 +564,14 @@ def _initial_subsets(
 
 
 def _select_winners(
-    data: np.ndarray, finalists: np.ndarray
+    data: np.ndarray, candidates: np.ndarray
 ) -> list[tuple[np.ndarray, float]]:
-    # Exact-statistics pass over each dataset's converged candidates,
-    # given as sorted index rows of shape (b, n_keep, h), with all their
+    # Exact-statistics pass over each dataset's candidate h-subsets,
+    # given as sorted index rows of shape (b, K, h), with all their
     # covariances factored as one stack; ties in the objective go to the
     # lexicographically smallest subset.
     b, n, p = data.shape
-    rows = finalists + n * np.arange(b)[:, None, None]
+    rows = candidates + n * np.arange(b)[:, None, None]
     factor, ok = cholesky_mask(_exact_subset_stats(data.reshape(b * n, p), rows)[1])
     logdets = np.where(ok, factor.log_det, np.inf)
     winners = []
@@ -577,17 +579,19 @@ def _select_winners(
         best = logdets[i].min()
         if not np.isfinite(best):
             raise SingularSubset("every candidate subset became rank deficient")
-        ties = [tuple(row) for row, v in zip(finalists[i], logdets[i]) if v == best]
-        winners.append((np.array(min(ties), dtype=np.intp), float(best)))
+        ties = candidates[i][logdets[i] == best]
+        winners.append((ties[np.lexsort(ties.T[::-1])[0]].astype(np.intp), float(best)))
     return winners
 
 
 def _best_subsets_multistart(
     data: np.ndarray, h: int, config: McdConfig, rng: RngStream
-) -> list[tuple[np.ndarray, float]]:
+) -> np.ndarray:
     # Multistart concentration over a stack of same-shape datasets,
-    # with starting subsets for the whole stack drawn from one stream.
-    # Candidates are 0/1 mask rows in the thread's scratch arrays.
+    # with starting subsets for the whole stack drawn from one stream;
+    # returns the converged finalists as sorted index rows of shape
+    # (b, n_keep, h).  Candidates are 0/1 mask rows in the thread's
+    # scratch arrays until then.
     ws = _Workspace(data)
     d2, scratch, subsets, spare = _scratch_arrays((ws.b, config.n_starts, ws.n))
     keys = rng.generator().random(out=d2)
@@ -615,30 +619,7 @@ def _best_subsets_multistart(
             break
         current, spare = stepped, current
 
-    finalists = np.nonzero(current)[-1].reshape(ws.b, config.n_keep, h)
-    return _select_winners(data, finalists)
-
-
-def _best_subset_exhaustive(data: np.ndarray, h: int) -> tuple[np.ndarray, float]:
-    n = data.shape[0]
-    best_logdet = np.inf
-    best_subset: tuple[int, ...] | None = None
-    combos = itertools.combinations(range(n), h)
-    while True:
-        chunk = list(itertools.islice(combos, 16_384))
-        if not chunk:
-            break
-        factor, ok = cholesky_mask(_exact_subset_stats(data, np.array(chunk))[1])
-        logdets = np.where(ok, factor.log_det, np.inf)
-        i = int(np.argmin(logdets))
-        # Strict comparison keeps the lexicographically first optimum,
-        # since combinations are generated in lexicographic order.
-        if logdets[i] < best_logdet:
-            best_logdet = float(logdets[i])
-            best_subset = chunk[i]
-    if best_subset is None or not np.isfinite(best_logdet):
-        raise SingularSubset(f"every {h}-subset of the data is rank deficient")
-    return np.array(best_subset, dtype=np.intp), best_logdet
+    return np.nonzero(current)[-1].reshape(ws.b, config.n_keep, h)
 
 
 def _assemble_estimates(
@@ -688,6 +669,13 @@ def fast_mcd_batch(
     :func:`fast_mcd` exactly; larger batches are statistically
     equivalent to, but not bitwise reproducible from, separate calls.
 
+    The search only proposes candidate h-subsets, every one of them when
+    they number at most ``EXHAUSTIVE_LIMIT`` and otherwise the converged
+    multistart finalists; one exact pass over all candidates of the
+    stack picks each dataset's winner, the lexicographically smallest
+    subset among ties, and raises :class:`SingularSubset` when every
+    candidate of a dataset is rank deficient.
+
     The multistart search works in four float arrays of shape
     ``(b, n_starts, n)``.  The calling thread keeps them for later fits
     while together they take at most 16 MiB (``b * n_starts * n`` up to
@@ -724,11 +712,11 @@ def fast_mcd_batch(
     centered = datasets - shift[:, None, :]
 
     if math.comb(n, h) <= EXHAUSTIVE_LIMIT:
-        winners = [_best_subset_exhaustive(centered[i], h) for i in range(b)]
+        subsets = np.array(list(itertools.combinations(range(n), h)), dtype=np.intp)
+        candidates = np.broadcast_to(subsets, (b,) + subsets.shape)
     else:
-        winners = _best_subsets_multistart(centered, h, config, rng)
-
-    return _assemble_estimates(datasets, winners, config)
+        candidates = _best_subsets_multistart(centered, h, config, rng)
+    return _assemble_estimates(datasets, _select_winners(centered, candidates), config)
 
 
 def fast_mcd(

@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+from functools import partial
 
 import numpy as np
 import pytest
@@ -14,13 +15,12 @@ from mcdmanova.calibration import (
     CalibrationKey,
     CalibrationSource,
     cache_path_from_env,
-    calibrate,
     calibrate_design,
     merge_cache,
-    null_statistic_samples,
     read_cache,
     write_cache,
 )
+from mcdmanova.distributions import RngStream
 from mcdmanova.errors import (
     CorruptCache,
     DomainError,
@@ -29,6 +29,7 @@ from mcdmanova.errors import (
 )
 from mcdmanova.manova import Hypothesis, Model
 from mcdmanova.mcd import McdConfig
+from mcdmanova.simulation import Design, experiment_pairs, gen_null, replicate
 
 FAST = McdConfig(n_starts=40, n_keep=4)
 
@@ -36,6 +37,23 @@ FAST = McdConfig(n_starts=40, n_keep=4)
 def small_key(m_prime=40, seed=123, model=Model.WITH_INTERACTIONS,
               hypothesis=Hypothesis.INTERACTIONS):
     return CalibrationKey(2, 2, 2, 10, model, hypothesis, m_prime, seed)
+
+
+def calibrated_entry(key, mcd_config):
+    """The entry of ``key`` from a calibration of its whole design."""
+    entries = calibrate_design(
+        key.p, key.r, key.c, key.n, key.m_prime, key.seed, mcd_config
+    )
+    return {entry.key: entry for entry in entries}[key]
+
+
+def classical_null(r, c, n, p, m, seed):
+    """Classical ``-ln(lambda)`` null samples of every size pair."""
+    pairs = experiment_pairs("size")
+    lambdas, _, _ = replicate(
+        partial(gen_null, Design(r, c, n, p)), RngStream(seed), ("cla",), pairs, m
+    )
+    return {pair: -np.log(lambdas["cla", pair]) for pair in pairs}
 
 
 def synthetic_entry(key=None, delta=0.1, q=4.0):
@@ -91,27 +109,24 @@ class TestCalibrationEntry:
 class TestCalibrate:
     def test_deterministic(self):
         key = small_key()
-        assert calibrate(key, FAST) == calibrate(key, FAST)
+        assert calibrated_entry(key, FAST) == calibrated_entry(key, FAST)
 
     def test_moment_invariants(self):
-        e = calibrate(small_key(), FAST)
+        e = calibrated_entry(small_key(), FAST)
         assert e.delta > 0 and e.q > 0
         assert abs(e.delta * e.q - e.ave_L) < 1e-9
         assert abs(2 * e.delta**2 * e.q - e.var_L) < 1e-9
 
     def test_minimum_two_trials_flagged(self):
-        e = calibrate(small_key(m_prime=2), FAST)
+        e = calibrated_entry(small_key(m_prime=2), FAST)
         assert e.low_precision
 
-    def test_design_pass_matches_single_key(self):
+    def test_design_pass_has_one_entry_per_pair(self):
         entries = calibrate_design(2, 2, 2, 10, 40, 123, FAST)
         assert len(entries) == 5
-        by_key = {e.key: e for e in entries}
-        key = small_key()
-        assert by_key[key] == calibrate(key, FAST)
-        key_add = small_key(model=Model.ADDITIVE_ONLY,
-                            hypothesis=Hypothesis.ROW_EFFECTS)
-        assert by_key[key_add] == calibrate(key_add, FAST)
+        assert {(e.key.model, e.key.hypothesis) for e in entries} == set(
+            experiment_pairs("size")
+        )
 
     def test_degenerate_replication_redrawn(self, monkeypatch, caplog):
         # the shared replication loop reaches the robust pipeline through
@@ -127,7 +142,7 @@ class TestCalibrate:
 
         monkeypatch.setattr(manova, "robust_weights", flaky)
         with caplog.at_level("WARNING", logger="mcdmanova.calibration"):
-            e = calibrate(small_key(m_prime=5), FAST)
+            e = calibrated_entry(small_key(m_prime=5), FAST)
         assert calls["n"] == 6
         assert "redrew 1 degenerate" in caplog.text
         assert e.delta > 0
@@ -138,14 +153,14 @@ class TestCalibrate:
 
         monkeypatch.setattr(manova, "robust_weights", broken)
         with pytest.raises(SingularSubset):
-            calibrate(small_key(m_prime=2), FAST)
+            calibrated_entry(small_key(m_prime=2), FAST)
 
 
 class TestClassicalSanity:
     def test_q_matches_bartlett_degrees(self):
         # the classical statistic is asymptotically chi-square with
         # p*nu2 degrees of freedom, so the fitted q must sit close by
-        samples = null_statistic_samples(2, 3, 2, 30, 3000, 11, method="cla")
+        samples = classical_null(3, 2, 30, 2, 3000, 11)
         targets = {
             (Model.WITH_INTERACTIONS, Hypothesis.INTERACTIONS): 4.0,
             (Model.WITH_INTERACTIONS, Hypothesis.ROW_EFFECTS): 4.0,
@@ -161,20 +176,16 @@ class TestClassicalSanity:
     def test_seed_stability(self):
         qs = []
         for seed in (11, 77):
-            s = null_statistic_samples(2, 3, 2, 30, 3000, seed, method="cla")
+            s = classical_null(3, 2, 30, 2, 3000, seed)
             L = s[(Model.WITH_INTERACTIONS, Hypothesis.INTERACTIONS)]
             qs.append(2.0 * L.mean() ** 2 / np.var(L, ddof=1))
         assert abs(qs[0] / qs[1] - 1.0) < 0.05
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(DomainError):
-            null_statistic_samples(2, 2, 2, 10, 2, 0, method="mle")
 
 
 class TestCache:
     def test_round_trip_bit_for_bit(self, tmp_path):
         path = tmp_path / "cal.txt"
-        e1 = calibrate(small_key(), FAST)
+        e1 = calibrated_entry(small_key(), FAST)
         e2 = synthetic_entry(small_key(m_prime=3000, seed=7))
         merge_cache(path, [e1])
         merge_cache(path, [e2])

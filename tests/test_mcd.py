@@ -243,6 +243,37 @@ def oracle_multistart(data, h, config, rng):
     return winners
 
 
+def frozen_exhaustive(data, h):
+    """The per-dataset enumeration that preceded the shared scorer, frozen.
+
+    Scores ``itertools.combinations`` of the rows of the (n, p) array
+    ``data`` in chunks of 16,384 with two-pass statistics, and a strict
+    ``<`` across chunks keeps the lexicographically first optimum, since
+    combinations come in lexicographic order.  The production search
+    scores the same subsets as one candidate stack and must pick the
+    same subset and objective, bit for bit.
+    """
+    n = data.shape[0]
+    best_logdet = np.inf
+    best_subset = None
+    combos = itertools.combinations(range(n), h)
+    while True:
+        chunk = list(itertools.islice(combos, 16_384))
+        if not chunk:
+            break
+        sub = data[np.array(chunk)]
+        centered = sub - sub.mean(axis=-2)[..., None, :]
+        factor, ok = cholesky_mask(np.swapaxes(centered, -1, -2) @ centered / (h - 1))
+        logdets = np.where(ok, factor.log_det, np.inf)
+        i = int(np.argmin(logdets))
+        if logdets[i] < best_logdet:
+            best_logdet = float(logdets[i])
+            best_subset = chunk[i]
+    if best_subset is None or not np.isfinite(best_logdet):
+        raise SingularSubset(f"every {h}-subset of the data is rank deficient")
+    return np.array(best_subset, dtype=np.intp), best_logdet
+
+
 def oracle_reweight(data, raw):
     """One-step reweighting of one dataset, written out without batching."""
     data = np.asarray(data, dtype=np.float64)
@@ -807,6 +838,28 @@ class TestMaskSearchMatchesIndexOracle:
         with pytest.raises(SingularSubset, match="every candidate"):
             mcd._select_winners(data[None], finalists[None, [0, 2]])
 
+    def test_tied_winner_is_lexicographically_smallest(self):
+        # rows 1 and 5 repeat rows 0 and 4, so swapping one for its copy
+        # leaves a subset's covariance unchanged bit for bit; the tied
+        # rows come duplicated and out of lexicographic order, beside a
+        # smaller subset that holds the outlying row 2 and does not tie
+        data = np.random.default_rng(65).normal(size=(8, 2))
+        data[1], data[5] = data[0], data[4]
+        data[2] += 50.0
+        tied = [[1, 3, 5, 6], [1, 3, 4, 6], [0, 3, 5, 6], [0, 3, 4, 6]]
+        candidates = np.array(
+            [tied[0], [0, 1, 2, 3], tied[2], tied[1], tied[0], tied[3], tied[2]]
+        )
+        logdets = [cholesky(np.cov(data[row], rowvar=False)).log_det for row in candidates]
+        assert len({logdets[i] for i in (0, 2, 3, 4, 5, 6)}) == 1
+        assert logdets[1] > logdets[0]
+        winners = mcd._select_winners(
+            np.stack([data, data]), np.stack([candidates, candidates[::-1]])
+        )
+        for subset, objective in winners:
+            assert subset.dtype == np.intp and subset.tolist() == [0, 3, 4, 6]
+            assert objective == pytest.approx(logdets[0], rel=1e-12)
+
     @pytest.mark.parametrize("k", range(1, 13))
     def test_smallest_matches_argpartition_with_ties(self, k):
         # integer-valued rows tie at almost every k; NaN, inf and signed
@@ -822,6 +875,38 @@ class TestMaskSearchMatchesIndexOracle:
         picked = np.argpartition(values, k - 1, axis=-1)[..., :k]
         np.put_along_axis(expected, picked, 1.0, axis=-1)
         assert np.array_equal(out, expected)
+
+
+class TestEnumerationMatchesFrozen:
+    @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+    @pytest.mark.parametrize("kind", ["clean", "outliers", "rounded"])
+    @pytest.mark.parametrize("b", [1, 6])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+    def test_bitwise_equal_to_frozen_exhaustive(self, p, b, kind, alpha):
+        # every n that enumerates, from the smallest the data kind allows;
+        # the candidate stack must give the per-dataset loop's outcome
+        config = McdConfig(alpha=alpha)
+        sizes = [
+            n for n in range(max(p + 1, 4), 3 * p + 13)
+            if math.comb(n, h_subset_size(n, p, alpha)) <= EXHAUSTIVE_LIMIT
+        ]
+        assert len(sizes) >= 5
+        for n in sizes:
+            data = search_data(kind, b, n, p, 100 * p + n + b)
+            h = h_subset_size(n, p, alpha)
+            centered = data - data.mean(axis=1)[:, None, :]
+            expected = search_outcome(
+                lambda: [frozen_exhaustive(centered[i], h) for i in range(b)]
+            )
+            ests = search_outcome(lambda: fast_mcd_batch(data, config, RngStream(n)))
+            if isinstance(expected, str):
+                assert ests == expected, n
+                continue
+            assert not isinstance(ests, str), n
+            for est, (subset, objective) in zip(ests, expected):
+                assert est.best_subset.dtype == subset.dtype
+                assert np.array_equal(est.best_subset, subset), (n, kind)
+                assert est.objective == objective
 
 
 def fit_in_new_thread(data, config, seed):

@@ -118,6 +118,12 @@ def commands() -> dict[str, list[str]]:
                              "--m-prime", "60", "--seed", "3",
                              "--mcd-alpha", "1",
                              "--cache", "calibrate-alpha1.cache"],
+        # p = 4 on small cells: each cell has C(9, 7) = 36 h-subsets, at
+        # most mcd.EXHAUSTIVE_LIMIT, so every cell fit is enumerated, and
+        # the pooled n = 36 fit is multistart
+        "calibrate-p4-enumerated": ["calibrate", "--design", "2", "2", "9", "4",
+                                    "--m-prime", "30", "--seed", "3",
+                                    "--cache", "calibrate-p4-enumerated.cache"],
         # p = 3 with a non-default alpha: each cell has C(20, 15) = 15,504
         # h-subsets, above mcd.EXHAUSTIVE_LIMIT, so every fit is multistart
         "calibrate-p3-alpha075": ["calibrate", "--design", "3", "2", "20", "3",
