@@ -421,6 +421,11 @@ class SspDecomposition:
                 mat = _read_only(mat.copy())
             object.__setattr__(self, name, mat)
 
+    def __reduce__(self):
+        # Rebuilt through the constructor, so an unpickled decomposition
+        # is read-only again and starts with an empty log-det memo.
+        return type(self), (self.W, self.E, self.R_row, self.R_col, self.means)
+
     @classmethod
     def stack(cls, members: Sequence[SspDecomposition]) -> SspDecomposition:
         """One stacked decomposition of single ``members``, in order."""

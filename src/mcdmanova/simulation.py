@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import threading
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, repeat
 from pathlib import Path
 from typing import Callable
 
@@ -82,6 +84,14 @@ _DEGENERATE = (SingularSubset, DegenerateWeights, CellWiped, NotPositiveDefinite
 
 # Attempts evaluated together by `replicate`; it bounds memory only.
 _BLOCK = 64
+
+# Fewest replications for which `replicate` sends its "mcd" SSPs to a
+# process pool.  On a 2-core VM a 2-worker fork pool starts and stops in
+# 12-21 ms, and one 3x2 n=30 p=2 attempt takes ~14-16 ms, so the pool
+# breaks even near m = 4; `calibrate_design` on that design ran 1.07x /
+# 1.32x / 1.56x as fast at m' = 4 / 8 / 12.  Twice the break-even keeps
+# m' = 3 calls and single-table CLI runs serial.
+_MIN_PARALLEL_ATTEMPTS = 8
 
 
 @dataclass(frozen=True)
@@ -311,6 +321,46 @@ def _layout_maker(
     return lambda rng: gen_alternative(design, means, rng)
 
 
+def _usable_cores() -> int:
+    """CPUs this process may run on: its affinity mask, which ``taskset`` sets."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _open_pool(methods: tuple[str, ...], m: int):
+    """A fork process pool for the "mcd" SSPs of one `replicate` call,
+    and its worker count.
+
+    The pool is None, so the call stays serial, without "mcd", below
+    ``_MIN_PARALLEL_ATTEMPTS`` replications, on one usable core, inside
+    a multiprocessing child (no pool per worker of a user's pool), or
+    while other threads run, whose locks a fork would copy held.  Fork,
+    not spawn: a worker starts with the package loaded instead of
+    importing it again.
+    """
+    if "mcd" not in methods or m < _MIN_PARALLEL_ATTEMPTS:
+        return None, 1
+    workers = min(_usable_cores(), m)
+    if workers < 2 or threading.active_count() > 1:
+        return None, 1
+    import multiprocessing
+    if multiprocessing.parent_process() is not None:
+        return None, 1
+    from concurrent.futures import ProcessPoolExecutor
+    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork")), workers
+
+
+def _ssp_or_error(
+    layout: TwoWayLayout, method: str, mcd_config: McdConfig | None, rng: RngStream
+) -> SspDecomposition | Exception:
+    """One attempt's :func:`method_ssp`, or the degeneracy it raised."""
+    try:
+        return method_ssp(layout, method, mcd_config, rng)
+    except _DEGENERATE as exc:
+        return exc
+
+
 def replicate(
     make_layout: Callable[[RngStream], TwoWayLayout],
     base: RngStream,
@@ -336,6 +386,14 @@ def replicate(
     attempt (member) at a time.  Lambdas, redraws, attempts and the
     raised error equal those of evaluating one attempt at a time.
 
+    From ``_MIN_PARALLEL_ATTEMPTS`` replications on, with "mcd" among
+    the methods and more than one usable core, the per-attempt "mcd"
+    calls run on a fork process pool of ``min(cores, m)`` workers, which
+    lives until this call returns or raises.  Their outcomes merge by
+    attempt index, so every output stays the same.  Inside a
+    multiprocessing child, or while other threads run, the call stays
+    serial.
+
     Returns
     -------
     lambdas : dict
@@ -348,59 +406,72 @@ def replicate(
     done = attempt = redraws = 0
     max_attempts = 10 * m + 1000
     last_error: Exception | None = None
-    while done < m:
-        if attempt >= max_attempts:
-            assert last_error is not None
-            raise last_error
-        # Never more attempts than successes still needed, so a block
-        # draws exactly the attempts a one-at-a-time loop would.
-        size = min(m - done, max_attempts - attempt, _BLOCK)
-        streams = [base.substream(a) for a in range(attempt, attempt + size)]
-        attempt += size
-        layouts = [make_layout(stream.substream(0)) for stream in streams]
-        block = {key: np.empty(size) for key in lambdas}
-        failed: dict[int, Exception] = {}
-        alive = list(range(size))
-        for method in methods:
-            stack = None
-            if method != "mcd" and alive:
-                try:
-                    stack = method_ssp([layouts[i] for i in alive], method)
-                except _DEGENERATE:
-                    pass
-            if stack is None:
-                singles = {}
-                for i in alive:
+    pool, workers = _open_pool(methods, m)
+    try:
+        while done < m:
+            if attempt >= max_attempts:
+                assert last_error is not None
+                raise last_error
+            # Never more attempts than successes still needed, so a block
+            # draws exactly the attempts a one-at-a-time loop would.
+            size = min(m - done, max_attempts - attempt, _BLOCK)
+            streams = [base.substream(a) for a in range(attempt, attempt + size)]
+            attempt += size
+            layouts = [make_layout(stream.substream(0)) for stream in streams]
+            block = {key: np.empty(size) for key in lambdas}
+            failed: dict[int, Exception] = {}
+            alive = list(range(size))
+            for method in methods:
+                stack = None
+                if method != "mcd" and alive:
                     try:
-                        singles[i] = method_ssp(
-                            layouts[i], method, mcd_config, streams[i].substream(1)
-                        )
-                    except _DEGENERATE as exc:
-                        failed[i] = exc
-                alive = list(singles)
-                if not alive:
-                    break
-                stack = SspDecomposition.stack(list(singles.values()))
-            for model, hypothesis in pairs:
-                try:
-                    lams = wilks_lambda(stack, hypothesis, model)
-                except _DEGENERATE:
-                    lams, kept = [], []
-                    for k, i in enumerate(alive):
-                        try:
-                            lams.append(wilks_lambda(stack[k], hypothesis, model))
-                            kept.append(k)
-                        except _DEGENERATE as exc:
-                            failed[i] = exc
-                    alive = [alive[k] for k in kept]
-                    stack = stack[kept]
-                block[method, (model, hypothesis)][alive] = lams
-        if failed:
-            redraws += len(failed)
-            last_error = failed[max(failed)]
-        for key, values in block.items():
-            lambdas[key][done : done + len(alive)] = values[alive]
-        done += len(alive)
+                        stack = method_ssp([layouts[i] for i in alive], method)
+                    except _DEGENERATE:
+                        pass
+                if stack is None:
+                    args = (
+                        [layouts[i] for i in alive], repeat(method), repeat(mcd_config),
+                        [streams[i].substream(1) for i in alive],
+                    )
+                    if pool is not None and method == "mcd":
+                        # one task per worker: the attempts cost about the same
+                        chunk = -(-len(alive) // workers)
+                        outcomes = pool.map(_ssp_or_error, *args, chunksize=chunk)
+                    else:
+                        outcomes = map(_ssp_or_error, *args)
+                    singles = {}
+                    for i, outcome in zip(alive, outcomes):
+                        if isinstance(outcome, Exception):
+                            failed[i] = outcome
+                        else:
+                            singles[i] = outcome
+                    alive = list(singles)
+                    if not alive:
+                        break
+                    stack = SspDecomposition.stack(list(singles.values()))
+                for model, hypothesis in pairs:
+                    try:
+                        lams = wilks_lambda(stack, hypothesis, model)
+                    except _DEGENERATE:
+                        lams, kept = [], []
+                        for k, i in enumerate(alive):
+                            try:
+                                lams.append(wilks_lambda(stack[k], hypothesis, model))
+                                kept.append(k)
+                            except _DEGENERATE as exc:
+                                failed[i] = exc
+                        alive = [alive[k] for k in kept]
+                        stack = stack[kept]
+                    block[method, (model, hypothesis)][alive] = lams
+            if failed:
+                redraws += len(failed)
+                last_error = failed[max(failed)]
+            for key, values in block.items():
+                lambdas[key][done : done + len(alive)] = values[alive]
+            done += len(alive)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return lambdas, redraws, attempt
 
 

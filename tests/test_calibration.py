@@ -1,6 +1,7 @@
 """Tests for null-distribution calibration and its cache."""
 
 import math
+import multiprocessing
 import sys
 import threading
 from functools import partial
@@ -8,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mcdmanova import manova
+from mcdmanova import manova, simulation
 from mcdmanova.calibration import (
     CACHE_HEADER,
     CalibrationEntry,
@@ -110,6 +111,24 @@ class TestCalibrate:
     def test_deterministic(self):
         key = small_key()
         assert calibrated_entry(key, FAST) == calibrated_entry(key, FAST)
+
+    def test_same_entries_with_and_without_a_pool(self, monkeypatch):
+        monkeypatch.setattr(simulation, "_usable_cores", lambda: 2)
+        opened, real = [], simulation._open_pool
+
+        def spy(methods, m):
+            pool, workers = real(methods, m)
+            opened.append(workers if pool is not None else 0)
+            return pool, workers
+
+        monkeypatch.setattr(simulation, "_open_pool", spy)
+        runs = []
+        for threshold in (41, 40):
+            monkeypatch.setattr(simulation, "_MIN_PARALLEL_ATTEMPTS", threshold)
+            runs.append(repr(calibrate_design(2, 2, 2, 10, 40, 123, FAST)))
+            assert multiprocessing.active_children() == []
+        assert opened == [0, 2]
+        assert runs[0] == runs[1]
 
     def test_moment_invariants(self):
         e = calibrated_entry(small_key(), FAST)

@@ -672,6 +672,19 @@ class TestInstalledEntryPoints:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == [0, []]
 
+    def test_import_loads_no_process_pool_modules(self):
+        # replicate imports them only when it opens a pool
+        script = (
+            "import json, sys\n"
+            "import mcdmanova, mcdmanova.cli\n"
+            "print(json.dumps([m in sys.modules"
+            " for m in ('multiprocessing', 'concurrent.futures')]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=SUBPROCESS_ENV)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [False, False]
+
     def test_scipy_is_not_a_runtime_dependency(self):
         tomllib = pytest.importorskip("tomllib")
         with PYPROJECT.open("rb") as fh:

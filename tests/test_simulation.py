@@ -1,6 +1,10 @@
 """Tests for the Monte Carlo experiments and EDF emitters."""
 
+import concurrent.futures
 import math
+import multiprocessing
+import pickle
+import threading
 
 import numpy as np
 import pytest
@@ -18,7 +22,7 @@ from mcdmanova.errors import (
     NotPositiveDefinite,
     SingularSubset,
 )
-from mcdmanova.manova import Hypothesis, Model
+from mcdmanova.manova import Hypothesis, Model, SspDecomposition
 from mcdmanova.mcd import McdConfig
 from mcdmanova.simulation import (
     ContaminationSpec,
@@ -568,6 +572,119 @@ class TestBlockReplicate:
                 run(make, RngStream(64), ("cla",), sim.experiment_pairs("size"), 2)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Pools from 2 replications on, of 2 workers on any machine; the
+    list collects the worker count of every pool ``replicate`` opens."""
+    monkeypatch.setattr(sim, "_MIN_PARALLEL_ATTEMPTS", 2)
+    monkeypatch.setattr(sim, "_usable_cores", lambda: 2)
+    opened, real = [], sim._open_pool
+
+    def spy(methods, m):
+        pool, workers = real(methods, m)
+        if pool is not None:
+            opened.append(workers)
+        return pool, workers
+
+    monkeypatch.setattr(sim, "_open_pool", spy)
+    return opened
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("replicate started a process pool")
+
+
+def mcd_run(design, m):
+    """Arguments of a ``("mcd",)`` replicate run on null data."""
+    make = sim._layout_maker("size", design, 0.0, 0.1)
+    return make, RngStream(68), ("mcd",), sim.experiment_pairs("size"), m, TINY
+
+
+def mcd_replicate(design, m):
+    """``replicate`` on ``mcd_run``; module level, so a pool can run it."""
+    return sim.replicate(*mcd_run(design, m))
+
+
+class TestParallelReplicate:
+    """The "mcd" SSPs on a process pool reproduce the serial loop."""
+
+    def test_results_survive_pickling(self):
+        layout = gen_null(Design(2, 2, 8, 2), RngStream(66))
+        single = manova.method_ssp(layout, "mcd", TINY, RngStream(67))
+        stacked = SspDecomposition.stack([single, single])
+        for decomp in (single, stacked):
+            manova.wilks_lambda(decomp, Hypothesis.ROW_EFFECTS, Model.ADDITIVE_ONLY)
+            assert decomp._log_det_memo
+            copy = pickle.loads(pickle.dumps(decomp))
+            assert type(copy) is SspDecomposition and copy._log_det_memo == {}
+            for name in ("W", "E", "R_row", "R_col"):
+                assert not getattr(copy, name).flags.writeable
+                assert getattr(copy, name).tobytes() == getattr(decomp, name).tobytes()
+            for name in ("cell", "row", "col", "grand"):
+                assert (getattr(copy.means, name).tobytes()
+                        == getattr(decomp.means, name).tobytes())
+        for error_type in sim._DEGENERATE:
+            copy = pickle.loads(pickle.dumps(error_type("forced at attempt 3")))
+            assert type(copy) is error_type and str(copy) == "forced at attempt 3"
+
+    @pytest.mark.parametrize("block", [5, 64])
+    def test_matches_reference(self, monkeypatch, pools, block):
+        monkeypatch.setattr(sim, "_BLOCK", block)
+        make = degenerate_layouts(Design(2, 2, 8, 2), {1: "dup", 6: "dup", 7: "dup"})
+        args = (make, RngStream(69), ("mcd",), sim.experiment_pairs("size"), 12, TINY)
+        run = sim.replicate(*args)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        assert_same_run(run, loop_replicate(*args))
+        assert run[1:] == (3, 15)
+
+    def test_exhaustion_raises_reference_error(self, monkeypatch, pools):
+        # the forced failures happen inside the workers
+        def broken(layout, config, rng):
+            raise SingularSubset(f"forced at attempt {attempt_of(rng)}")
+
+        monkeypatch.setattr(manova, "robust_weights", broken)
+        make = sim._layout_maker("size", Design(2, 2, 6, 2), 0.0, 0.1)
+        errors = []
+        for run in (sim.replicate, loop_replicate):
+            with pytest.raises(SingularSubset) as info:
+                run(make, RngStream(63), ("mcd",), sim.experiment_pairs("size"), 2, TINY)
+            errors.append(str(info.value))
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+        assert errors == ["forced at attempt 1019"] * 2
+
+    @pytest.mark.parametrize("threshold, cores, thread", [
+        (8, 2, False), (2, 1, False), (2, 2, True),
+    ], ids=["below-threshold", "one-core", "other-thread"])
+    def test_no_process_started(self, monkeypatch, threshold, cores, thread):
+        monkeypatch.setattr(sim, "_MIN_PARALLEL_ATTEMPTS", threshold)
+        monkeypatch.setattr(sim, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        if thread:
+            waiter.start()
+        try:
+            run = mcd_replicate(Design(2, 2, 8, 2), 7)
+        finally:
+            release.set()
+            if thread:
+                waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        assert_same_run(run, loop_replicate(*mcd_run(Design(2, 2, 8, 2), 7)))
+
+    def test_serial_inside_a_pool_worker(self, monkeypatch, pools):
+        design = Design(2, 2, 8, 2)
+        with concurrent.futures.ProcessPoolExecutor(
+            1, multiprocessing.get_context("fork")
+        ) as outer:
+            # the worker forks after these patches, so it sees them
+            monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+            nested = outer.submit(mcd_replicate, design, 3).result(timeout=60)
+        assert_same_run(nested, loop_replicate(*mcd_run(design, 3)))
 
 
 class TestEdfEmitters:

@@ -29,8 +29,10 @@ per-layer ones included, under the workload's ``traced`` key.
 
 The record also holds the seeds, the default ``McdConfig``, the core
 count and the BLAS thread count, as ``perfbench/run.py`` reports them.
-The runs are sequential and single-threaded; keep the machine otherwise
-idle while they go.
+The runs are sequential, one checkout at a time, and BLAS runs one
+thread; but a run's larger robust calibrations (the cli-test-ilr set-up)
+spread over worker processes, one per usable core, so keep the machine
+otherwise idle while they go.
 """
 
 from __future__ import annotations

@@ -18,7 +18,10 @@ one checkout's outputs are compared with another's::
     diff -r a b
 
 BLAS runs single-threaded so the comparison holds on one machine.  The
-whole set takes about 20 seconds on one core.  Exits 1 if any command
+calibrations and the mcd ``simulate`` runs spread their robust
+replications over one worker process per usable core, which leaves every
+output byte-identical.  The whole set takes 6-9 seconds on one core
+(``taskset -c 0``) and 5-6 seconds on two.  Exits 1 if any command
 exits with another status than the one listed for it in ``EXPECTED``
 (zero for every command not listed).
 """
