@@ -33,7 +33,6 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import (
-    LOW_PRECISION_TRIALS,
     CalibrationSource,
     cache_path_from_env,
     calibrate_design,
@@ -204,12 +203,12 @@ def cmd_test(args: argparse.Namespace) -> str:
             ) from None
         reports[method] = {rep.hypothesis: rep for rep in result}
     if source is not None:
-        trials = min(
-            source.entry_for(layout.p, layout.r, layout.c, layout.n,
-                             model, hyp).key.m_prime
+        entries = [
+            source.entry_for(layout.p, layout.r, layout.c, layout.n, model, hyp)
             for hyp in hypotheses_for(model)
-        )
-        if trials < LOW_PRECISION_TRIALS:
+        ]
+        if any(entry.low_precision for entry in entries):
+            trials = min(entry.key.m_prime for entry in entries)
             print(
                 f"mcdmanova: note: calibration used only {trials} trials; "
                 f"mcd p-values are low precision",

@@ -57,38 +57,33 @@ _MAX_SERIES_ITER = 600
 class RngStream:
     """Name of a deterministic random substream.
 
-    A stream is identified by a 64-bit ``seed``, a ``stream_id`` and a
-    path of child indices.  Two distinct names yield statistically
-    independent generators; the same name always yields the identical
-    draw sequence, independent of execution order elsewhere in the
-    program.  This is what makes replications of the Monte Carlo
-    experiments schedule independent.
+    A stream is identified by a 64-bit ``seed`` and a path of child
+    indices.  Two distinct names yield statistically independent
+    generators; the same name always yields the identical draw sequence,
+    independent of execution order elsewhere in the program.  This is
+    what makes replications of the Monte Carlo experiments schedule
+    independent.
 
     Parameters
     ----------
     seed : int
         Master seed, non-negative.
-    stream_id : int
-        Top-level stream index, non-negative.
     path : tuple of int
         Child indices accumulated by :meth:`substream`.
     """
 
     seed: int
-    stream_id: int = 0
     path: tuple[int, ...] = ()
 
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise DomainError("seed must be non-negative")
-        if self.stream_id < 0:
-            raise DomainError("stream_id must be non-negative")
         if any(i < 0 for i in self.path):
             raise DomainError("substream indices must be non-negative")
 
     def substream(self, *ids: int) -> "RngStream":
         """Return the child stream obtained by appending ``ids`` to the path."""
-        return RngStream(self.seed, self.stream_id, self.path + ids)
+        return RngStream(self.seed, self.path + ids)
 
     def generator(self) -> np.random.Generator:
         """Instantiate the generator for this stream name.
@@ -96,9 +91,9 @@ class RngStream:
         Every call returns a fresh generator positioned at the start of
         the stream, so draws are a pure function of the name.
         """
-        seq = np.random.SeedSequence(
-            entropy=self.seed, spawn_key=(self.stream_id, *self.path)
-        )
+        # The leading 0 is part of every stream's name: recorded seeds,
+        # golden outputs and calibration caches were all drawn with it.
+        seq = np.random.SeedSequence(entropy=self.seed, spawn_key=(0, *self.path))
         return np.random.Generator(np.random.Philox(seq))
 
 
@@ -130,7 +125,8 @@ def ln_gamma(x: float) -> float:
 
 
 def _gamma_p_series(a: float, t: float) -> float:
-    # Lower regularized incomplete gamma by power series; valid t < a + 1.
+    # Lower regularized incomplete gamma by power series, divided by the
+    # prefactor t^a e^-t / Gamma(a); valid t < a + 1.
     term = 1.0 / a
     total = term
     for k in range(1, _MAX_SERIES_ITER):
@@ -138,15 +134,12 @@ def _gamma_p_series(a: float, t: float) -> float:
         total += term
         if abs(term) < abs(total) * _EPS:
             break
-    log_prefactor = a * math.log(t) - t - ln_gamma(a)
-    if log_prefactor < -745.0:
-        return 0.0
-    return total * math.exp(log_prefactor)
+    return total
 
 
 def _gamma_q_contfrac(a: float, t: float) -> float:
-    # Upper regularized incomplete gamma by Lentz continued fraction;
-    # valid t >= a + 1.
+    # Upper regularized incomplete gamma by Lentz continued fraction,
+    # divided by the same prefactor; valid t >= a + 1.
     tiny = 1e-300
     b = t + 1.0 - a
     c = 1.0 / tiny
@@ -166,10 +159,7 @@ def _gamma_q_contfrac(a: float, t: float) -> float:
         h *= delta
         if abs(delta - 1.0) < 3.0 * _EPS:
             break
-    log_prefactor = a * math.log(t) - t - ln_gamma(a)
-    if log_prefactor < -745.0:
-        return 0.0
-    return h * math.exp(log_prefactor)
+    return h
 
 
 def chi2_cdf(x: float, df: float) -> float:
@@ -194,9 +184,14 @@ def chi2_cdf(x: float, df: float) -> float:
         return 1.0
     a = 0.5 * df
     t = 0.5 * x
+    log_prefactor = a * math.log(t) - t - ln_gamma(a)
+    if log_prefactor < -745.0:
+        # exp underflows: the series side is 0, the fraction side 1
+        return 0.0 if t < a + 1.0 else 1.0
+    prefactor = math.exp(log_prefactor)
     if t < a + 1.0:
-        return min(_gamma_p_series(a, t), 1.0)
-    return max(1.0 - _gamma_q_contfrac(a, t), 0.0)
+        return min(_gamma_p_series(a, t) * prefactor, 1.0)
+    return max(1.0 - _gamma_q_contfrac(a, t) * prefactor, 0.0)
 
 
 @lru_cache(maxsize=1024)

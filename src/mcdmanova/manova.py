@@ -373,16 +373,6 @@ def _unit_weights(r: int, c: int, n: int) -> WeightSet:
     return WeightSet.from_vector(template, np.ones(template.size, dtype=np.int64))
 
 
-@dataclass(frozen=True, eq=False)
-class WeightedMeans:
-    """Weighted cell, row, column, and grand mean vectors."""
-
-    cell: np.ndarray
-    row: np.ndarray
-    col: np.ndarray
-    grand: np.ndarray
-
-
 def _read_only(mat: np.ndarray) -> np.ndarray:
     mat.setflags(write=False)
     return mat
@@ -396,9 +386,9 @@ class SspDecomposition:
     W is the within-cell matrix, E the additive-model residual matrix,
     R_row and R_col the row- and column-effect matrices.  Each is one
     p x p matrix, or a (b, p, p) stack holding member i's matrix at
-    index i, and the means carry the same leading axis.  The matrices
-    are read-only, so the log-determinants :func:`wilks_lambda` takes of
-    them are memoised on the decomposition, one array per matrix name.
+    index i.  The matrices are read-only, so the log-determinants
+    :func:`wilks_lambda` takes of them are memoised on the decomposition,
+    one array per matrix name.
 
     A stack has a length, and indexing it gives a member (read-only
     views) or, for a slice or an index array, a smaller stack.
@@ -408,7 +398,6 @@ class SspDecomposition:
     E: np.ndarray
     R_row: np.ndarray
     R_col: np.ndarray
-    means: WeightedMeans
     _log_det_memo: dict = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
@@ -424,17 +413,14 @@ class SspDecomposition:
     def __reduce__(self):
         # Rebuilt through the constructor, so an unpickled decomposition
         # is read-only again and starts with an empty log-det memo.
-        return type(self), (self.W, self.E, self.R_row, self.R_col, self.means)
+        return type(self), (self.W, self.E, self.R_row, self.R_col)
 
     @classmethod
     def stack(cls, members: Sequence[SspDecomposition]) -> SspDecomposition:
         """One stacked decomposition of single ``members``, in order."""
-        means = [d.means for d in members]
         return cls(
             *(_read_only(np.stack([getattr(d, name) for d in members]))
-              for name in ("W", "E", "R_row", "R_col")),
-            WeightedMeans(*(np.stack([getattr(m, name) for m in means])
-                            for name in ("cell", "row", "col", "grand"))),
+              for name in ("W", "E", "R_row", "R_col"))
         )
 
     def __len__(self) -> int:
@@ -445,10 +431,8 @@ class SspDecomposition:
     def __getitem__(self, index) -> SspDecomposition:
         if self.W.ndim == 2:
             raise TypeError("a single decomposition has no members")
-        m = self.means
         part = SspDecomposition(
-            self.W[index], self.E[index], self.R_row[index], self.R_col[index],
-            WeightedMeans(m.cell[index], m.row[index], m.col[index], m.grand[index]),
+            self.W[index], self.E[index], self.R_row[index], self.R_col[index]
         )
         part._log_det_memo.update(
             (name, values[index]) for name, values in self._log_det_memo.items()
@@ -460,11 +444,11 @@ def weighted_ssp(
     layout: TwoWayLayout | Sequence[TwoWayLayout],
     weights: WeightSet | Sequence[WeightSet],
 ) -> SspDecomposition:
-    """Weighted SSP matrices and means of a balanced two-way layout.
+    """Weighted SSP matrices of a balanced two-way layout.
 
-    Weighted means divide by the weighted counts (cell, row, column,
-    grand); each SSP matrix is a weighted sum of outer products of the
-    matching residuals:
+    The residuals are taken from weighted means, which divide by the
+    weighted counts (cell, row, column, grand); each SSP matrix is a
+    weighted sum of outer products of the matching residuals:
 
       W     sum of w * (y - cell mean)(...)^T
       E     sum of w * (y - row mean - col mean + grand mean)(...)^T
@@ -562,10 +546,7 @@ def weighted_ssp(
     E = weighted_cross(resid_e, w)
     R_row = weighted_cross(row_means - grand_mean[:, None], row_n[:, :, None])
     R_col = weighted_cross(col_means - grand_mean[:, None], col_n[:, :, None])
-    decomp = SspDecomposition(
-        *map(_read_only, (W, E, R_row, R_col)),
-        WeightedMeans(cell_means, row_means, col_means, grand_mean),
-    )
+    decomp = SspDecomposition(*map(_read_only, (W, E, R_row, R_col)))
     return decomp[0] if single else decomp
 
 

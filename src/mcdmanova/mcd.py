@@ -51,7 +51,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -795,17 +795,9 @@ def reweight_batch(datasets: np.ndarray, raws: list[McdEstimate]) -> list[McdEst
     for raw, (location, cov), w in zip(raws, stats, weights):
         small = small_sample_factor(p, n, raw.alpha, reweighted=True)
         out.append(
-            McdEstimate(
-                location=location,
-                scatter=cov * (cons * small),
-                raw_location=raw.raw_location,
-                raw_scatter=raw.raw_scatter,
-                best_subset=raw.best_subset,
-                weights=w,
-                objective=raw.objective,
-                consistency_factor=cons,
-                small_sample_factor=small,
-                alpha=raw.alpha,
+            replace(
+                raw, location=location, scatter=cov * (cons * small), weights=w,
+                consistency_factor=cons, small_sample_factor=small,
             )
         )
     return out

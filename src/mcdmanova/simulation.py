@@ -51,6 +51,7 @@ from .mcd import McdConfig
 
 __all__ = [
     "EXPERIMENT_KINDS",
+    "GRID_MAX",
     "GRID_POINTS",
     "ContaminationSpec",
     "Design",
@@ -75,7 +76,8 @@ logger = logging.getLogger(__name__)
 
 EXPERIMENT_KINDS = ("size", "power_inter", "power_additive", "robustness")
 
-# grid resolution of the EDF emitters
+# nominal-level range and resolution of the EDF emitters' grid
+GRID_MAX = 0.2
 GRID_POINTS = 201
 
 # A replication is redrawn when the estimation pipeline degenerates on
@@ -132,18 +134,16 @@ class MeanLayout:
 
 @dataclass(frozen=True)
 class ContaminationSpec:
-    """Mixture contamination applied to a single target cell.
+    """Mixture contamination applied to the last cell (r-1, c-1).
 
-    Observations of the target cell are drawn independently from
+    Observations of that cell are drawn independently from
     ``(1 - epsilon) N(0, I) + epsilon N(mu*, 0.25^2 I)`` where
     ``mu* = (nu Q_p, ..., nu Q_p)`` and ``Q_p = sqrt(chi2(p; 0.999)/p)``
-    equalizes the shift across dimensions.  ``target_cell`` of None
-    means the last cell (r-1, c-1).
+    equalizes the shift across dimensions.
     """
 
     epsilon: float
     nu: float
-    target_cell: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon < 0.5:
@@ -256,27 +256,20 @@ def gen_power_additive(design: Design, d: float) -> MeanLayout:
 def gen_contaminated(
     design: Design, spec: ContaminationSpec, rng: RngStream
 ) -> TwoWayLayout:
-    """Null data with one cell replaced by the mixture model.
+    """Null data with the last cell replaced by the mixture model.
 
-    Each observation of the target cell independently lands in the
+    Each observation of that cell independently lands in the
     outlier component with probability epsilon; the clean draws are the
     same as :func:`gen_null` would produce, so epsilon = 0 reproduces
     the null dataset bit for bit.
     """
-    i, j = spec.target_cell if spec.target_cell is not None else (
-        design.r - 1, design.c - 1
-    )
-    if not (0 <= i < design.r and 0 <= j < design.c):
-        raise DomainError(
-            f"target cell ({i}, {j}) outside design {design.r}x{design.c}"
-        )
     gen = rng.generator()
     cells = gen.standard_normal((design.r, design.c, design.n, design.p))
     outlying = gen.random(design.n) < spec.epsilon
     q_p = math.sqrt(chi2_quantile(0.999, design.p) / design.p)
     shift = spec.nu * q_p
-    target = cells[i, j]
-    cells[i, j] = np.where(outlying[:, None], shift + 0.25 * target, target)
+    target = cells[-1, -1]
+    cells[-1, -1] = np.where(outlying[:, None], shift + 0.25 * target, target)
     return layout_from_cells(cells)
 
 
@@ -596,17 +589,14 @@ def _edf_on_grid(p_values: np.ndarray, grid: np.ndarray) -> np.ndarray:
     return np.searchsorted(ordered, grid, side="right") / len(ordered)
 
 
-def pvalue_plot_data(
-    report: ExperimentReport, grid_max: float = 0.2
-) -> list[tuple[float, float]]:
-    """Empirical distribution of the p-values on a uniform grid.
+def pvalue_plot_data(report: ExperimentReport) -> list[tuple[float, float]]:
+    """Empirical distribution of the p-values on a uniform grid over
+    [0, GRID_MAX].
 
     Under a true null the points hug the 45 degree line; the returned
     pairs are meant for external plotting.
     """
-    if grid_max <= 0.0:
-        raise DomainError(f"grid_max must be positive, got {grid_max}")
-    grid = np.linspace(0.0, grid_max, GRID_POINTS)
+    grid = np.linspace(0.0, GRID_MAX, GRID_POINTS)
     edf = _edf_on_grid(report.p_values, grid)
     return list(zip(grid.tolist(), edf.tolist()))
 
@@ -633,7 +623,7 @@ def size_power_curve(
         raise MismatchedReports(
             "reports differ in " + ", ".join(mismatches)
         )
-    grid = np.linspace(0.0, 0.2, GRID_POINTS)
+    grid = np.linspace(0.0, GRID_MAX, GRID_POINTS)
     x = _edf_on_grid(null_report.p_values, grid)
     y = _edf_on_grid(alt_report.p_values, grid)
     return list(zip(x.tolist(), y.tolist()))
@@ -738,18 +728,9 @@ def format_report_table(reports: list[ExperimentReport]) -> str:
         raise DomainError("no reports to format")
     d = reports[0].design
     kind = reports[0].kind
-    settings: list[float] = []
-    for rep in reports:
-        if rep.setting not in settings:
-            settings.append(rep.setting)
-    methods: list[str] = []
-    for rep in reports:
-        if rep.method not in methods:
-            methods.append(rep.method)
-    pairs: list[tuple[Model, Hypothesis]] = []
-    for rep in reports:
-        if (rep.model, rep.hypothesis) not in pairs:
-            pairs.append((rep.model, rep.hypothesis))
+    settings = dict.fromkeys(r.setting for r in reports)
+    methods = dict.fromkeys(r.method for r in reports)
+    pairs = dict.fromkeys((r.model, r.hypothesis) for r in reports)
     by_key = {
         (r.method, r.model, r.hypothesis, r.setting): r for r in reports
     }

@@ -31,7 +31,6 @@ from mcdmanova.manova import (
     SspDecomposition,
     TwoWayLayout,
     WeightSet,
-    WeightedMeans,
     bartlett_dfs,
     bartlett_pvalue,
     calibrated_pvalue,
@@ -54,7 +53,8 @@ def random_layout(rng, r=3, c=2, n=5, p=2, scale=1.0):
 
 
 def reference_ssp(layout, w):
-    """Loop transliteration of the weighted mean and SSP definitions."""
+    """Loop transliteration of the weighted mean and SSP definitions:
+    (W, E, R_row, R_col)."""
     r, c, p = layout.r, layout.c, layout.p
     Y = layout.observations
     R, C = layout.row_label, layout.col_label
@@ -86,7 +86,7 @@ def reference_ssp(layout, w):
         cnt = np.count_nonzero((C == j) & kept)
         d = col_mean[j] - grand
         R_col += cnt * np.outer(d, d)
-    return W, E, R_row, R_col, cell_mean, row_mean, col_mean, grand
+    return W, E, R_row, R_col
 
 
 class TestValidateLayout:
@@ -465,7 +465,7 @@ class TestCallerArraysUntouched:
 
     def test_ssp_decomposition(self):
         mats = [np.eye(2), 2.0 * np.eye(2), np.eye(2), np.eye(2)]
-        d = SspDecomposition(*mats, WeightedMeans(*(np.zeros(2) for _ in range(4))))
+        d = SspDecomposition(*mats)
         for mat in mats:
             assert mat.flags.writeable
         mats[0][0, 0] = 5.0
@@ -493,9 +493,6 @@ class TestUnitWeightsMemo:
         )
         for name in ("W", "E", "R_row", "R_col"):
             assert getattr(memo, name).tobytes() == getattr(built, name).tobytes()
-        for name in ("cell", "row", "col", "grand"):
-            assert (getattr(memo.means, name).tobytes()
-                    == getattr(built.means, name).tobytes())
 
     def test_one_weight_set_per_design(self):
         a = unit_weights(shuffled_table_layout(73))
@@ -505,7 +502,7 @@ class TestUnitWeightsMemo:
 
 def frozen_weighted_ssp(layout, weights):
     """The np.bincount body ``weighted_ssp`` had before it was stacked, kept
-    as a bitwise oracle: (W, E, R_row, R_col, cell, row, col, grand)."""
+    as a bitwise oracle: (W, E, R_row, R_col)."""
     r, c, p = layout.r, layout.c, layout.p
     Y = layout.observations
     w = weights.w.astype(np.float64)
@@ -535,7 +532,7 @@ def frozen_weighted_ssp(layout, weights):
     R_row = (dev_row * row_n[:, None]).T @ dev_row
     dev_col = col_means - grand_mean
     R_col = (dev_col * col_n[:, None]).T @ dev_col
-    return W, E, R_row, R_col, cell_means, row_means, col_means, grand_mean
+    return W, E, R_row, R_col
 
 
 def frozen_mid_ranks(x):
@@ -591,16 +588,13 @@ class TestStackedKernelsMatchFrozen:
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("p", range(1, 6))
     def test_weighted_ssp(self, case, p):
-        names = ("W", "E", "R_row", "R_col")
         for seed, design in enumerate(self.DESIGNS):
             layouts, weights = oracle_case(case, p, design, seed)
             stacked = weighted_ssp(layouts, weights)
             for lay, ws, got in zip(layouts, weights, stacked):
                 want = frozen_weighted_ssp(lay, ws)
                 for d in (got, weighted_ssp(lay, ws)):
-                    mats = [getattr(d, name) for name in names]
-                    means = [d.means.cell, d.means.row, d.means.col, d.means.grand]
-                    for a, b in zip(mats + means, want):
+                    for a, b in zip(ssp_fields(d), want, strict=True):
                         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("case", CASES)
@@ -614,15 +608,15 @@ class TestStackedKernelsMatchFrozen:
                 assert rank_transform(lay).observations.tobytes() == want
                 assert got.row_label is lay.row_label
 
-    def test_all_negative_zero_cell_sums_to_positive_zero(self):
+    def test_all_negative_zero_cells_match_frozen(self):
         # bincount adds from +0.0; a running sum of -0.0 values stays -0.0
         cells = np.full((2, 2, 3, 1), -0.0)
         cells[1, 1] = [[1.0], [2.0], [4.0]]
         lay = layout_from_cells(cells)
-        got = classical_ssp([lay, lay])[1].means.cell
-        want = frozen_weighted_ssp(lay, unit_weights(lay))[4]
-        assert got.tobytes() == want.tobytes()
-        assert math.copysign(1.0, got[0, 0, 0]) == 1.0
+        got = classical_ssp([lay, lay])[1]
+        want = frozen_weighted_ssp(lay, unit_weights(lay))
+        for a, b in zip(ssp_fields(got), want, strict=True):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestStackedCalls:
@@ -661,9 +655,8 @@ class TestStackedCalls:
 
 
 def ssp_fields(d):
-    """The matrices and means of a decomposition, in a fixed order."""
-    return ([getattr(d, name) for name in ("W", "E", "R_row", "R_col")]
-            + [getattr(d.means, name) for name in ("cell", "row", "col", "grand")])
+    """The matrices of a decomposition, in a fixed order."""
+    return [getattr(d, name) for name in ("W", "E", "R_row", "R_col")]
 
 
 class TestStackedDecomposition:
@@ -694,7 +687,7 @@ class TestStackedDecomposition:
         rng = np.random.default_rng(21)
         stacked = classical_ssp([random_layout(rng) for _ in range(3)])
         member = stacked[1]
-        for mat, whole in zip(ssp_fields(member)[:4], ssp_fields(stacked)[:4]):
+        for mat, whole in zip(ssp_fields(member), ssp_fields(stacked)):
             assert np.shares_memory(mat, whole)
             with pytest.raises(ValueError):
                 mat[0, 0] = 1.0
@@ -716,13 +709,11 @@ class TestWeightedSsp:
         lay = random_layout(rng, r=3, c=3, n=4, p=2)
         w = np.ones(lay.size, dtype=np.int64)
         d = weighted_ssp(lay, WeightSet.from_vector(lay, w))
-        W, E, R_row, R_col, cm, rm, colm, gm = reference_ssp(lay, w)
+        W, E, R_row, R_col = reference_ssp(lay, w)
         assert np.allclose(d.W, W, atol=1e-10)
         assert np.allclose(d.E, E, atol=1e-10)
         assert np.allclose(d.R_row, R_row, atol=1e-10)
         assert np.allclose(d.R_col, R_col, atol=1e-10)
-        assert np.allclose(d.means.cell, cm, atol=1e-12)
-        assert np.allclose(d.means.grand, gm, atol=1e-12)
 
     def test_matches_reference_random_weights(self):
         rng = np.random.default_rng(11)
@@ -733,7 +724,7 @@ class TestWeightedSsp:
             drop = rng.choice(lay.size, size=6, replace=False)
             w[drop[:2]] = 0
             d = weighted_ssp(lay, WeightSet.from_vector(lay, w))
-            W, E, R_row, R_col, *_ = reference_ssp(lay, w)
+            W, E, R_row, R_col = reference_ssp(lay, w)
             assert np.allclose(d.W, W, atol=1e-9)
             assert np.allclose(d.E, E, atol=1e-9)
             assert np.allclose(d.R_row, R_row, atol=1e-9)
@@ -745,10 +736,8 @@ class TestWeightedSsp:
         w = np.ones(lay.size, dtype=np.int64)
         w[7] = 0
         d = weighted_ssp(lay, WeightSet.from_vector(lay, w))
-        W, E, R_row, R_col, cm, rm, colm, gm = reference_ssp(lay, w)
+        W, E, R_row, R_col = reference_ssp(lay, w)
         assert np.allclose(d.W, W, atol=1e-10)
-        assert np.allclose(d.means.row, rm, atol=1e-12)
-        assert np.allclose(d.means.col, colm, atol=1e-12)
 
     def test_unit_weight_decomposition_identity(self):
         rng = np.random.default_rng(13)
@@ -928,8 +917,7 @@ class TestWilksMemo:
         a = rng.standard_normal((2, 12))
         W, R_row = a @ a.T, np.diag([0.5, 0.25])
         R_col = np.diag([1e20, 0.0])
-        means = WeightedMeans(*(np.zeros(2) for _ in range(4)))
-        d = SspDecomposition(W, W + R_row, R_row, R_col, means)
+        d = SspDecomposition(W, W + R_row, R_row, R_col)
         with pytest.raises(NotPositiveDefinite):
             cholesky(d.W + d.R_col)
         model = Model.WITH_INTERACTIONS
@@ -1023,15 +1011,14 @@ class TestWilksMemo:
         a = rng.standard_normal((2, 12))
         W, R_row = a @ a.T, np.diag([0.5, 0.25])
         good = classical_ssp(random_layout(rng))
-        means = good.means  # carried along only, so a stack can hold both
-        sibling = SspDecomposition(W, W + R_row, R_row, np.diag([1e20, 0.0]), means)
+        sibling = SspDecomposition(W, W + R_row, R_row, np.diag([1e20, 0.0]))
         model = Model.WITH_INTERACTIONS
         lams = wilks_lambda(SspDecomposition.stack([good, sibling]),
                             Hypothesis.ROW_EFFECTS, model)
         assert lams.tolist() == [
             min(lone_lambda(good.W, good.W + good.R_row), 1.0), lone_lambda(W, W + R_row)
         ]
-        singular = SspDecomposition(np.zeros((2, 2)), W, R_row, R_row, means)
+        singular = SspDecomposition(np.zeros((2, 2)), W, R_row, R_row)
         with pytest.raises(NotPositiveDefinite) as stacked:
             wilks_lambda(SspDecomposition.stack([good, singular, sibling]),
                          Hypothesis.ROW_EFFECTS, model)
