@@ -85,6 +85,11 @@ class TestRngStream:
         b = RngStream(12345).substream(7).generator().standard_normal(64)
         assert np.array_equal(a, b)
 
+    def test_root_differs_from_first_child(self):
+        a = RngStream(12345).generator().standard_normal(64)
+        b = RngStream(12345).substream(0).generator().standard_normal(64)
+        assert not np.array_equal(a, b)
+
     def test_substream_extends_path(self):
         s = RngStream(9).substream(2).substream(3).substream(4, 5)
         assert s == RngStream(9, (2, 3, 4, 5))

@@ -25,6 +25,8 @@ from mcdmanova.errors import (
 from mcdmanova.manova import Hypothesis, Model, SspDecomposition
 from mcdmanova.mcd import McdConfig
 from mcdmanova.simulation import (
+    GRID_MAX,
+    GRID_POINTS,
     ContaminationSpec,
     Design,
     ExperimentReport,
@@ -168,6 +170,19 @@ class TestGenerators:
         cells = cont.cell_array()
         assert cells[:1].max() < 8.0 and abs(cells[0, 1].max()) < 8.0
         assert cells[1, 1].max() > 15.0
+
+    def test_contamination_leaves_other_cells_null(self):
+        # On a 3 x 2 design only cell (2, 1) changes; every other cell
+        # holds the bits gen_null draws from the same stream.
+        design = Design(3, 2, 40, 2)
+        null = gen_null(design, RngStream(12)).cell_array()
+        cont = gen_contaminated(
+            design, ContaminationSpec(0.49, 10.0), RngStream(12)
+        ).cell_array()
+        others = np.ones((3, 2), dtype=bool)
+        others[2, 1] = False
+        assert cont[others].tobytes() == null[others].tobytes()
+        assert cont[2, 1].max() > 15.0
 
     def test_outlier_shift_value(self):
         # p = 2: chi2 quantile at 0.999 is -2 ln(0.001), so the shift for
@@ -679,6 +694,20 @@ class TestEdfEmitters:
         band = 1.63 / math.sqrt(1000)
         for t, y in pvalue_plot_data(rep):
             assert abs(y - t) <= band
+
+    def test_plot_grid_runs_to_grid_max(self):
+        rep = uniform_report(m=200, seed=13)
+        grid = [t for t, _ in pvalue_plot_data(rep)]
+        assert grid == np.linspace(0.0, GRID_MAX, GRID_POINTS).tolist()
+
+    def test_curve_uses_the_plot_grid(self):
+        # Both axes of the size-power curve are the reports' EDFs on the
+        # grid pvalue_plot_data plots.
+        a = uniform_report(m=300, seed=21)
+        b = uniform_report(values=np.random.default_rng(22).random(300) ** 3)
+        curve = size_power_curve(a, b)
+        assert [x for x, _ in curve] == [y for _, y in pvalue_plot_data(a)]
+        assert [y for _, y in curve] == [y for _, y in pvalue_plot_data(b)]
 
     def test_same_report_gives_exact_diagonal(self):
         rep = uniform_report(m=500, seed=15)
