@@ -98,12 +98,7 @@ class CalibrationKey:
     seed: int
 
     def __post_init__(self) -> None:
-        if self.p < 1:
-            raise DomainError(f"p must be positive, got {self.p}")
-        if self.r < 2 or self.c < 2:
-            raise DomainError(f"need at least 2 levels per factor, got {self.r}x{self.c}")
-        if self.n < 2:
-            raise DomainError(f"need at least 2 observations per cell, got {self.n}")
+        Design(self.r, self.c, self.n, self.p)
         if self.m_prime < 2:
             raise DomainError(f"m_prime must be at least 2, got {self.m_prime}")
         if not 0 <= self.seed < 2**64:
@@ -146,7 +141,7 @@ def null_statistic_samples(
     n: int,
     m_prime: int,
     seed: int,
-    mcd_config: McdConfig | None = None,
+    mcd_config: McdConfig = McdConfig(),
 ) -> dict[tuple[Model, Hypothesis], np.ndarray]:
     """Simulate null-distribution samples of the robust ``-ln(lambda_R)``.
 
@@ -198,7 +193,7 @@ def calibrate_design(
     n: int,
     m_prime: int,
     seed: int,
-    mcd_config: McdConfig | None = None,
+    mcd_config: McdConfig = McdConfig(),
 ) -> tuple[CalibrationEntry, ...]:
     """Fit (delta, q) for every (model, hypothesis) pair of one design by
     Monte Carlo moment matching.
@@ -206,13 +201,16 @@ def calibrate_design(
     The five entries share a single simulation pass.  Deterministic
     given ``seed``: the same seed always reproduces identical entries.
     ``mcd_config`` must match the configuration later used for testing.
+    The five keys are built, and so checked, before any simulation runs.
     """
+    keys = [
+        CalibrationKey(p, r, c, n, model, hyp, m_prime, seed)
+        for model, hyp in experiment_pairs("size")
+    ]
     samples = null_statistic_samples(p, r, c, n, m_prime, seed, mcd_config)
-    entries = []
-    for (model, hyp), values in samples.items():
-        key = CalibrationKey(p, r, c, n, model, hyp, m_prime, seed)
-        entries.append(_entry_from_samples(key, values))
-    return tuple(entries)
+    return tuple(
+        _entry_from_samples(key, samples[key.model, key.hypothesis]) for key in keys
+    )
 
 
 def _format_entry(entry: CalibrationEntry) -> str:
@@ -334,7 +332,7 @@ class CalibrationSource:
         self,
         entries: tuple[CalibrationEntry, ...] | list[CalibrationEntry] = (),
         cache_file: str | Path | None = None,
-        mcd_config: McdConfig | None = None,
+        mcd_config: McdConfig = McdConfig(),
         on_the_fly: int | None = None,
         seed: int = 0,
     ) -> None:

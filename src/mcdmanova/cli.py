@@ -159,13 +159,16 @@ def _calibration_source(
     )
 
 
+def _ilr_rows(values: np.ndarray) -> np.ndarray:
+    """The ilr coordinates of each row of an (N, p) array, p >= 2."""
+    if values.shape[1] < 2:
+        raise DimensionError("the ilr transform needs at least two response columns")
+    return ilr(values)
+
+
 def _ilr_layout(layout: TwoWayLayout) -> TwoWayLayout:
     """Replace each observation by its ilr coordinates."""
-    if layout.p < 2:
-        raise DimensionError(
-            "the ilr transform needs at least two response columns"
-        )
-    return layout.with_observations(ilr(layout.observations))
+    return layout.with_observations(_ilr_rows(layout.observations))
 
 
 def _hypothesis_label(hypothesis: Hypothesis, factors: list[str]) -> str:
@@ -290,14 +293,9 @@ def cmd_simulate(args: argparse.Namespace) -> str:
 def cmd_ilr(args: argparse.Namespace) -> str:
     """Transform response columns to ilr coordinates, write --out."""
     rows = parse_table(args.input, args.factors, args.responses)
-    p = len(args.responses)
-    if p < 2:
-        raise DimensionError(
-            "the ilr transform needs at least two response columns"
-        )
-    header = list(args.factors) + [f"ilr{k}" for k in range(1, p)]
+    table = _ilr_rows(np.array([row[2:] for row in rows], dtype=np.float64))
+    header = list(args.factors) + [f"ilr{k}" for k in range(1, len(args.responses))]
     lines = [",".join(header)]
-    table = ilr(np.array([row[2:] for row in rows], dtype=np.float64))
     for row, coords in zip(rows, table):
         lines.append(
             ",".join(list(row[:2]) + [f"{z:.17g}" for z in coords])
@@ -349,16 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
                       help="ilr-transform the responses before testing")
     test.add_argument("--seed", type=int, default=0,
                       help="seed for the robust weighting search")
-    test.add_argument("--mcd-alpha", type=float, default=None,
-                      help="MCD subset fraction in [0.5, 1]")
-    test.add_argument("--cache", type=Path, default=None,
-                      help="calibration cache file (default: env CAL_CACHE)")
-    test.add_argument("--calibrate-on-the-fly", nargs="?", type=int,
-                      const=3000, default=None, metavar="TRIALS",
-                      help="calibrate missing designs now "
-                           "(default 3000 trials)")
-    test.add_argument("--out", type=Path, default=None,
-                      help="write a full-precision machine-readable table")
 
     cal = sub.add_parser(
         "calibrate",
@@ -370,10 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--m-prime", type=int, default=3000, dest="m_prime",
                      help="number of simulation trials")
     cal.add_argument("--seed", type=int, default=0)
-    cal.add_argument("--mcd-alpha", type=float, default=None,
-                     help="MCD subset fraction in [0.5, 1]")
-    cal.add_argument("--cache", type=Path, default=None,
-                     help="calibration cache file (default: env CAL_CACHE)")
 
     sim = sub.add_parser(
         "simulate", help="run an experiment described by a key = value file"
@@ -384,16 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="override the significance level in the file")
     sim.add_argument("--seed", type=int, default=None,
                      help="override the master seed in the file")
-    sim.add_argument("--mcd-alpha", type=float, default=None,
-                     help="MCD subset fraction in [0.5, 1]")
-    sim.add_argument("--cache", type=Path, default=None,
-                     help="calibration cache file (default: env CAL_CACHE)")
-    sim.add_argument("--calibrate-on-the-fly", nargs="?", type=int,
-                     const=3000, default=None, metavar="TRIALS",
-                     help="calibrate missing designs now "
-                          "(default 3000 trials)")
-    sim.add_argument("--out", type=Path, default=None,
-                     help="write a full-precision machine-readable table")
 
     tr = sub.add_parser(
         "ilr", help="transform response columns to ilr coordinates"
@@ -406,6 +380,18 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--out", type=Path, default=None,
                     help="output file (default: stdout)")
 
+    # shared options, added after each subcommand's own, where --help lists them
+    for cmd in (test, cal, sim):
+        cmd.add_argument("--mcd-alpha", type=float, default=None,
+                         help="MCD subset fraction in [0.5, 1]")
+        cmd.add_argument("--cache", type=Path, default=None,
+                         help="calibration cache file (default: env CAL_CACHE)")
+    for cmd in (test, sim):
+        cmd.add_argument("--calibrate-on-the-fly", nargs="?", type=int,
+                         const=3000, default=None, metavar="TRIALS",
+                         help="calibrate missing designs now (default 3000 trials)")
+        cmd.add_argument("--out", type=Path, default=None,
+                         help="write a full-precision machine-readable table")
     return parser
 
 

@@ -13,7 +13,7 @@ distribution summarized by (delta, q).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import lru_cache
 from typing import Protocol, Sequence
@@ -292,10 +292,10 @@ def rank_transform(
     together in one stacked pass; the result is then a list holding, bit
     for bit, the layout each one gives alone.  Their observations are the
     rows of one read-only rank array, taken as they are: ranks of finite
-    data are finite.
+    data are finite.  A single layout is ranked as a stack of one.
     """
     if isinstance(layout, TwoWayLayout):
-        return layout.with_observations(_mid_ranks(layout.observations))
+        return rank_transform([layout])[0]
     layouts = list(layout)
     if not layouts:
         return []
@@ -306,56 +306,42 @@ def rank_transform(
 
 @dataclass(frozen=True, eq=False)
 class WeightSet:
-    """Zero/one observation weights with their marginal totals.
+    """Zero/one observation weights of ``layout`` with their marginal totals.
 
-    Totals are stored rather than recomputed because every downstream
-    weighted mean divides by them; construction checks they are exact
-    sums of ``w``.
+    ``WeightSet(layout, w)`` copies the 0/1 vector ``w``, one weight per
+    observation of ``layout``, and sums it once per cell, row, column
+    and overall, because every downstream weighted mean divides by those
+    totals.  The layout itself is not kept.
     """
 
+    layout: InitVar[TwoWayLayout]
     w: np.ndarray
-    cell_totals: np.ndarray
-    row_totals: np.ndarray
-    col_totals: np.ndarray
-    grand_total: int
+    cell_totals: np.ndarray = field(init=False)
+    row_totals: np.ndarray = field(init=False)
+    col_totals: np.ndarray = field(init=False)
+    grand_total: int = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, layout: TwoWayLayout):
         w = np.array(self.w, dtype=np.int64)
-        if w.ndim != 1:
-            raise DimensionError("weights must form a vector")
-        if not np.all((w == 0) | (w == 1)):
-            raise DomainError("weights must be 0 or 1")
-        cell = np.array(self.cell_totals, dtype=np.int64)
-        if cell.ndim != 2:
-            raise DimensionError("cell totals must form an r x c matrix")
-        if int(cell.sum()) != int(w.sum()) or int(self.grand_total) != int(w.sum()):
-            raise DomainError("weight totals are not consistent with w")
-        if not np.array_equal(cell.sum(axis=1), np.asarray(self.row_totals)):
-            raise DomainError("row totals are not consistent with cell totals")
-        if not np.array_equal(cell.sum(axis=0), np.asarray(self.col_totals)):
-            raise DomainError("column totals are not consistent with cell totals")
-        totals = {
-            "w": w,
-            "cell_totals": cell,
-            "row_totals": np.array(self.row_totals, dtype=np.int64),
-            "col_totals": np.array(self.col_totals, dtype=np.int64),
-        }
-        for name, arr in totals.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-
-    @classmethod
-    def from_vector(cls, layout: TwoWayLayout, w: np.ndarray) -> "WeightSet":
-        """Assemble a WeightSet for ``layout`` from a 0/1 vector."""
-        w = np.asarray(w, dtype=np.int64)
         if w.shape != (layout.size,):
             raise DimensionError(
                 f"weight vector shape {w.shape} does not match N = {layout.size}"
             )
+        if not np.all((w == 0) | (w == 1)):
+            raise DomainError("weights must be 0 or 1")
         idx = layout.row_label * layout.c + layout.col_label
         cell = np.bincount(idx, weights=w, minlength=layout.r * layout.c)
         cell = cell.astype(np.int64).reshape(layout.r, layout.c)
-        return cls(w, cell, cell.sum(axis=1), cell.sum(axis=0), int(w.sum()))
+        totals = {
+            "w": w,
+            "cell_totals": cell,
+            "row_totals": cell.sum(axis=1),
+            "col_totals": cell.sum(axis=0),
+        }
+        for name, arr in totals.items():
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "grand_total", int(w.sum()))
 
 
 def unit_weights(layout: TwoWayLayout) -> WeightSet:
@@ -370,7 +356,7 @@ def unit_weights(layout: TwoWayLayout) -> WeightSet:
 @lru_cache(maxsize=64)
 def _unit_weights(r: int, c: int, n: int) -> WeightSet:
     template = _design_template(r, c, n)
-    return WeightSet.from_vector(template, np.ones(template.size, dtype=np.int64))
+    return WeightSet(template, np.ones(template.size, dtype=np.int64))
 
 
 def _read_only(mat: np.ndarray) -> np.ndarray:
@@ -523,12 +509,10 @@ def weighted_ssp(
     col_n = np.array([ws.col_totals for ws in weight_sets], dtype=np.float64)
 
     # Each cell's weighted rows, in observation order, summed one after
-    # another from +0.0 (what np.bincount does): a running sum adds in
-    # that order, and adding +0.0 turns its -0.0 for an all -0.0 cell
-    # into the +0.0 a sum from +0.0 gives.
+    # another (what np.bincount does): a running sum adds in that order.
     by_cell = (Y * w)[member, np.argsort(idx, axis=1, kind="stable")]
     running = np.cumsum(by_cell.reshape(b, r * c, n, p), axis=2)
-    cell_sums = running[:, :, -1].reshape(b, r, c, p) + 0.0
+    cell_sums = running[:, :, -1].reshape(b, r, c, p)
     cell_means = cell_sums / cell_n[:, :, :, None]
     row_means = cell_sums.sum(axis=2) / row_n[:, :, None]
     col_means = cell_sums.sum(axis=1) / col_n[:, :, None]
@@ -565,7 +549,7 @@ def classical_ssp(
 
 
 def robust_weights(
-    layout: TwoWayLayout, config: McdConfig | None = None, rng: RngStream | None = None
+    layout: TwoWayLayout, config: McdConfig = McdConfig(), rng: RngStream = RngStream(0)
 ) -> WeightSet:
     """Outlier-downweighting 0/1 weights from reweighted MCD fits.
 
@@ -584,10 +568,6 @@ def robust_weights(
     SingularSubset
         Propagated from degenerate MCD fits.
     """
-    if config is None:
-        config = McdConfig()
-    if rng is None:
-        rng = RngStream(0)
     if layout.n < layout.p + 2:
         raise DimensionError(
             f"per-cell sample size {layout.n} is too small for p = {layout.p}, "
@@ -602,7 +582,7 @@ def robust_weights(
     c0 = reweight(resid, pooled_raw).scatter
     distances = robust_distances(resid, np.zeros(layout.p), c0)
     cutoff = math.sqrt(chi2_quantile(0.975, layout.p))
-    weights = WeightSet.from_vector(layout, (distances <= cutoff).astype(np.int64))
+    weights = WeightSet(layout, (distances <= cutoff).astype(np.int64))
     if weights.grand_total < layout.p + 2:
         raise DegenerateWeights(
             f"only {weights.grand_total} observations kept by the robust cutoff"
@@ -613,8 +593,8 @@ def robust_weights(
 def method_ssp(
     layout: TwoWayLayout | Sequence[TwoWayLayout],
     method: str,
-    config: McdConfig | None = None,
-    rng: RngStream | None = None,
+    config: McdConfig = McdConfig(),
+    rng: RngStream = RngStream(0),
 ) -> SspDecomposition:
     """SSP decomposition of ``layout`` under one of the ``METHODS``.
 
@@ -827,9 +807,9 @@ def run_manova(
     layout: TwoWayLayout,
     model: Model,
     method: str,
-    config: McdConfig | None = None,
+    config: McdConfig = McdConfig(),
     calibration_source: CalibrationLookup | None = None,
-    rng: RngStream | None = None,
+    rng: RngStream = RngStream(0),
 ) -> list[WilksTestReport]:
     """Run every applicable hypothesis test with one method.
 

@@ -657,8 +657,8 @@ def _assemble_estimates(
 
 def fast_mcd_batch(
     datasets: np.ndarray,
-    config: McdConfig | None = None,
-    rng: RngStream | None = None,
+    config: McdConfig = McdConfig(),
+    rng: RngStream = RngStream(0),
 ) -> list[McdEstimate]:
     """Raw MCD estimates for a stack of same-shape datasets.
 
@@ -702,10 +702,6 @@ def fast_mcd_batch(
     _validate_data(datasets.reshape(b * n, p))
     if n <= p:
         raise DimensionError(f"need more observations than variables, got n={n}, p={p}")
-    if config is None:
-        config = McdConfig()
-    if rng is None:
-        rng = RngStream(0)
     h = h_subset_size(n, p, config.alpha)
 
     shift = datasets.mean(axis=1)
@@ -721,8 +717,8 @@ def fast_mcd_batch(
 
 def fast_mcd(
     data: np.ndarray,
-    config: McdConfig | None = None,
-    rng: RngStream | None = None,
+    config: McdConfig = McdConfig(),
+    rng: RngStream = RngStream(0),
 ) -> McdEstimate:
     """Raw MCD estimate of location and scatter.
 

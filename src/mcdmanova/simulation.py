@@ -345,7 +345,7 @@ def _open_pool(methods: tuple[str, ...], m: int):
 
 
 def _ssp_or_error(
-    layout: TwoWayLayout, method: str, mcd_config: McdConfig | None, rng: RngStream
+    layout: TwoWayLayout, method: str, mcd_config: McdConfig, rng: RngStream
 ) -> SspDecomposition | Exception:
     """One attempt's :func:`method_ssp`, or the degeneracy it raised."""
     try:
@@ -360,7 +360,7 @@ def replicate(
     methods: tuple[str, ...],
     pairs: tuple[tuple[Model, Hypothesis], ...],
     m: int,
-    mcd_config: McdConfig | None = None,
+    mcd_config: McdConfig = McdConfig(),
 ) -> tuple[dict[tuple[str, tuple[Model, Hypothesis]], np.ndarray], int, int]:
     """Wilks' Lambda of every (method, pair) over ``m`` replications.
 
@@ -475,7 +475,7 @@ def run_experiment(
     methods: tuple[str, ...] | list[str],
     m: int,
     alpha: float = 0.05,
-    mcd_config: McdConfig | None = None,
+    mcd_config: McdConfig = McdConfig(),
     calibration_source=None,
     master_seed: int = 0,
     epsilon: float = 0.1,
@@ -644,7 +644,7 @@ class ExperimentSpec:
 
     def run(
         self,
-        mcd_config: McdConfig | None = None,
+        mcd_config: McdConfig = McdConfig(),
         calibration_source=None,
     ) -> list[ExperimentReport]:
         return run_experiment(
@@ -655,7 +655,8 @@ class ExperimentSpec:
 
 
 _REQUIRED_SPEC_KEYS = ("kind", "r", "c", "p", "n", "methods", "settings", "m")
-_OPTIONAL_SPEC_KEYS = ("alpha", "seed", "epsilon")
+# optional keys, each with its parser; an absent key takes ExperimentSpec's default
+_OPTIONAL_SPEC_KEYS = {"alpha": float, "seed": int, "epsilon": float}
 
 
 def read_experiment_file(path: str | Path) -> ExperimentSpec:
@@ -678,7 +679,7 @@ def read_experiment_file(path: str | Path) -> ExperimentSpec:
                 f"experiment file line {lineno}: expected key = value"
             )
         key = key.strip().lower()
-        if key not in _REQUIRED_SPEC_KEYS + _OPTIONAL_SPEC_KEYS:
+        if key not in (*_REQUIRED_SPEC_KEYS, *_OPTIONAL_SPEC_KEYS):
             raise DomainError(
                 f"experiment file line {lineno}: unknown key {key!r}"
             )
@@ -713,9 +714,8 @@ def read_experiment_file(path: str | Path) -> ExperimentSpec:
             methods=methods,
             settings=settings,
             m=int(values["m"]),
-            alpha=float(values.get("alpha", "0.05")),
-            seed=int(values.get("seed", "0")),
-            epsilon=float(values.get("epsilon", "0.1")),
+            **{key: parse(values[key])
+               for key, parse in _OPTIONAL_SPEC_KEYS.items() if key in values},
         )
     except ValueError as exc:
         raise DomainError(f"experiment file: {exc}") from exc

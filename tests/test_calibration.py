@@ -9,7 +9,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from mcdmanova import manova, simulation
+from mcdmanova import calibration, manova, simulation
 from mcdmanova.calibration import (
     CACHE_HEADER,
     CalibrationEntry,
@@ -91,6 +91,19 @@ class TestCalibrationKey:
             CalibrationKey(2, 1, 2, 10, Model.WITH_INTERACTIONS,
                            Hypothesis.ROW_EFFECTS, 40, 0)
 
+    @pytest.mark.parametrize("p, r, c, n, message", [
+        (0, 2, 2, 10, "p must be positive, got 0"),
+        (2, 2, 1, 10, "need at least 2 levels per factor, got 2x1"),
+        (2, 2, 2, 1, "need at least 2 observations per cell, got 1"),
+        # the design is checked as a Design(r, c, n, p): levels, n, then p
+        (0, 1, 2, 10, "need at least 2 levels per factor, got 1x2"),
+        (0, 2, 2, 1, "need at least 2 observations per cell, got 1"),
+    ])
+    def test_design_messages_and_order(self, p, r, c, n, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            CalibrationKey(p, r, c, n, Model.WITH_INTERACTIONS,
+                           Hypothesis.ROW_EFFECTS, 40, 0)
+
 
 class TestCalibrationEntry:
     def test_invariants_enforced(self):
@@ -140,10 +153,19 @@ class TestCalibrate:
         e = calibrated_entry(small_key(m_prime=2), FAST)
         assert e.low_precision
 
+    @pytest.mark.parametrize("m_prime, seed", [(-1, 0), (0, 0), (1, 0), (40, 2**64)])
+    def test_keys_checked_before_simulating(self, monkeypatch, m_prime, seed):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulated before the keys were checked")
+
+        monkeypatch.setattr(calibration, "replicate", unreachable)
+        with pytest.raises(DomainError):
+            calibrate_design(2, 2, 2, 10, m_prime, seed, FAST)
+
     def test_design_pass_has_one_entry_per_pair(self):
         entries = calibrate_design(2, 2, 2, 10, 40, 123, FAST)
         assert len(entries) == 5
-        assert {(e.key.model, e.key.hypothesis) for e in entries} == set(
+        assert [(e.key.model, e.key.hypothesis) for e in entries] == list(
             experiment_pairs("size")
         )
 

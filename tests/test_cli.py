@@ -321,6 +321,19 @@ class TestTestSubcommand:
         assert code == 0
         assert second == first
 
+    def test_negative_on_the_fly_trials_is_domain_error(self, tmp_path, capsys):
+        data = write_balanced_csv(tmp_path / "d.csv")
+        cache = tmp_path / "cal.txt"
+        code, out, err = run_cli(
+            ["test", "--input", str(data), *BASE, "--ilr", "--method", "mcd",
+             "--cache", str(cache), "--calibrate-on-the-fly", "-1"],
+            capsys,
+        )
+        assert code == DomainError.exit_code
+        assert out == ""
+        assert err == "mcdmanova: error: m_prime must be at least 2, got -1\n"
+        assert not cache.exists()
+
     def test_cache_env_fallback(self, tmp_path, capsys, monkeypatch):
         data = write_balanced_csv(tmp_path / "d.csv")
         cache = tmp_path / "env_cal.txt"
@@ -421,6 +434,18 @@ class TestCalibrateSubcommand:
         assert len(stored) == 5
         for entry in expected:
             assert stored[entry.key] == entry
+
+    def test_negative_m_prime_is_domain_error(self, tmp_path, capsys):
+        cache = tmp_path / "c.txt"
+        code, out, err = run_cli(
+            ["calibrate", "--design", "3", "2", "8", "2",
+             "--m-prime", "-1", "--cache", str(cache)],
+            capsys,
+        )
+        assert code == DomainError.exit_code == 3
+        assert out == ""
+        assert err == "mcdmanova: error: m_prime must be at least 2, got -1\n"
+        assert not cache.exists()
 
     def test_no_cache_path_is_error(self, capsys, monkeypatch):
         monkeypatch.delenv("CAL_CACHE", raising=False)

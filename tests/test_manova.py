@@ -285,9 +285,9 @@ class TestValidatedOnce:
         calls = {"layout": 0, "weights": 0}
 
         def counted(kind, post_init):
-            def wrapper(self):
+            def wrapper(self, *layout):  # WeightSet.__post_init__(self, layout)
                 calls[kind] += 1
-                post_init(self)
+                post_init(self, *layout)
             return wrapper
 
         monkeypatch.setattr(TwoWayLayout, "__post_init__",
@@ -397,34 +397,45 @@ class TestMidRanksMatchScipy:
 
 
 class TestWeightSet:
-    def test_from_vector_totals(self):
+    def test_totals(self):
         lay = random_layout(np.random.default_rng(6), r=2, c=3, n=4)
         w = np.ones(lay.size, dtype=np.int64)
         w[:3] = 0
-        ws = WeightSet.from_vector(lay, w)
+        ws = WeightSet(lay, w)
         assert ws.grand_total == lay.size - 3
         assert ws.cell_totals.sum() == ws.grand_total
         assert np.array_equal(ws.cell_totals.sum(axis=1), ws.row_totals)
         assert np.array_equal(ws.cell_totals.sum(axis=0), ws.col_totals)
 
+    def test_totals_are_per_cell_sums_on_shuffled_labels(self):
+        lay = shuffled_table_layout(10, r=3, c=2, n=5)
+        w = np.random.default_rng(11).integers(0, 2, size=lay.size)
+        ws = WeightSet(lay, w)
+        cell = np.array([
+            [w[(lay.row_label == i) & (lay.col_label == j)].sum() for j in range(2)]
+            for i in range(3)
+        ])
+        assert ws.cell_totals.dtype == np.int64
+        assert ws.cell_totals.tolist() == cell.tolist()
+        assert ws.row_totals.tolist() == cell.sum(axis=1).tolist()
+        assert ws.col_totals.tolist() == cell.sum(axis=0).tolist()
+        assert ws.grand_total == int(w.sum())
+        assert ws.w.tolist() == w.tolist()
+        for arr in (ws.w, ws.cell_totals, ws.row_totals, ws.col_totals):
+            assert not arr.flags.writeable
+
     def test_non_binary_rejected(self):
         lay = random_layout(np.random.default_rng(7))
         w = np.ones(lay.size, dtype=np.int64)
         w[0] = 2
-        with pytest.raises(DomainError):
-            WeightSet.from_vector(lay, w)
-
-    def test_inconsistent_totals_rejected(self):
-        lay = random_layout(np.random.default_rng(8), r=2, c=2, n=3)
-        ws = unit_weights(lay)
-        with pytest.raises(DomainError):
-            WeightSet(ws.w, ws.cell_totals, ws.row_totals, ws.col_totals,
-                      ws.grand_total + 1)
+        with pytest.raises(DomainError, match="weights must be 0 or 1"):
+            WeightSet(lay, w)
 
     def test_wrong_length_rejected(self):
         lay = random_layout(np.random.default_rng(9))
-        with pytest.raises(DimensionError):
-            WeightSet.from_vector(lay, np.ones(lay.size + 1, dtype=np.int64))
+        for value in (1, 2):  # the shape is checked before the values
+            with pytest.raises(DimensionError, match="does not match N"):
+                WeightSet(lay, np.full(lay.size + 1, value, dtype=np.int64))
 
 
 class TestCallerArraysUntouched:
@@ -455,10 +466,10 @@ class TestCallerArraysUntouched:
         cells[0, 0, 0, 0] = 99.0
         assert lay.observations[0, 0] == 0.0
 
-    def test_weight_set_from_vector(self):
+    def test_weight_set(self):
         lay = random_layout(np.random.default_rng(81))
         w = np.ones(lay.size, dtype=np.int64)
-        ws = WeightSet.from_vector(lay, w)
+        ws = WeightSet(lay, w)
         assert w.flags.writeable
         w[0] = 0
         assert ws.w[0] == 1 and ws.grand_total == lay.size
@@ -478,7 +489,7 @@ class TestUnitWeightsMemo:
     def test_equals_weights_built_from_shuffled_labels(self):
         lay = shuffled_table_layout(71)
         memo = unit_weights(lay)
-        built = WeightSet.from_vector(lay, np.ones(lay.size, dtype=np.int64))
+        built = WeightSet(lay, np.ones(lay.size, dtype=np.int64))
         for name in ("w", "cell_totals", "row_totals", "col_totals"):
             a, b = getattr(memo, name), getattr(built, name)
             assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -489,7 +500,7 @@ class TestUnitWeightsMemo:
         lay = shuffled_table_layout(72, p=3)
         memo = classical_ssp(lay)
         built = weighted_ssp(
-            lay, WeightSet.from_vector(lay, np.ones(lay.size, dtype=np.int64))
+            lay, WeightSet(lay, np.ones(lay.size, dtype=np.int64))
         )
         for name in ("W", "E", "R_row", "R_col"):
             assert getattr(memo, name).tobytes() == getattr(built, name).tobytes()
@@ -572,7 +583,7 @@ def oracle_case(case, p, design, seed, b=4):
             w = (rng.random(lay.size) < 0.6).astype(np.int64)
             w.reshape(r * c, n)[:, :2] = 1
         layouts.append(lay)
-        weights.append(WeightSet.from_vector(lay, w))
+        weights.append(WeightSet(lay, w))
     return layouts, weights
 
 
@@ -635,8 +646,8 @@ class TestStackedCalls:
         wiped[(bad.row_label == 1) & (bad.col_label == 0)] = 0
         few = np.zeros(bad.size, dtype=np.int64)
         few[:3] = 1
-        weights = [unit_weights(good), WeightSet.from_vector(bad, wiped),
-                   WeightSet.from_vector(bad, few)]
+        weights = [unit_weights(good), WeightSet(bad, wiped),
+                   WeightSet(bad, few)]
         with pytest.raises(CellWiped, match=r"cell \(1, 0\)"):
             weighted_ssp([good, bad, bad], weights)
         with pytest.raises(DegenerateWeights):
@@ -708,7 +719,7 @@ class TestWeightedSsp:
         rng = np.random.default_rng(10)
         lay = random_layout(rng, r=3, c=3, n=4, p=2)
         w = np.ones(lay.size, dtype=np.int64)
-        d = weighted_ssp(lay, WeightSet.from_vector(lay, w))
+        d = weighted_ssp(lay, WeightSet(lay, w))
         W, E, R_row, R_col = reference_ssp(lay, w)
         assert np.allclose(d.W, W, atol=1e-10)
         assert np.allclose(d.E, E, atol=1e-10)
@@ -723,7 +734,7 @@ class TestWeightedSsp:
             w = np.ones(lay.size, dtype=np.int64)
             drop = rng.choice(lay.size, size=6, replace=False)
             w[drop[:2]] = 0
-            d = weighted_ssp(lay, WeightSet.from_vector(lay, w))
+            d = weighted_ssp(lay, WeightSet(lay, w))
             W, E, R_row, R_col = reference_ssp(lay, w)
             assert np.allclose(d.W, W, atol=1e-9)
             assert np.allclose(d.E, E, atol=1e-9)
@@ -735,7 +746,7 @@ class TestWeightedSsp:
         lay = random_layout(rng, r=2, c=2, n=6, p=3)
         w = np.ones(lay.size, dtype=np.int64)
         w[7] = 0
-        d = weighted_ssp(lay, WeightSet.from_vector(lay, w))
+        d = weighted_ssp(lay, WeightSet(lay, w))
         W, E, R_row, R_col = reference_ssp(lay, w)
         assert np.allclose(d.W, W, atol=1e-10)
 
@@ -777,14 +788,14 @@ class TestWeightedSsp:
         w = np.ones(lay.size, dtype=np.int64)
         w[(lay.row_label == 0) & (lay.col_label == 0)] = 0
         with pytest.raises(CellWiped):
-            weighted_ssp(lay, WeightSet.from_vector(lay, w))
+            weighted_ssp(lay, WeightSet(lay, w))
 
     def test_degenerate_weights_raise(self):
         lay = random_layout(np.random.default_rng(16), r=2, c=2, n=4, p=3)
         w = np.zeros(lay.size, dtype=np.int64)
         w[:4] = 1
         with pytest.raises(DegenerateWeights):
-            weighted_ssp(lay, WeightSet.from_vector(lay, w))
+            weighted_ssp(lay, WeightSet(lay, w))
 
 
 class TestWilksLambda:

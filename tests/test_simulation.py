@@ -403,7 +403,7 @@ class TestRunExperiment:
         assert all(len(r.p_values) == 5 for r in reports)
 
 
-def loop_replicate(make_layout, base, methods, pairs, m, mcd_config=None):
+def loop_replicate(make_layout, base, methods, pairs, m, mcd_config=McdConfig()):
     """Reference: ``replicate`` evaluating one attempt at a time."""
     lambdas = {(method, pair): np.empty(m) for method in methods for pair in pairs}
     done = attempt = redraws = 0

@@ -8,7 +8,10 @@ Generates its own input tables and experiment files in OUTDIR, runs
 ``mcdmanova.cli.main`` in-process on each of the commands below, and
 writes every ``--out`` file, every calibration cache, and each command's
 stdout, stderr and exit status into OUTDIR (the empty lock files that
-cache merges create are removed).  All paths handed to the CLI
+cache merges create are removed).  The commands include the top-level
+and per-subcommand ``--help`` texts and one usage error; the status of
+the ``SystemExit`` that argparse raises for them is recorded as their
+exit status.  All paths handed to the CLI
 are relative to OUTDIR, so two output directories compare with
 ``diff -r``.  The package is imported from ``PYTHONPATH``, which is how
 one checkout's outputs are compared with another's::
@@ -17,7 +20,9 @@ one checkout's outputs are compared with another's::
     PYTHONPATH=src python3 tools/golden_outputs.py b
     diff -r a b
 
-BLAS runs single-threaded so the comparison holds on one machine.  The
+BLAS runs single-threaded so the comparison holds on one machine, and
+``COLUMNS`` is pinned to 80 so that help texts wrap the same in any
+terminal.  The
 calibrations and the mcd ``simulate`` runs spread their robust
 replications over one worker process per usable core, which leaves every
 output byte-identical.  The whole set takes 6-9 seconds on one core
@@ -32,6 +37,8 @@ import os
 
 # Must precede the first numpy import.
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
+# argparse wraps help and usage text to this width.
+os.environ["COLUMNS"] = "80"
 
 import contextlib  # noqa: E402
 import io  # noqa: E402
@@ -67,7 +74,9 @@ TABLE_ARGS = ["--input", "waste.csv", *COLUMN_ARGS]
 
 # Commands that must fail, with their exit status: an error message is
 # output too.
-EXPECTED = {"ilr-bad-part": 17}
+EXPECTED = {"ilr-bad-part": 17, "usage-additive-interaction": 2}
+
+SUBCOMMANDS = ("test", "calibrate", "simulate", "ilr")
 
 
 def write_inputs() -> None:
@@ -148,6 +157,11 @@ def commands() -> dict[str, list[str]]:
                             "--method", "cla", "--method", "rnk",
                             "--out", "test-rounded.tsv"]
     runs["ilr-bad-part"] = ["ilr", "--input", "waste-bad.csv", *COLUMN_ARGS]
+    runs["help"] = ["--help"]
+    for sub in SUBCOMMANDS:
+        runs[f"help-{sub}"] = [sub, "--help"]
+    runs["usage-additive-interaction"] = ["test", *TABLE_ARGS, "--model", "additive",
+                                          "--hypothesis", "interaction"]
     for name in EXPERIMENTS:
         runs[f"simulate-{name}"] = [
             "simulate", "--input", f"{name}.txt", "--calibrate-on-the-fly", "20",
@@ -159,7 +173,10 @@ def commands() -> dict[str, list[str]]:
 def run(name: str, argv: list[str]) -> int:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse exits for --help and usage errors
+            code = exc.code
     Path(f"{name}.stdout").write_text(out.getvalue(), encoding="utf-8")
     Path(f"{name}.stderr").write_text(err.getvalue(), encoding="utf-8")
     return code
