@@ -320,8 +320,6 @@ class CalibrationSource:
         Preloaded entries, merged with the cache file contents.
     cache_file : path-like, optional
         Persistent cache to read at construction and extend on the fly.
-    mcd_config : McdConfig, optional
-        Configuration shared between calibration and testing.
     on_the_fly : int, optional
         Trial count for lazily calibrating unseen designs; None disables.
     seed : int
@@ -332,12 +330,10 @@ class CalibrationSource:
         self,
         entries: tuple[CalibrationEntry, ...] | list[CalibrationEntry] = (),
         cache_file: str | Path | None = None,
-        mcd_config: McdConfig = McdConfig(),
         on_the_fly: int | None = None,
         seed: int = 0,
     ) -> None:
         self.cache_file = Path(cache_file) if cache_file is not None else None
-        self.mcd_config = mcd_config
         self.on_the_fly = on_the_fly
         self.seed = seed
         self._entries: dict[CalibrationKey, CalibrationEntry] = {}
@@ -354,7 +350,15 @@ class CalibrationSource:
         n: int,
         model: Model,
         hypothesis: Hypothesis,
+        mcd_config: McdConfig,
     ) -> CalibrationEntry:
+        """The stored entry for one test of design (p, r, c, n).
+
+        A design without an entry is calibrated on the fly with
+        ``mcd_config``, the configuration of the run the entry serves, so
+        that null and test share one pipeline; with on-the-fly
+        calibration disabled, MissingCalibration is raised instead.
+        """
         matches = [
             e for e in self._entries.values()
             if (e.key.p, e.key.r, e.key.c, e.key.n) == (p, r, c, n)
@@ -372,11 +376,9 @@ class CalibrationSource:
             "calibrating design p=%d r=%d c=%d n=%d on the fly (%d trials)",
             p, r, c, n, self.on_the_fly,
         )
-        fresh = calibrate_design(
-            p, r, c, n, self.on_the_fly, self.seed, self.mcd_config
-        )
+        fresh = calibrate_design(p, r, c, n, self.on_the_fly, self.seed, mcd_config)
         for entry in fresh:
             self._entries[entry.key] = entry
         if self.cache_file is not None:
             merge_cache(self.cache_file, fresh)
-        return self.entry_for(p, r, c, n, model, hypothesis)
+        return self.entry_for(p, r, c, n, model, hypothesis, mcd_config)

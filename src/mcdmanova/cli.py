@@ -145,7 +145,7 @@ def _cache_path(args: argparse.Namespace) -> Path | None:
 
 
 def _calibration_source(
-    args: argparse.Namespace, methods: tuple[str, ...], mcd_config: McdConfig, seed: int
+    args: argparse.Namespace, methods: tuple[str, ...], seed: int
 ) -> CalibrationSource | None:
     # The calibration lookup of cmd_test and cmd_simulate, None when the
     # run has no mcd method.
@@ -153,7 +153,6 @@ def _calibration_source(
         return None
     return CalibrationSource(
         cache_file=_cache_path(args),
-        mcd_config=mcd_config,
         on_the_fly=args.calibrate_on_the_fly,
         seed=seed,
     )
@@ -193,7 +192,7 @@ def cmd_test(args: argparse.Namespace) -> str:
         if args.hypothesis else hypotheses_for(model)
     )
     mcd_config = _mcd_config(args)
-    source = _calibration_source(args, methods, mcd_config, args.seed)
+    source = _calibration_source(args, methods, args.seed)
     reports: dict[str, dict[Hypothesis, object]] = {}
     for method in methods:
         try:
@@ -206,10 +205,7 @@ def cmd_test(args: argparse.Namespace) -> str:
             ) from None
         reports[method] = {rep.hypothesis: rep for rep in result}
     if source is not None:
-        entries = [
-            source.entry_for(layout.p, layout.r, layout.c, layout.n, model, hyp)
-            for hyp in hypotheses_for(model)
-        ]
+        entries = [rep.approx for rep in reports["mcd"].values()]
         if any(entry.low_precision for entry in entries):
             trials = min(entry.key.m_prime for entry in entries)
             print(
@@ -270,7 +266,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
     mcd_config = _mcd_config(args)
-    source = _calibration_source(args, spec.methods, mcd_config, spec.seed)
+    source = _calibration_source(args, spec.methods, spec.seed)
     reports = spec.run(mcd_config, source)
     if args.out is not None:
         d = spec.design
@@ -347,6 +343,8 @@ def build_parser() -> argparse.ArgumentParser:
                       help="ilr-transform the responses before testing")
     test.add_argument("--seed", type=int, default=0,
                       help="seed for the robust weighting search")
+    # main reports test's own usage errors through it
+    test.set_defaults(subparser=test)
 
     cal = sub.add_parser(
         "calibrate",
@@ -411,7 +409,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if (args.subcommand == "test" and args.model == Model.ADDITIVE_ONLY.value
             and Hypothesis.INTERACTIONS.value in (args.hypothesis or ())):
-        parser.error(
+        args.subparser.error(
             "the interaction hypothesis is undefined under the additive model"
         )
     try:

@@ -744,12 +744,12 @@ class CalibrationLookup(Protocol):
     """Provider of simulated null-distribution parameters.
 
     ``entry_for`` returns an object with ``delta`` and ``q`` attributes
-    for the requested design and hypothesis, or raises
-    MissingCalibration.
+    for the requested design and hypothesis of a run with MCD
+    configuration ``mcd_config``, or raises MissingCalibration.
     """
 
     def entry_for(self, p: int, r: int, c: int, n: int,
-                  model: Model, hypothesis: Hypothesis): ...
+                  model: Model, hypothesis: Hypothesis, mcd_config: McdConfig): ...
 
 
 def calibrated_pvalue(lam: float, entry) -> float:
@@ -775,23 +775,16 @@ class BartlettApprox:
     nu2: int
 
 
-@dataclass(frozen=True)
-class CalibratedApprox:
-    """Simulated null-distribution parameters used for a p-value."""
-
-    delta: float
-    q: float
-
-
 @dataclass(frozen=True, eq=False)
 class WilksTestReport:
-    """One hypothesis test result."""
+    """One hypothesis test result; ``approx`` is a BartlettApprox for
+    "cla" and "rnk", and for "mcd" the entry its calibration lookup returned."""
 
     method: str
     hypothesis: Hypothesis
     model: Model
     lambda_: float
-    approx: BartlettApprox | CalibratedApprox
+    approx: object
     p_value: float
 
 
@@ -823,7 +816,7 @@ def run_manova(
         Classical, rank-transformed, or robust statistics.  The first
         two use Bartlett p-values; "mcd" uses calibrated p-values.
     config : McdConfig, optional
-        MCD settings for the robust method.
+        MCD settings for the robust method and its calibration lookups.
     calibration_source : CalibrationLookup, optional
         Required for "mcd": supplies (delta, q) per hypothesis.
     rng : RngStream, optional
@@ -844,10 +837,9 @@ def run_manova(
     reports = []
     for hypothesis in hypotheses_for(model):
         if method == "mcd":
-            entry = calibration_source.entry_for(
-                layout.p, layout.r, layout.c, layout.n, model, hypothesis
+            approx = calibration_source.entry_for(
+                layout.p, layout.r, layout.c, layout.n, model, hypothesis, config
             )
-            approx = CalibratedApprox(float(entry.delta), float(entry.q))
         else:
             approx = BartlettApprox(layout.p, *bartlett_dfs(layout, model, hypothesis))
         lam = wilks_lambda(decomp, hypothesis, model)

@@ -345,11 +345,11 @@ def _open_pool(methods: tuple[str, ...], m: int):
 
 
 def _ssp_or_error(
-    layout: TwoWayLayout, method: str, mcd_config: McdConfig, rng: RngStream
+    layout: TwoWayLayout, mcd_config: McdConfig, rng: RngStream
 ) -> SspDecomposition | Exception:
-    """One attempt's :func:`method_ssp`, or the degeneracy it raised."""
+    """One attempt's "mcd" :func:`method_ssp`, or the degeneracy it raised."""
     try:
-        return method_ssp(layout, method, mcd_config, rng)
+        return method_ssp(layout, "mcd", mcd_config, rng)
     except _DEGENERATE as exc:
         return exc
 
@@ -372,12 +372,14 @@ def replicate(
     attempts the last degeneracy is raised.
 
     Attempts run in blocks.  The "cla" and "rnk" SSP decompositions of a
-    block come from one stacked :func:`method_ssp` call each; the "mcd"
-    ones come one attempt at a time and are stacked.  The Wilks' Lambdas
-    come from one :func:`wilks_lambda` call per method and pair on the
-    stack of live attempts; a stacked call that degenerates is redone one
-    attempt (member) at a time.  Lambdas, redraws, attempts and the
-    raised error equal those of evaluating one attempt at a time.
+    block come from one stacked :func:`method_ssp` call each, which fails
+    every attempt alike (unit weights degenerate only when N < p + 2);
+    the "mcd" ones come one attempt at a time and are stacked.  The
+    Wilks' Lambdas come from one :func:`wilks_lambda` call per method
+    and pair on the stack of live attempts; a stacked call that
+    degenerates is redone one attempt (member) at a time.  Lambdas,
+    redraws, attempts and the raised error equal those of evaluating one
+    attempt at a time.
 
     From ``_MIN_PARALLEL_ATTEMPTS`` replications on, with "mcd" among
     the methods and more than one usable core, the per-attempt "mcd"
@@ -415,18 +417,21 @@ def replicate(
             failed: dict[int, Exception] = {}
             alive = list(range(size))
             for method in methods:
-                stack = None
-                if method != "mcd" and alive:
+                if not alive:
+                    break
+                if method != "mcd":
                     try:
                         stack = method_ssp([layouts[i] for i in alive], method)
-                    except _DEGENERATE:
-                        pass
-                if stack is None:
+                    except _DEGENERATE as exc:
+                        failed.update(dict.fromkeys(alive, exc))
+                        alive = []
+                        break
+                else:
                     args = (
-                        [layouts[i] for i in alive], repeat(method), repeat(mcd_config),
+                        [layouts[i] for i in alive], repeat(mcd_config),
                         [streams[i].substream(1) for i in alive],
                     )
-                    if pool is not None and method == "mcd":
+                    if pool is not None:
                         # one task per worker: the attempts cost about the same
                         chunk = -(-len(alive) // workers)
                         outcomes = pool.map(_ssp_or_error, *args, chunksize=chunk)
@@ -538,7 +543,7 @@ def run_experiment(
             )
         entries = {
             pair: calibration_source.entry_for(
-                design.p, design.r, design.c, design.n, pair[0], pair[1]
+                design.p, design.r, design.c, design.n, pair[0], pair[1], mcd_config
             )
             for pair in pairs
         }

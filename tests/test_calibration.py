@@ -373,28 +373,42 @@ class TestCalibrationSource:
         ]
         src = CalibrationSource(entries=entries)
         got = src.entry_for(2, 2, 2, 10, Model.WITH_INTERACTIONS,
-                            Hypothesis.INTERACTIONS)
+                            Hypothesis.INTERACTIONS, FAST)
         assert (got.key.m_prime, got.key.seed) == (3000, 2)
 
     def test_missing_raises(self):
         src = CalibrationSource()
         with pytest.raises(MissingCalibration):
             src.entry_for(2, 2, 2, 10, Model.WITH_INTERACTIONS,
-                          Hypothesis.INTERACTIONS)
+                          Hypothesis.INTERACTIONS, FAST)
 
     def test_on_the_fly_calibrates_and_persists(self, tmp_path):
         path = tmp_path / "cal.txt"
-        src = CalibrationSource(cache_file=path, mcd_config=FAST,
-                                on_the_fly=10, seed=123)
+        src = CalibrationSource(cache_file=path, on_the_fly=10, seed=123)
         got = src.entry_for(2, 2, 2, 10, Model.WITH_INTERACTIONS,
-                            Hypothesis.INTERACTIONS)
+                            Hypothesis.INTERACTIONS, FAST)
         assert got.key.m_prime == 10
         # all five pairs were fitted and persisted in one pass
         assert len(read_cache(path)) == 5
         # a fresh source finds the persisted entry without recalibrating
         src2 = CalibrationSource(cache_file=path)
         assert src2.entry_for(2, 2, 2, 10, Model.WITH_INTERACTIONS,
-                              Hypothesis.INTERACTIONS) == got
+                              Hypothesis.INTERACTIONS, FAST) == got
+
+    def test_run_config_calibrates_a_miss(self, tmp_path):
+        # run_manova hands its own config to the lookup, so a miss is
+        # calibrated at that config, and each report carries the entry
+        # its p-value used
+        path = tmp_path / "cal.txt"
+        src = CalibrationSource(cache_file=path, on_the_fly=10, seed=5)
+        layout = gen_null(Design(2, 2, 10, 2), RngStream(8))
+        reports = manova.run_manova(layout, Model.WITH_INTERACTIONS, "mcd", FAST, src)
+        fitted = calibrate_design(2, 2, 2, 10, 10, 5, FAST)
+        assert sorted(map(repr, read_cache(path).values())) == sorted(map(repr, fitted))
+        for rep in reports:
+            assert rep.approx is src.entry_for(
+                2, 2, 2, 10, rep.model, rep.hypothesis, FAST
+            )
 
     def test_explicit_entries_extend_cache_file(self, tmp_path):
         path = tmp_path / "cal.txt"
@@ -403,5 +417,5 @@ class TestCalibrationSource:
         extra = synthetic_entry(small_key(m_prime=5000, seed=5))
         src = CalibrationSource(entries=[extra], cache_file=path)
         got = src.entry_for(2, 2, 2, 10, Model.WITH_INTERACTIONS,
-                            Hypothesis.INTERACTIONS)
+                            Hypothesis.INTERACTIONS, FAST)
         assert got == extra

@@ -20,7 +20,13 @@ import numpy as np
 import pytest
 
 import mcdmanova
-from mcdmanova.calibration import CalibrationKey, calibrate_design, read_cache
+from mcdmanova.calibration import (
+    CalibrationEntry,
+    CalibrationKey,
+    calibrate_design,
+    read_cache,
+    write_cache,
+)
 from mcdmanova import cli
 from mcdmanova.cli import build_parser, main, parse_table
 from mcdmanova.errors import (
@@ -34,6 +40,7 @@ from mcdmanova.errors import (
 from mcdmanova.manova import (
     Hypothesis,
     Model,
+    calibrated_pvalue,
     run_manova,
     validate_layout,
 )
@@ -246,8 +253,9 @@ class TestTestSubcommand:
                   "--model", "additive", "--hypothesis", "interaction"])
         assert info.value.code == 2
         err = capsys.readouterr().err
-        assert ("error: the interaction hypothesis is undefined under the "
-                "additive model") in err
+        assert err.startswith("usage: mcdmanova test [-h] --input INPUT")
+        assert err.endswith("\nmcdmanova test: error: the interaction hypothesis "
+                            "is undefined under the additive model\n")
 
     @pytest.mark.parametrize("sub", ["test", "ilr"])
     def test_factor_and_response_counts_are_usage_errors(self, sub, tmp_path, capsys):
@@ -320,6 +328,30 @@ class TestTestSubcommand:
         )
         assert code == 0
         assert second == first
+
+    def test_note_names_the_entries_the_p_values_used(self, tmp_path, capsys):
+        # the cache holds a 50-trial row entry only: the row p-value uses
+        # it, and the col lookup calibrates all five pairs at 100 trials,
+        # a row entry with more trials among them
+        data = write_balanced_csv(tmp_path / "d.csv")
+        cache, out = tmp_path / "cal.txt", tmp_path / "p.tsv"
+        cached = CalibrationEntry(
+            CalibrationKey(2, 2, 2, 6, Model.WITH_INTERACTIONS,
+                           Hypothesis.ROW_EFFECTS, 50, 3),
+            0.0625, 4.0, 0.25, 0.03125,
+        )
+        write_cache(cache, {cached.key: cached})
+        code, _, err = run_cli(
+            ["test", "--input", str(data), *BASE, "--ilr", "--method", "mcd",
+             "--cache", str(cache), "--calibrate-on-the-fly", "100",
+             "--seed", "1", "--out", str(out)],
+            capsys,
+        )
+        assert code == 0
+        assert "note: calibration used only 50 trials;" in err
+        assert len(read_cache(cache)) == 6
+        _, _, lam, p_value = out.read_text().splitlines()[1].split("\t")
+        assert float(p_value) == calibrated_pvalue(float(lam), cached)
 
     def test_negative_on_the_fly_trials_is_domain_error(self, tmp_path, capsys):
         data = write_balanced_csv(tmp_path / "d.csv")

@@ -25,7 +25,6 @@ from mcdmanova.errors import (
 )
 from mcdmanova.manova import (
     BartlettApprox,
-    CalibratedApprox,
     Hypothesis,
     Model,
     SspDecomposition,
@@ -1186,20 +1185,27 @@ class TestRunManova:
             run_manova(lay, Model.WITH_INTERACTIONS, "mcd")
 
     def test_mcd_with_stub_source(self):
+        # each report carries the very entry its lookup returned, and
+        # every lookup gets the run's own config
         class StubSource:
-            def entry_for(self, p, r, c, n, model, hypothesis):
-                return _Entry(0.02, 4.0)
+            def __init__(self):
+                self.served, self.configs = [], []
+
+            def entry_for(self, p, r, c, n, model, hypothesis, mcd_config):
+                self.configs.append(mcd_config)
+                self.served.append(_Entry(0.02, 4.0))
+                return self.served[-1]
 
         rng = RngStream(30)
         lay = layout_from_cells(rng.generator().standard_normal((3, 2, 15, 2)))
+        config, source = McdConfig(n_starts=40, n_keep=4), StubSource()
         reports = run_manova(
-            lay, Model.WITH_INTERACTIONS, "mcd",
-            McdConfig(), StubSource(), rng.substream(1),
+            lay, Model.WITH_INTERACTIONS, "mcd", config, source, rng.substream(1),
         )
         assert len(reports) == 3
-        for rep in reports:
-            assert isinstance(rep.approx, CalibratedApprox)
-            assert rep.approx.delta == 0.02
+        assert all(cfg is config for cfg in source.configs)
+        for rep, entry in zip(reports, source.served, strict=True):
+            assert rep.approx is entry
             assert 0.0 <= rep.p_value <= 1.0
 
     def test_unknown_method_rejected(self):

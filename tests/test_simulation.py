@@ -279,7 +279,7 @@ class TestRunExperiment:
 
     def test_mcd_size_near_nominal(self):
         design = Design(2, 2, 12, 2)
-        src = CalibrationSource(mcd_config=FAST, on_the_fly=200, seed=31)
+        src = CalibrationSource(on_the_fly=200, seed=31)
         reports = run_experiment(
             "size", design, (), ("mcd",), m=200, mcd_config=FAST,
             calibration_source=src, master_seed=32,

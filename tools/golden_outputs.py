@@ -9,9 +9,10 @@ Generates its own input tables and experiment files in OUTDIR, runs
 writes every ``--out`` file, every calibration cache, and each command's
 stdout, stderr and exit status into OUTDIR (the empty lock files that
 cache merges create are removed).  The commands include the top-level
-and per-subcommand ``--help`` texts and one usage error; the status of
-the ``SystemExit`` that argparse raises for them is recorded as their
-exit status.  All paths handed to the CLI
+and per-subcommand ``--help`` texts, one usage error, and an mcd
+``test`` on a cache that holds one low-trial entry of its design; the
+status of the ``SystemExit`` that argparse raises for the first two is
+recorded as their exit status.  All paths handed to the CLI
 are relative to OUTDIR, so two output directories compare with
 ``diff -r``.  The package is imported from ``PYTHONPATH``, which is how
 one checkout's outputs are compared with another's::
@@ -25,8 +26,8 @@ BLAS runs single-threaded so the comparison holds on one machine, and
 terminal.  The
 calibrations and the mcd ``simulate`` runs spread their robust
 replications over one worker process per usable core, which leaves every
-output byte-identical.  The whole set takes 6-9 seconds on one core
-(``taskset -c 0``) and 5-6 seconds on two.  Exits 1 if any command
+output byte-identical.  The whole set takes about 9 seconds on one
+core (``taskset -c 0``) and 7 seconds on two.  Exits 1 if any command
 exits with another status than the one listed for it in ``EXPECTED``
 (zero for every command not listed).
 """
@@ -109,6 +110,16 @@ def write_inputs() -> None:
     # data row 2 with a zero part, for the error message
     bad = lines[:2] + [lines[2].rsplit(",", 2)[0] + ",0,1.5"] + lines[3:]
     Path("waste-bad.csv").write_text("\n".join(bad) + "\n", encoding="utf-8")
+    # a cache holding one low-trial entry for the waste table's design
+    # (r=3 c=2 n=8 p=3): the row test under interactions uses it, the
+    # other tests calibrate on the fly with more trials.  Its fields
+    # (delta 1/16, q 4, ave_L 1/4, var_L 1/32) meet the entry invariants
+    # exactly.
+    Path("test-partial-cache.cache").write_text(
+        "mcdmanova calibration cache v1\n"
+        "3 3 2 8 interactions row 50 3 0.0625 4 0.25 0.03125\n",
+        encoding="ascii",
+    )
     for name, (kind, (r, c, n, p), methods, m) in EXPERIMENTS.items():
         Path(f"{name}.txt").write_text(
             f"kind = {kind}\nr = {r}\nc = {c}\nn = {n}\np = {p}\n"
@@ -153,6 +164,10 @@ def commands() -> dict[str, list[str]]:
                       "--method", "cla", "--method", "rnk", "--method", "mcd",
                       "--calibrate-on-the-fly", "30", "--seed", "7",
                       "--cache", f"{name}.cache", "--out", f"{name}.tsv"]
+    runs["test-partial-cache"] = ["test", *TABLE_ARGS, "--method", "mcd",
+                                  "--calibrate-on-the-fly", "100", "--seed", "7",
+                                  "--cache", "test-partial-cache.cache",
+                                  "--out", "test-partial-cache.tsv"]
     runs["test-rounded"] = ["test", "--input", "waste-rounded.csv", *COLUMN_ARGS,
                             "--method", "cla", "--method", "rnk",
                             "--out", "test-rounded.tsv"]
