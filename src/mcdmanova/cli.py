@@ -197,7 +197,7 @@ def cmd_test(args: argparse.Namespace) -> str:
     for method in methods:
         try:
             result = run_manova(
-                layout, model, method, mcd_config, source, RngStream(args.seed),
+                layout, model, method, mcd_config, source, RngStream(args.seed), shown,
             )
         except MissingCalibration as exc:
             raise MissingCalibration(

@@ -51,6 +51,7 @@ _STIRLING = (
 _SHIFT_POINT = 10.0
 _EPS = 1e-16
 _MAX_SERIES_ITER = 600
+_CHUNK = 32  # series terms per pass; p-values of a few df need fewer
 
 
 @dataclass(frozen=True)
@@ -124,74 +125,125 @@ def ln_gamma(x: float) -> float:
     return (x - 0.5) * math.log(x) - x + _LN_SQRT_2PI + series - shift
 
 
-def _gamma_p_series(a: float, t: float) -> float:
+def _gamma_p_series(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     # Lower regularized incomplete gamma by power series, divided by the
-    # prefactor t^a e^-t / Gamma(a); valid t < a + 1.
+    # prefactor t^a e^-t / Gamma(a); valid t < a + 1.  Elementwise over
+    # 1-D arrays.  Up to _CHUNK terms at a time come from a running
+    # product and their partial sums from a running sum, each computed
+    # in term order, so every element ends at the partial sum where its
+    # own term first falls below _EPS of it.  All terms are positive.
+    out = np.empty_like(a)
+    live = np.arange(len(a))
     term = 1.0 / a
     total = term
-    for k in range(1, _MAX_SERIES_ITER):
-        term *= t / (a + k)
-        total += term
-        if abs(term) < abs(total) * _EPS:
+    for k in range(1, _MAX_SERIES_ITER, _CHUNK):
+        # float k: the same sums a + k, without a cast of int k
+        ks = np.arange(k, min(k + _CHUNK, _MAX_SERIES_ITER), dtype=np.float64)[:, None]
+        # row 0 carries the last term, then the sum; row j is term k + j - 1
+        steps = np.empty((len(ks) + 1, len(live)))
+        steps[0] = term
+        steps[1:] = t / (a + ks)
+        terms = np.cumprod(steps, axis=0)
+        steps[0] = total
+        steps[1:] = terms[1:]
+        totals = np.cumsum(steps, axis=0)
+        done = terms[1:] < totals[1:] * _EPS
+        hit = done.any(axis=0)
+        first = done.argmax(axis=0)[hit] + 1
+        out[live[hit]] = totals[first, hit]
+        miss = ~hit
+        live, a, t = live[miss], a[miss], t[miss]
+        term, total = terms[-1, miss], totals[-1, miss]
+        if not len(live):
             break
-    return total
+    out[live] = total
+    return out
 
 
-def _gamma_q_contfrac(a: float, t: float) -> float:
+def _gamma_q_contfrac(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     # Upper regularized incomplete gamma by Lentz continued fraction,
-    # divided by the same prefactor; valid t >= a + 1.
+    # divided by the same prefactor; valid t >= a + 1.  Elementwise over
+    # 1-D arrays, each element frozen at its own convergence.
     tiny = 1e-300
     b = t + 1.0 - a
-    c = 1.0 / tiny
+    c = np.full_like(b, 1.0 / tiny)
     d = 1.0 / b
     h = d
+    out = np.empty_like(h)
+    live = np.arange(len(a))
     for i in range(1, _MAX_SERIES_ITER):
         an = -i * (i - a)
-        b += 2.0
+        b = b + 2.0
         d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
+        d[np.abs(d) < tiny] = tiny
         c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
+        c[np.abs(c) < tiny] = tiny
         d = 1.0 / d
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 3.0 * _EPS:
-            break
-    return h
+        h = h * delta
+        done = np.abs(delta - 1.0) < 3.0 * _EPS
+        if np.count_nonzero(done):
+            out[live[done]] = h[done]
+            keep = ~done
+            live, a, b, c, d, h = live[keep], a[keep], b[keep], c[keep], d[keep], h[keep]
+            if not len(live):
+                break
+    out[live] = h
+    return out
 
 
-def chi2_cdf(x: float, df: float) -> float:
+def chi2_cdf(x: float | np.ndarray, df: float | np.ndarray) -> float | np.ndarray:
     """Chi-square distribution function ``P(X <= x)`` with ``df`` degrees.
+
+    ``x`` and ``df`` may be arrays, broadcast against each other: the
+    result then has their broadcast shape and holds, bit for bit, the
+    float each pair gives alone, from one series and one continued
+    fraction kernel call over all of them.  Two scalars give a float.
 
     Parameters
     ----------
-    x : float
-        Evaluation point, must be >= 0.
-    df : float
-        Degrees of freedom, must be > 0.
+    x : float or array
+        Evaluation points, each must be >= 0.
+    df : float or array
+        Degrees of freedom, each must be > 0.
+
+    Raises
+    ------
+    DomainError
+        For the first pair, in C order, with a bad ``df`` or ``x``.
     """
-    x = float(x)
-    df = float(df)
-    if df <= 0.0 or not math.isfinite(df):
-        raise DomainError(f"degrees of freedom must be positive, got {df!r}")
-    if x < 0.0 or math.isnan(x):
-        raise DomainError(f"chi2_cdf requires x >= 0, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if math.isinf(x):
-        return 1.0
-    a = 0.5 * df
-    t = 0.5 * x
-    log_prefactor = a * math.log(t) - t - ln_gamma(a)
-    if log_prefactor < -745.0:
-        # exp underflows: the series side is 0, the fraction side 1
-        return 0.0 if t < a + 1.0 else 1.0
-    prefactor = math.exp(log_prefactor)
-    if t < a + 1.0:
-        return min(_gamma_p_series(a, t) * prefactor, 1.0)
-    return max(1.0 - _gamma_q_contfrac(a, t) * prefactor, 0.0)
+    xs, dfs = np.broadcast_arrays(np.asarray(x, dtype=np.float64),
+                                  np.asarray(df, dtype=np.float64))
+    x, df = xs.ravel(), dfs.ravel()
+    bad_df = ~(np.isfinite(df) & (df > 0.0))
+    bad = bad_df | (x < 0.0) | np.isnan(x)
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_df[i]:
+            raise DomainError(f"degrees of freedom must be positive, got {float(df[i])!r}")
+        raise DomainError(f"chi2_cdf requires x >= 0, got {float(x[i])!r}")
+    out = np.where(x == 0.0, 0.0, 1.0)  # exact at x = 0 and x = inf
+    inner = np.flatnonzero((x != 0.0) & (x != np.inf))
+    a = 0.5 * df[inner]
+    t = 0.5 * x[inner]
+    lower = t < a + 1.0  # the series side; the continued fraction's otherwise
+    # math.log, math.exp and ln_gamma per element: np.exp differs from
+    # math.exp in the last bit on some inputs
+    log_prefactor = (a * list(map(math.log, t.tolist())) - t
+                     - list(map(ln_gamma, a.tolist())))
+    # where exp underflows, the series side is 0 and the fraction side 1
+    out[inner] = np.where(lower, 0.0, 1.0)
+    keep = ~(log_prefactor < -745.0)
+    inner, a, t, lower = inner[keep], a[keep], t[keep], lower[keep]
+    prefactor = np.array(list(map(math.exp, log_prefactor[keep].tolist())))
+    if lower.any():
+        series = _gamma_p_series(a[lower], t[lower]) * prefactor[lower]
+        out[inner[lower]] = np.minimum(series, 1.0)
+    upper = ~lower
+    if upper.any():
+        fraction = _gamma_q_contfrac(a[upper], t[upper]) * prefactor[upper]
+        out[inner[upper]] = np.maximum(1.0 - fraction, 0.0)
+    return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
 @lru_cache(maxsize=1024)

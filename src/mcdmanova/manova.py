@@ -183,13 +183,23 @@ def _design_template(r: int, c: int, n: int) -> TwoWayLayout:
     return TwoWayLayout(r, c, n, 1, np.zeros((r * c * n, 1)), rows, cols)
 
 
-def layout_from_cells(cells: np.ndarray) -> TwoWayLayout:
-    """Build a layout from an (r, c, n, p) array of cell observations."""
+def layout_from_cells(cells: np.ndarray, *, copy: bool = True) -> TwoWayLayout:
+    """Build a layout from an (r, c, n, p) array of cell observations.
+
+    With ``copy=False`` the layout holds a read-only view of ``cells``
+    instead of a checked copy: ``cells`` must then be a C-contiguous
+    float64 array of finite values, which the caller leaves unchanged.
+    """
     cells = np.asarray(cells, dtype=np.float64)
     if cells.ndim != 4:
         raise DimensionError(f"cells must be four-dimensional, got shape {cells.shape}")
     r, c, n, p = cells.shape
-    return _design_template(r, c, n).with_observations(cells.reshape(r * c * n, p))
+    template = _design_template(r, c, n)
+    if copy:
+        return template.with_observations(cells.reshape(r * c * n, p))
+    view = cells.reshape(r * c * n, p).view()
+    view.setflags(write=False)
+    return template._holding(view)
 
 
 def validate_layout(raw_table: Sequence[Sequence]) -> TwoWayLayout:
@@ -500,7 +510,12 @@ def weighted_ssp(
         bad = np.argwhere(ws.cell_totals == 0)[0]
         raise CellWiped(f"cell ({bad[0]}, {bad[1]}) has zero weight total")
 
-    member = np.arange(b)[:, None]  # beside (b or 1, N) labels, picks each member's own
+    member = np.arange(b)[:, None]
+
+    def gather(x: np.ndarray, index: np.ndarray) -> np.ndarray:
+        """``x[i, index[i]]`` for every member i; a shared index row is taken once."""
+        return x.take(index[0], axis=1) if len(index) == 1 else x[member, index]
+
     rows = np.array([lay.row_label for lay in layouts])
     cols = np.array([lay.col_label for lay in layouts])
     idx = rows * c + cols
@@ -510,7 +525,7 @@ def weighted_ssp(
 
     # Each cell's weighted rows, in observation order, summed one after
     # another (what np.bincount does): a running sum adds in that order.
-    by_cell = (Y * w)[member, np.argsort(idx, axis=1, kind="stable")]
+    by_cell = gather(Y * w, np.argsort(idx, axis=1, kind="stable"))
     running = np.cumsum(by_cell.reshape(b, r * c, n, p), axis=2)
     cell_sums = running[:, :, -1].reshape(b, r, c, p)
     cell_means = cell_sums / cell_n[:, :, :, None]
@@ -522,10 +537,10 @@ def weighted_ssp(
         """``(dev * weight).T @ dev`` for every member of the stack."""
         return np.matmul((dev * weight).transpose(0, 2, 1), dev)
 
-    resid_w = Y - cell_means.reshape(b, r * c, p)[member, idx]
+    resid_w = Y - gather(cell_means.reshape(b, r * c, p), idx)
     W = weighted_cross(resid_w, w)
     resid_e = (
-        Y - row_means[member, rows] - col_means[member, cols] + grand_mean[:, None]
+        Y - gather(row_means, rows) - gather(col_means, cols) + grand_mean[:, None]
     )
     E = weighted_cross(resid_e, w)
     R_row = weighted_cross(row_means - grand_mean[:, None], row_n[:, :, None])
@@ -724,19 +739,39 @@ def bartlett_dfs(
     return nu1, nu2
 
 
-def bartlett_pvalue(lam: float, p: int, nu1: float, nu2: float) -> float:
+def _log_lambdas(lam: float | np.ndarray) -> float | np.ndarray:
+    """``math.log`` of a Wilks' Lambda, or of each of an array of them.
+
+    Raises DomainError for the first lambda, in C order, outside (0, 1].
+    """
+    values = np.ravel(lam).tolist()
+    for value in values:
+        if not 0.0 < value <= 1.0:
+            raise DomainError(f"lambda must lie in (0, 1], got {value}")
+    logs = list(map(math.log, values))
+    return logs[0] if np.ndim(lam) == 0 else np.reshape(logs, np.shape(lam))
+
+
+def bartlett_pvalue(
+    lam: float | np.ndarray, p: int, nu1: float | np.ndarray, nu2: float | np.ndarray
+) -> float | np.ndarray:
     """Bartlett chi-square approximation p-value for Wilks' Lambda.
 
     The statistic -(nu1 - (p - nu2 + 1)/2) * ln(lambda) is referred to
     a chi-square distribution with p*nu2 degrees of freedom.
+
+    ``lam`` may also be an array of lambdas (a stack, as :func:`wilks_lambda`
+    gives for a stacked decomposition), and ``nu1`` and ``nu2`` arrays
+    broadcast against it; the p-values then come from one
+    :func:`chi2_cdf` pass, each equal, bit for bit, to the float its
+    lambda gives alone.
     """
-    if not 0.0 < lam <= 1.0:
-        raise DomainError(f"lambda must lie in (0, 1], got {lam}")
+    logs = _log_lambdas(lam)
     if p < 1:
         raise DomainError(f"dimension must be positive, got {p}")
-    if nu1 <= 0 or nu2 <= 0:
+    if np.any(np.less_equal(nu1, 0)) or np.any(np.less_equal(nu2, 0)):
         raise DomainError(f"degrees of freedom must be positive, got {nu1}, {nu2}")
-    statistic = -(nu1 - (p - nu2 + 1) / 2.0) * math.log(lam)
+    statistic = -(nu1 - (p - nu2 + 1) / 2.0) * logs
     return 1.0 - chi2_cdf(statistic, p * nu2)
 
 
@@ -752,18 +787,18 @@ class CalibrationLookup(Protocol):
                   model: Model, hypothesis: Hypothesis, mcd_config: McdConfig): ...
 
 
-def calibrated_pvalue(lam: float, entry) -> float:
+def calibrated_pvalue(lam: float | np.ndarray, entry) -> float | np.ndarray:
     """P-value of -ln(lambda) under the fitted delta * chi2(q) null.
 
     ``entry`` carries the fitted parameters as attributes ``delta`` and
-    ``q``.
+    ``q``.  ``lam`` may also be an array of lambdas, whose p-values come
+    from one :func:`chi2_cdf` pass, as in :func:`bartlett_pvalue`.
     """
-    if not 0.0 < lam <= 1.0:
-        raise DomainError(f"lambda must lie in (0, 1], got {lam}")
+    logs = _log_lambdas(lam)
     delta, q = float(entry.delta), float(entry.q)
     if delta <= 0 or q <= 0:
         raise DomainError(f"delta and q must be positive, got {delta}, {q}")
-    return 1.0 - chi2_cdf(-math.log(lam) / delta, q)
+    return 1.0 - chi2_cdf(-logs / delta, q)
 
 
 @dataclass(frozen=True)
@@ -803,15 +838,16 @@ def run_manova(
     config: McdConfig = McdConfig(),
     calibration_source: CalibrationLookup | None = None,
     rng: RngStream = RngStream(0),
+    hypotheses: Sequence[Hypothesis] | None = None,
 ) -> list[WilksTestReport]:
-    """Run every applicable hypothesis test with one method.
+    """Run the hypothesis tests of ``model`` with one method.
 
     Parameters
     ----------
     layout : TwoWayLayout
     model : Model
-        Emits row and column reports, plus an interaction report when
-        the model has interaction terms.
+        By default emits row and column reports, plus an interaction
+        report when the model has interaction terms.
     method : {"cla", "rnk", "mcd"}
         Classical, rank-transformed, or robust statistics.  The first
         two use Bartlett p-values; "mcd" uses calibrated p-values.
@@ -821,11 +857,15 @@ def run_manova(
         Required for "mcd": supplies (delta, q) per hypothesis.
     rng : RngStream, optional
         Randomness for the robust weight construction.
+    hypotheses : sequence of Hypothesis, optional
+        The tests to run, in reporting order; ``hypotheses_for(model)``
+        by default.  Only their calibration entries are looked up.
 
     Raises
     ------
     MissingCalibration
-        Method "mcd" without a source, or the source has no entry.
+        Method "mcd" without a source, or the source has no entry for a
+        hypothesis tested.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
@@ -835,7 +875,7 @@ def run_manova(
         )
     decomp = method_ssp(layout, method, config, rng)
     reports = []
-    for hypothesis in hypotheses_for(model):
+    for hypothesis in hypotheses_for(model) if hypotheses is None else hypotheses:
         if method == "mcd":
             approx = calibration_source.entry_for(
                 layout.p, layout.r, layout.c, layout.n, model, hypothesis, config

@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     MismatchedReports,
     MissingCalibration,
+    NonNumeric,
     NotPositiveDefinite,
     SingularSubset,
 )
@@ -116,7 +117,7 @@ class Design:
 
 @dataclass(frozen=True)
 class MeanLayout:
-    """Cell means of an alternative: an (r, c, p) array of mu vectors."""
+    """Cell means of an alternative: an (r, c, p) array of finite mu vectors."""
 
     design: Design
     mu: np.ndarray
@@ -128,6 +129,8 @@ class MeanLayout:
             raise DimensionError(
                 f"mean layout shape {mu.shape} does not match design {expected}"
             )
+        if not np.all(np.isfinite(mu)):
+            raise NonNumeric("mean layout has non-finite entries")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
 
@@ -202,16 +205,33 @@ class ExperimentReport:
         return int(np.count_nonzero(self.p_values < self.alpha)) / self.m
 
 
-def gen_null(design: Design, rng: RngStream) -> TwoWayLayout:
-    """All cells i.i.d. standard normal; a pure function of the stream."""
-    cells = rng.generator().standard_normal(
-        (design.r, design.c, design.n, design.p)
-    )
-    return layout_from_cells(cells)
+def _normal_cells(
+    design: Design, gen: np.random.Generator, out: np.ndarray | None
+) -> np.ndarray:
+    """``out``, or a new (r, c, n, p) array, filled with standard normals."""
+    shape = (design.r, design.c, design.n, design.p)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise DimensionError(f"out has shape {out.shape}, the design {shape}")
+    return gen.standard_normal(out=out)
+
+
+def gen_null(
+    design: Design, rng: RngStream, out: np.ndarray | None = None
+) -> TwoWayLayout:
+    """All cells i.i.d. standard normal; a pure function of the stream.
+
+    ``out``, a C-contiguous float64 (r, c, n, p) array, receives the
+    draw, and the layout holds a read-only view of it; the bytes are
+    those of a draw into a new array, which is the default.  Every
+    ``gen_*`` function takes ``out`` alike.
+    """
+    return layout_from_cells(_normal_cells(design, rng.generator(), out), copy=False)
 
 
 def gen_alternative(
-    design: Design, means: MeanLayout, rng: RngStream
+    design: Design, means: MeanLayout, rng: RngStream, out: np.ndarray | None = None
 ) -> TwoWayLayout:
     """Standard normal cells shifted by per-cell means.
 
@@ -220,10 +240,9 @@ def gen_alternative(
     """
     if means.design != design:
         raise DimensionError("mean layout was built for a different design")
-    cells = rng.generator().standard_normal(
-        (design.r, design.c, design.n, design.p)
-    )
-    return layout_from_cells(cells + means.mu[:, :, None, :])
+    cells = _normal_cells(design, rng.generator(), out)
+    cells += means.mu[:, :, None, :]
+    return layout_from_cells(cells, copy=False)
 
 
 def gen_power_with_interactions(design: Design, d: float) -> MeanLayout:
@@ -254,7 +273,7 @@ def gen_power_additive(design: Design, d: float) -> MeanLayout:
 
 
 def gen_contaminated(
-    design: Design, spec: ContaminationSpec, rng: RngStream
+    design: Design, spec: ContaminationSpec, rng: RngStream, out: np.ndarray | None = None
 ) -> TwoWayLayout:
     """Null data with the last cell replaced by the mixture model.
 
@@ -264,13 +283,15 @@ def gen_contaminated(
     the null dataset bit for bit.
     """
     gen = rng.generator()
-    cells = gen.standard_normal((design.r, design.c, design.n, design.p))
+    cells = _normal_cells(design, gen, out)
     outlying = gen.random(design.n) < spec.epsilon
     q_p = math.sqrt(chi2_quantile(0.999, design.p) / design.p)
     shift = spec.nu * q_p
     target = cells[-1, -1]
     cells[-1, -1] = np.where(outlying[:, None], shift + 0.25 * target, target)
-    return layout_from_cells(cells)
+    if not np.all(np.isfinite(cells[-1, -1])):  # a shift too large for a float
+        raise NonNumeric("observations contain non-finite values")
+    return layout_from_cells(cells, copy=False)
 
 
 def experiment_pairs(kind: str) -> tuple[tuple[Model, Hypothesis], ...]:
@@ -299,19 +320,20 @@ def experiment_pairs(kind: str) -> tuple[tuple[Model, Hypothesis], ...]:
 
 def _layout_maker(
     kind: str, design: Design, setting: float, epsilon: float
-) -> Callable[[RngStream], TwoWayLayout]:
-    """The data draw of one setting: one ``gen_*`` call per stream.
+) -> Callable[..., TwoWayLayout]:
+    """The data draw of one setting: one ``gen_*`` call per stream, which
+    takes the ``gen_*`` functions' ``out``.
 
     The setting's mean layout or contamination spec is built here, once.
     """
     if kind == "size":
-        return lambda rng: gen_null(design, rng)
+        return lambda rng, out=None: gen_null(design, rng, out)
     if kind == "robustness":
         spec = ContaminationSpec(epsilon, setting)
-        return lambda rng: gen_contaminated(design, spec, rng)
+        return lambda rng, out=None: gen_contaminated(design, spec, rng, out)
     make_means = gen_power_with_interactions if kind == "power_inter" else gen_power_additive
     means = make_means(design, setting)
-    return lambda rng: gen_alternative(design, means, rng)
+    return lambda rng, out=None: gen_alternative(design, means, rng, out)
 
 
 def _usable_cores() -> int:
@@ -355,12 +377,13 @@ def _ssp_or_error(
 
 
 def replicate(
-    make_layout: Callable[[RngStream], TwoWayLayout],
+    make_layout: Callable[..., TwoWayLayout],
     base: RngStream,
     methods: tuple[str, ...],
     pairs: tuple[tuple[Model, Hypothesis], ...],
     m: int,
     mcd_config: McdConfig = McdConfig(),
+    design: Design | None = None,
 ) -> tuple[dict[tuple[str, tuple[Model, Hypothesis]], np.ndarray], int, int]:
     """Wilks' Lambda of every (method, pair) over ``m`` replications.
 
@@ -371,10 +394,14 @@ def replicate(
     discarded and the next attempt is drawn; after ``10 * m + 1000``
     attempts the last degeneracy is raised.
 
-    Attempts run in blocks.  The "cla" and "rnk" SSP decompositions of a
-    block come from one stacked :func:`method_ssp` call each, which fails
-    every attempt alike (unit weights degenerate only when N < p + 2);
-    the "mcd" ones come one attempt at a time and are stacked.  The
+    Attempts run in blocks.  Given the ``design`` of its datasets, a
+    block draws them into one (b, r, c, n, p) array: ``make_layout`` is
+    then called with the keyword ``out``, the attempt's (r, c, n, p)
+    slice, which its layout holds (as ``gen_*`` with ``out`` does).  The
+    "cla" and "rnk" SSP decompositions of a block come from one stacked
+    :func:`method_ssp` call each, which fails every attempt alike (unit
+    weights degenerate only when N < p + 2); the "mcd" ones come one
+    attempt at a time and are stacked.  The
     Wilks' Lambdas come from one :func:`wilks_lambda` call per method
     and pair on the stack of live attempts; a stacked call that
     degenerates is redone one attempt (member) at a time.  Lambdas,
@@ -412,7 +439,12 @@ def replicate(
             size = min(m - done, max_attempts - attempt, _BLOCK)
             streams = [base.substream(a) for a in range(attempt, attempt + size)]
             attempt += size
-            layouts = [make_layout(stream.substream(0)) for stream in streams]
+            if design is None:
+                layouts = [make_layout(stream.substream(0)) for stream in streams]
+            else:
+                block_cells = np.empty((size, design.r, design.c, design.n, design.p))
+                layouts = [make_layout(stream.substream(0), out=cells)
+                           for stream, cells in zip(streams, block_cells)]
             block = {key: np.empty(size) for key in lambdas}
             failed: dict[int, Exception] = {}
             alive = list(range(size))
@@ -547,16 +579,14 @@ def run_experiment(
             )
             for pair in pairs
         }
-    dfs = {pair: bartlett_dfs(design, pair[0], pair[1]) for pair in pairs}
-
     root = RngStream(master_seed)
-    keys = [(method, pair) for method in methods for pair in pairs]
-    # One block per call, one row per report in report order.
-    p_values = np.empty((len(settings) * len(keys), m))
+    # One lambda and one p-value block per call: report order is
+    # setting, method, pair.
+    lams = np.empty((len(settings), len(methods), len(pairs), m))
     for si, setting in enumerate(settings):
         lambdas, redraws, attempts = replicate(
             _layout_maker(kind, design, setting, epsilon),
-            root.substream(si), methods, pairs, m, mcd_config,
+            root.substream(si), methods, pairs, m, mcd_config, design,
         )
         if redraws:
             logger.warning(
@@ -564,14 +594,21 @@ def run_experiment(
                 "replication(s) out of %d attempts",
                 kind, setting, redraws, attempts,
             )
-        for row, (method, pair) in zip(p_values[si * len(keys) :], keys):
-            lams = lambdas[method, pair].tolist()
-            if method == "mcd":
-                row[:] = [calibrated_pvalue(lam, entries[pair]) for lam in lams]
-            else:
-                nu1, nu2 = dfs[pair]
-                row[:] = [bartlett_pvalue(lam, design.p, nu1, nu2) for lam in lams]
+        lams[si] = [[lambdas[method, pair] for pair in pairs] for method in methods]
+    p_values = np.empty((lams.size // m, m))
+    by_key = p_values.reshape(lams.shape)
+    # one pass over every setting: the Bartlett rows together, their
+    # degrees of freedom broadcast down the pairs, and each calibrated pair
+    classical = [mi for mi, method in enumerate(methods) if method != "mcd"]
+    if classical:
+        nu1, nu2 = np.array([bartlett_dfs(design, *pair) for pair in pairs]).T[:, :, None]
+        by_key[:, classical] = bartlett_pvalue(lams[:, classical], design.p, nu1, nu2)
+    if "mcd" in methods:
+        mi = methods.index("mcd")
+        for pi, pair in enumerate(pairs):
+            by_key[:, mi, pi] = calibrated_pvalue(lams[:, mi, pi], entries[pair])
     p_values.setflags(write=False)
+    keys = [(method, pair) for method in methods for pair in pairs]
     return [
         ExperimentReport(
             design=design,

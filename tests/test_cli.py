@@ -33,6 +33,7 @@ from mcdmanova.errors import (
     DimensionError,
     DomainError,
     EmptyTable,
+    MissingCalibration,
     MissingColumn,
     NonNumeric,
     NonPositivePart,
@@ -41,6 +42,7 @@ from mcdmanova.manova import (
     Hypothesis,
     Model,
     calibrated_pvalue,
+    hypotheses_for,
     run_manova,
     validate_layout,
 )
@@ -352,6 +354,59 @@ class TestTestSubcommand:
         assert len(read_cache(cache)) == 6
         _, _, lam, p_value = out.read_text().splitlines()[1].split("\t")
         assert float(p_value) == calibrated_pvalue(float(lam), cached)
+
+    @staticmethod
+    def write_small_cache(path, trials):
+        """Entries of the 2x2 n=6 p=2 design at ``trials(model, hypothesis)``
+        trials each, skipping pairs where it is None; their fields (delta
+        1/16, q 4, ave_L 1/4, var_L 1/32) meet the entry invariants."""
+        entries = [
+            CalibrationEntry(CalibrationKey(2, 2, 2, 6, model, hyp, m_prime, 3),
+                             0.0625, 4.0, 0.25, 0.03125)
+            for model in Model for hyp in hypotheses_for(model)
+            if (m_prime := trials(model, hyp)) is not None
+        ]
+        write_cache(path, {entry.key: entry for entry in entries})
+        return {(e.key.model, e.key.hypothesis): e for e in entries}
+
+    def test_note_covers_only_the_printed_hypotheses(self, tmp_path, capsys):
+        # every entry has 100 trials but the interaction one, which a
+        # row-only run neither uses nor mentions
+        data = write_balanced_csv(tmp_path / "d.csv")
+        cache, out = tmp_path / "cal.txt", tmp_path / "p.tsv"
+        entries = self.write_small_cache(
+            cache, lambda model, hyp: 50 if hyp is Hypothesis.INTERACTIONS else 100)
+        argv = ["test", "--input", str(data), *BASE, "--ilr", "--method", "mcd",
+                "--cache", str(cache), "--seed", "1", "--out", str(out)]
+        code, table, err = run_cli([*argv, "--hypothesis", "row"], capsys)
+        assert code == 0 and err == ""
+        assert [line.split()[0] for line in table.splitlines()[1:]] == ["district"]
+        _, _, lam, p_value = out.read_text().splitlines()[1].split("\t")
+        entry = entries[Model.WITH_INTERACTIONS, Hypothesis.ROW_EFFECTS]
+        assert float(p_value) == calibrated_pvalue(float(lam), entry)
+        code, _, err = run_cli([*argv, "--hypothesis", "interaction"], capsys)
+        assert code == 0
+        assert "note: calibration used only 50 trials;" in err
+
+    def test_only_the_printed_hypotheses_need_entries(self, tmp_path, capsys):
+        data = write_balanced_csv(tmp_path / "d.csv")
+        cache = tmp_path / "cal.txt"
+        self.write_small_cache(
+            cache, lambda model, hyp: None if hyp is Hypothesis.INTERACTIONS else 100)
+        argv = ["test", "--input", str(data), *BASE, "--ilr", "--method", "mcd",
+                "--cache", str(cache), "--seed", "1"]
+        code, table, err = run_cli([*argv, "--hypothesis", "row", "--hypothesis", "col"],
+                                   capsys)
+        assert code == 0 and err == ""
+        assert [line.split()[0] for line in table.splitlines()[1:]] == ["district", "year"]
+        code, table, err = run_cli(argv, capsys)
+        assert code == MissingCalibration.exit_code and table == ""
+        assert "hypothesis=interaction" in err
+        assert read_cache(cache).keys() == {
+            CalibrationKey(2, 2, 2, 6, model, hyp, 100, 3)
+            for model in Model for hyp in hypotheses_for(model)
+            if hyp is not Hypothesis.INTERACTIONS
+        }
 
     def test_negative_on_the_fly_trials_is_domain_error(self, tmp_path, capsys):
         data = write_balanced_csv(tmp_path / "d.csv")

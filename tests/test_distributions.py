@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from mcdmanova import distributions
 from mcdmanova.distributions import (
     CholeskyFactor,
     RngStream,
@@ -205,6 +206,157 @@ class TestChi2Cdf:
             chi2_cdf(1.0, 0)
         with pytest.raises(DomainError):
             chi2_cdf(1.0, -3)
+
+
+# The scalar chi-square kernel as it stood before chi2_cdf took arrays,
+# frozen as the bitwise reference of the array kernel.
+def frozen_gamma_p_series(a: float, t: float) -> float:
+    term = 1.0 / a
+    total = term
+    for k in range(1, 600):
+        term *= t / (a + k)
+        total += term
+        if abs(term) < abs(total) * 1e-16:
+            break
+    return total
+
+
+def frozen_gamma_q_contfrac(a: float, t: float) -> float:
+    tiny = 1e-300
+    b = t + 1.0 - a
+    c = 1.0 / tiny
+    d = 1.0 / b
+    h = d
+    for i in range(1, 600):
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        if abs(d) < tiny:
+            d = tiny
+        c = b + an / c
+        if abs(c) < tiny:
+            c = tiny
+        d = 1.0 / d
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 3.0 * 1e-16:
+            break
+    return h
+
+
+def frozen_chi2_branch(x: float, df: float) -> str:
+    """Which part of the frozen kernel decides ``chi2_cdf(x, df)``."""
+    if x == 0.0 or math.isinf(x):
+        return "edge"
+    a, t = 0.5 * df, 0.5 * x
+    side = "series" if t < a + 1.0 else "fraction"
+    if a * math.log(t) - t - ln_gamma(a) < -745.0:
+        return side + "-underflow"
+    return side
+
+
+def frozen_chi2_cdf(x: float, df: float) -> float:
+    x = float(x)
+    df = float(df)
+    if df <= 0.0 or not math.isfinite(df):
+        raise DomainError(f"degrees of freedom must be positive, got {df!r}")
+    if x < 0.0 or math.isnan(x):
+        raise DomainError(f"chi2_cdf requires x >= 0, got {x!r}")
+    if x == 0.0:
+        return 0.0
+    if math.isinf(x):
+        return 1.0
+    a = 0.5 * df
+    t = 0.5 * x
+    log_prefactor = a * math.log(t) - t - ln_gamma(a)
+    if log_prefactor < -745.0:
+        return 0.0 if t < a + 1.0 else 1.0
+    prefactor = math.exp(log_prefactor)
+    if t < a + 1.0:
+        return min(frozen_gamma_p_series(a, t) * prefactor, 1.0)
+    return max(1.0 - frozen_gamma_q_contfrac(a, t) * prefactor, 0.0)
+
+
+def chi2_probe_grid() -> tuple[np.ndarray, np.ndarray]:
+    """(x, df) probes over both kernel sides and their switch point
+    ``t = a + 1`` (x = df + 2), both underflow branches, x = 0 and
+    x = inf, integer and fitted degrees of freedom, and degrees of
+    freedom so large that both iterations hit their cap."""
+    rng = np.random.default_rng(2024)
+    xs, dfs = [], []
+    for df in (1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 20.0, 60.0,
+               0.37, 2.618, 4.81, 7.6, 13.93, 41.2):
+        switch = df + 2.0
+        points = [0.0, math.inf, 1e-9, 0.05 * df, 0.5 * df, df,
+                  np.nextafter(switch, 0.0), switch, np.nextafter(switch, math.inf),
+                  1.5 * switch, 4.0 * switch + 10.0, 3000.0 + 40.0 * df]
+        points += list(rng.uniform(0.0, 3.0 * switch, 10))
+        xs += points
+        dfs += [df] * len(points)
+    # series-side underflow, and both sides at df = 1e6 past 599 steps
+    xs += [100.0, 1e6 - 20.0, 1e6 + 2.0, 1e6 + 500.0]
+    dfs += [2000.0, 1e6, 1e6, 1e6]
+    return np.array(xs, dtype=np.float64), np.array(dfs, dtype=np.float64)
+
+
+class TestChi2CdfMatchesFrozen:
+    """The array kernel gives, bit for bit, the scalar kernel's floats."""
+
+    def test_probe_grid_covers_every_branch(self):
+        branches = {frozen_chi2_branch(x, df) for x, df in zip(*map(list, chi2_probe_grid()))}
+        assert branches == {"edge", "series", "fraction",
+                            "series-underflow", "fraction-underflow"}
+
+    def test_block_equals_frozen_scalars(self):
+        x, df = chi2_probe_grid()
+        expected = np.array([frozen_chi2_cdf(a, b) for a, b in zip(x.tolist(), df.tolist())])
+        got = chi2_cdf(x, df)
+        assert got.shape == x.shape
+        assert got.tobytes() == expected.tobytes()
+        # the same block as a (k, m) array, and with a broadcast df row
+        assert chi2_cdf(x.reshape(-1, 2), df.reshape(-1, 2)).tobytes() == expected.tobytes()
+        fixed = chi2_cdf(x[:, None], np.array([2.0, 7.6]))
+        for j, d in enumerate((2.0, 7.6)):
+            assert fixed[:, j].tobytes() == np.array(
+                [frozen_chi2_cdf(a, d) for a in x.tolist()]).tobytes()
+
+    def test_scalars_are_blocks_of_one(self):
+        x, df = chi2_probe_grid()
+        for a, b in zip(x.tolist(), df.tolist()):
+            got = chi2_cdf(a, b)
+            assert type(got) is float
+            assert got == frozen_chi2_cdf(a, b)
+        assert type(chi2_cdf(np.float64(3.0), 2)) is float
+
+    def test_kernels_equal_frozen_kernels(self):
+        rng = np.random.default_rng(7)
+        a = np.concatenate([rng.uniform(0.1, 40.0, 300), [5e5]])
+        lower = np.concatenate([rng.uniform(0.0, 1.0, 300), [1.0 - 21e-6]]) * (a + 1.0)
+        upper = (a + 1.0) * np.concatenate([rng.uniform(1.0, 30.0, 300), [1.0]])
+        for kernel, frozen, t in (
+            (distributions._gamma_p_series, frozen_gamma_p_series, lower),
+            (distributions._gamma_q_contfrac, frozen_gamma_q_contfrac, upper),
+        ):
+            expected = np.array([frozen(u, v) for u, v in zip(a.tolist(), t.tolist())])
+            assert kernel(a, t).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("x, df", [
+        ([1.0, -0.5, 2.0], 3.0),
+        ([1.0, 2.0, math.nan], 3.0),
+        (2.0, [4.0, 0.0, -1.0]),
+        ([1.0, -1.0], [math.inf, 2.0]),
+    ])
+    def test_block_raises_first_bad_elements_error(self, x, df):
+        pairs = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(df, dtype=float))
+        for a, b in zip(*(arr.ravel().tolist() for arr in pairs)):
+            try:
+                frozen_chi2_cdf(a, b)
+            except DomainError as exc:
+                message = str(exc)
+                break
+        with pytest.raises(DomainError) as info:
+            chi2_cdf(x, df)
+        assert str(info.value) == message
 
 
 class TestChi2Quantile:

@@ -681,6 +681,12 @@ class TestStackedDecomposition:
             calls = [(weighted_ssp, (layouts, weights), zip(layouts, weights))]
             calls += [(manova.method_ssp, (layouts, method), [(lay, method) for lay in layouts])
                       for method in ("cla", "rnk")]
+            # a stack sharing one label row (a shuffled one in the shuffled
+            # case) is gathered by a single take of that row
+            shared = [layouts[0].with_observations(lay.observations) for lay in layouts]
+            assert all(lay.row_label is shared[0].row_label for lay in shared)
+            shared_weights = [WeightSet(lay, ws.w) for lay, ws in zip(shared, weights)]
+            calls.append((weighted_ssp, (shared, shared_weights), zip(shared, shared_weights)))
             for func, stack_args, single_args in calls:
                 stacked = func(*stack_args)
                 assert len(stacked) == len(layouts)

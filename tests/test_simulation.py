@@ -19,6 +19,7 @@ from mcdmanova.errors import (
     DomainError,
     MismatchedReports,
     MissingCalibration,
+    NonNumeric,
     NotPositiveDefinite,
     SingularSubset,
 )
@@ -30,6 +31,7 @@ from mcdmanova.simulation import (
     ContaminationSpec,
     Design,
     ExperimentReport,
+    MeanLayout,
     gen_alternative,
     gen_contaminated,
     gen_null,
@@ -200,6 +202,45 @@ class TestGenerators:
         assert abs(outliers[:, 0].std() - 0.25) < 0.05
 
 
+    @pytest.mark.parametrize("draw", [
+        lambda design, stream, out=None: gen_null(design, stream, out),
+        lambda design, stream, out=None: gen_alternative(
+            design, gen_power_additive(design, 2.0), stream, out),
+        lambda design, stream, out=None: gen_contaminated(
+            design, ContaminationSpec(0.3, 5.0), stream, out),
+    ], ids=["null", "alternative", "contaminated"])
+    def test_out_receives_the_default_draw(self, draw):
+        design = Design(3, 2, 7, 2)
+        block = np.empty((3, 3, 2, 7, 2))
+        for k, cells in enumerate(block):
+            stream = RngStream(71, (k, 0))
+            held, alone = draw(design, stream, cells), draw(design, stream)
+            assert held.observations.tobytes() == alone.observations.tobytes()
+            assert np.shares_memory(held.observations, block)
+            for layout in (held, alone):
+                assert not layout.observations.flags.writeable
+                assert layout.observations.shape == (42, 2) and layout.p == 2
+        with pytest.raises(DimensionError):
+            draw(design, RngStream(71), np.empty((3, 2, 7, 3)))
+
+    def test_null_draw_is_one_standard_normal_fill(self):
+        design = Design(2, 3, 4, 3)
+        layout = gen_null(design, RngStream(72, (1,)))
+        cells = RngStream(72, (1,)).generator().standard_normal((2, 3, 4, 3))
+        assert layout.observations.tobytes() == cells.tobytes()
+        assert layout.cell_array().tobytes() == cells.tobytes()
+
+    def test_non_finite_means_and_shifts_rejected(self):
+        design = Design(2, 2, 5, 2)
+        mu = np.zeros((2, 2, 2))
+        mu[1, 0, 1] = math.inf
+        with pytest.raises(NonNumeric):
+            MeanLayout(design, mu)
+        # nu * Q_p overflows to inf: an outlier would not be a finite value
+        with pytest.raises(NonNumeric):
+            gen_contaminated(design, ContaminationSpec(0.49, 1e308), RngStream(73))
+
+
 class TestRunExperiment:
     def test_report_grid_and_tally(self):
         reports = run_experiment(
@@ -366,6 +407,58 @@ class TestRunExperiment:
         assert counts == {"built": 2, "drawn": 14}
         assert reports[0].block.tobytes() == expected[0].block.tobytes()
 
+    @pytest.mark.parametrize("kind", sim.EXPERIMENT_KINDS)
+    def test_p_values_equal_scalar_p_values_of_replicate_lambdas(self, kind, small_source):
+        design, m, seed = Design(2, 2, 10, 2), 6, 74
+        settings = (0.0,) if kind == "size" else (1.0, 4.0)
+        methods = ("cla", "rnk", "mcd")
+        reports = run_experiment(kind, design, settings, methods, m, mcd_config=FAST,
+                                 calibration_source=small_source, master_seed=seed)
+        pairs = sim.experiment_pairs(kind)
+        rows = iter(reports)
+        for si, setting in enumerate(settings):
+            # one layout per attempt, drawn without a block array
+            lambdas, _, _ = sim.replicate(
+                sim._layout_maker(kind, design, setting, 0.1),
+                RngStream(seed).substream(si), methods, pairs, m, FAST,
+            )
+            for method in methods:
+                for model, hyp in pairs:
+                    report = next(rows)
+                    assert (report.setting, report.method, report.hypothesis) == (
+                        setting, method, hyp)
+                    if method == "mcd":
+                        entry = small_source.entry_for(2, 2, 2, 10, model, hyp, FAST)
+                        expected = [manova.calibrated_pvalue(lam, entry)
+                                    for lam in lambdas[method, (model, hyp)].tolist()]
+                    else:
+                        nu1, nu2 = manova.bartlett_dfs(design, model, hyp)
+                        expected = [manova.bartlett_pvalue(lam, 2, nu1, nu2)
+                                    for lam in lambdas[method, (model, hyp)].tolist()]
+                    assert all(type(v) is float for v in expected)
+                    assert report.p_values.tobytes() == np.array(expected).tobytes()
+        assert next(rows, None) is None
+
+    @pytest.mark.parametrize("kind", sim.EXPERIMENT_KINDS)
+    def test_block_layouts_hold_their_streams_draws(self, kind):
+        design = Design(3, 2, 5, 2)
+        make = sim._layout_maker(kind, design, SETTINGS[kind], 0.1)
+        seen = []
+
+        def spy(stream, out=None):
+            layout = make(stream, out=out)
+            seen.append((stream, out, layout))
+            return layout
+
+        sim.replicate(spy, RngStream(75), ("cla",), sim.experiment_pairs(kind), 5,
+                      design=design)
+        assert len(seen) == 5
+        block = seen[0][1].base
+        assert block.shape == (5, 3, 2, 5, 2)
+        for stream, out, layout in seen:
+            assert out.base is block and np.shares_memory(layout.observations, out)
+            assert layout.observations.tobytes() == make(stream).observations.tobytes()
+
     def test_reports_compare_and_hash_by_identity(self):
         args = ("size", Design(2, 2, 3, 1), (), ("cla",), 4)
         a = run_experiment(*args, master_seed=1)
@@ -401,6 +494,12 @@ class TestRunExperiment:
         assert [r.name for r in caplog.records] == ["mcdmanova.simulation"]
         assert calls["n"] == 6
         assert all(len(r.p_values) == 5 for r in reports)
+
+
+@pytest.fixture(scope="module")
+def small_source():
+    """A calibration of the 2x2 n=10 p=2 design at 50 trials."""
+    return CalibrationSource(entries=calibrate_design(2, 2, 2, 10, 50, 1, FAST))
 
 
 def loop_replicate(make_layout, base, methods, pairs, m, mcd_config=McdConfig()):

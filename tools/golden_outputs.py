@@ -9,8 +9,11 @@ Generates its own input tables and experiment files in OUTDIR, runs
 writes every ``--out`` file, every calibration cache, and each command's
 stdout, stderr and exit status into OUTDIR (the empty lock files that
 cache merges create are removed).  The commands include the top-level
-and per-subcommand ``--help`` texts, one usage error, and an mcd
-``test`` on a cache that holds one low-trial entry of its design; the
+and per-subcommand ``--help`` texts, one usage error, and two mcd
+``test`` runs on a cache that holds one low-trial entry of its design,
+the row entry under interactions: one calibrates the missing entries on
+the fly, the other prints only the row hypothesis and so needs no other
+entry (``--hypothesis row``, no on-the-fly calibration); the
 status of the ``SystemExit`` that argparse raises for the first two is
 recorded as their exit status.  All paths handed to the CLI
 are relative to OUTDIR, so two output directories compare with
@@ -114,12 +117,13 @@ def write_inputs() -> None:
     # (r=3 c=2 n=8 p=3): the row test under interactions uses it, the
     # other tests calibrate on the fly with more trials.  Its fields
     # (delta 1/16, q 4, ave_L 1/4, var_L 1/32) meet the entry invariants
-    # exactly.
-    Path("test-partial-cache.cache").write_text(
-        "mcdmanova calibration cache v1\n"
-        "3 3 2 8 interactions row 50 3 0.0625 4 0.25 0.03125\n",
-        encoding="ascii",
-    )
+    # exactly.  Each run that reads it gets its own copy.
+    for name in ("test-partial-cache", "test-partial-cache-row"):
+        Path(f"{name}.cache").write_text(
+            "mcdmanova calibration cache v1\n"
+            "3 3 2 8 interactions row 50 3 0.0625 4 0.25 0.03125\n",
+            encoding="ascii",
+        )
     for name, (kind, (r, c, n, p), methods, m) in EXPERIMENTS.items():
         Path(f"{name}.txt").write_text(
             f"kind = {kind}\nr = {r}\nc = {c}\nn = {n}\np = {p}\n"
@@ -168,6 +172,10 @@ def commands() -> dict[str, list[str]]:
                                   "--calibrate-on-the-fly", "100", "--seed", "7",
                                   "--cache", "test-partial-cache.cache",
                                   "--out", "test-partial-cache.tsv"]
+    runs["test-partial-cache-row"] = ["test", *TABLE_ARGS, "--method", "mcd",
+                                      "--hypothesis", "row", "--seed", "7",
+                                      "--cache", "test-partial-cache-row.cache",
+                                      "--out", "test-partial-cache-row.tsv"]
     runs["test-rounded"] = ["test", "--input", "waste-rounded.csv", *COLUMN_ARGS,
                             "--method", "cla", "--method", "rnk",
                             "--out", "test-rounded.tsv"]
