@@ -160,8 +160,9 @@ def null_statistic_samples(
         statistics, aligned across pairs by replication.
     """
     pairs = experiment_pairs("size")
+    design = Design(r, c, n, p)
     lambdas, redraws, attempts = replicate(
-        partial(gen_null, Design(r, c, n, p)), RngStream(seed),
+        design, partial(gen_null, design), RngStream(seed),
         ("mcd",), pairs, m_prime, mcd_config,
     )
     if redraws:

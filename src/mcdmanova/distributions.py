@@ -52,6 +52,7 @@ _SHIFT_POINT = 10.0
 _EPS = 1e-16
 _MAX_SERIES_ITER = 600
 _CHUNK = 32  # series terms per pass; p-values of a few df need fewer
+_TREE_LEVELS = 5  # bisection steps of chi2_quantile per chi2_cdf pass
 
 
 @dataclass(frozen=True)
@@ -79,7 +80,7 @@ class RngStream:
     def __post_init__(self) -> None:
         if self.seed < 0:
             raise DomainError("seed must be non-negative")
-        if any(i < 0 for i in self.path):
+        if self.path and min(self.path) < 0:
             raise DomainError("substream indices must be non-negative")
 
     def substream(self, *ids: int) -> "RngStream":
@@ -246,6 +247,23 @@ def chi2_cdf(x: float | np.ndarray, df: float | np.ndarray) -> float | np.ndarra
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
+def _midpoint_tree(lo: float, hi: float, levels: int) -> np.ndarray:
+    """Every midpoint ``levels`` bisection steps from (lo, hi) can meet.
+
+    In heap order: node i halves its interval, and its lower half is
+    node 2i + 1, its upper half node 2i + 2.  Each midpoint is
+    ``0.5 * (lo + hi)`` of its own interval, as a step computes it.
+    """
+    lows, highs = np.array([lo]), np.array([hi])
+    mids = []
+    for _ in range(levels):
+        mid = 0.5 * (lows + highs)
+        mids.append(mid)
+        lows = np.stack([lows, mid], axis=1).ravel()
+        highs = np.stack([mid, highs], axis=1).ravel()
+    return np.concatenate(mids)
+
+
 @lru_cache(maxsize=1024)
 def chi2_quantile(prob: float, df: float) -> float:
     """Inverse chi-square distribution function.
@@ -254,6 +272,11 @@ def chi2_quantile(prob: float, df: float) -> float:
     returned point satisfies the equation to within a few units in the
     last place of ``prob``.  Results are cached, since the pipelines ask
     for the same few cutoffs on every replication.
+
+    The bisection takes its steps ``_TREE_LEVELS`` at a time: one
+    :func:`chi2_cdf` pass over every midpoint those steps can meet,
+    then a walk down the tree of them, so each step compares the very
+    midpoint and value a one-at-a-time bisection would.
 
     Parameters
     ----------
@@ -275,14 +298,19 @@ def chi2_quantile(prob: float, df: float) -> float:
             break
         lo = hi
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    for step in range(200):
+        if step % _TREE_LEVELS == 0:
+            mids = _midpoint_tree(lo, hi, _TREE_LEVELS)
+            below = (chi2_cdf(mids, df) < prob).tolist()
+            mids = mids.tolist()
+            node = 0
+        mid = mids[node]
         if mid <= lo or mid >= hi:
             break
-        if chi2_cdf(mid, df) < prob:
-            lo = mid
+        if below[node]:
+            lo, node = mid, 2 * node + 2
         else:
-            hi = mid
+            hi, node = mid, 2 * node + 1
     return 0.5 * (lo + hi)
 
 

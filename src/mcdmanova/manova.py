@@ -183,23 +183,13 @@ def _design_template(r: int, c: int, n: int) -> TwoWayLayout:
     return TwoWayLayout(r, c, n, 1, np.zeros((r * c * n, 1)), rows, cols)
 
 
-def layout_from_cells(cells: np.ndarray, *, copy: bool = True) -> TwoWayLayout:
-    """Build a layout from an (r, c, n, p) array of cell observations.
-
-    With ``copy=False`` the layout holds a read-only view of ``cells``
-    instead of a checked copy: ``cells`` must then be a C-contiguous
-    float64 array of finite values, which the caller leaves unchanged.
-    """
+def layout_from_cells(cells: np.ndarray) -> TwoWayLayout:
+    """Build a layout from an (r, c, n, p) array of cell observations."""
     cells = np.asarray(cells, dtype=np.float64)
     if cells.ndim != 4:
         raise DimensionError(f"cells must be four-dimensional, got shape {cells.shape}")
     r, c, n, p = cells.shape
-    template = _design_template(r, c, n)
-    if copy:
-        return template.with_observations(cells.reshape(r * c * n, p))
-    view = cells.reshape(r * c * n, p).view()
-    view.setflags(write=False)
-    return template._holding(view)
+    return _design_template(r, c, n).with_observations(cells.reshape(r * c * n, p))
 
 
 def validate_layout(raw_table: Sequence[Sequence]) -> TwoWayLayout:
@@ -858,34 +848,59 @@ def run_manova(
     rng : RngStream, optional
         Randomness for the robust weight construction.
     hypotheses : sequence of Hypothesis, optional
-        The tests to run, in reporting order; ``hypotheses_for(model)``
-        by default.  Only their calibration entries are looked up.
+        The tests to run, in reporting order, each a member of
+        ``hypotheses_for(model)`` or its value ("row", "col",
+        "interaction"); ``hypotheses_for(model)`` by default.  Only
+        their calibration entries are looked up.
 
     Raises
     ------
+    DomainError
+        An unknown method, or a hypothesis that is not one of
+        ``hypotheses_for(model)``.
     MissingCalibration
         Method "mcd" without a source, or the source has no entry for a
         hypothesis tested.
     """
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
+    applicable = hypotheses_for(model)
+    if hypotheses is None:
+        hypotheses = applicable
+    else:
+        tested = []
+        for given in hypotheses:
+            try:
+                hypothesis = Hypothesis(given)
+            except ValueError:
+                hypothesis = None
+            if hypothesis not in applicable:
+                raise DomainError(
+                    f"hypothesis {given!r} is not tested under the {model.value} model"
+                )
+            tested.append(hypothesis)
+        hypotheses = tested
     if method == "mcd" and calibration_source is None:
         raise MissingCalibration(
             "method 'mcd' needs a calibration source for its p-values"
         )
     decomp = method_ssp(layout, method, config, rng)
-    reports = []
-    for hypothesis in hypotheses_for(model) if hypotheses is None else hypotheses:
+    approxes, lams = [], []
+    for hypothesis in hypotheses:
         if method == "mcd":
-            approx = calibration_source.entry_for(
+            approxes.append(calibration_source.entry_for(
                 layout.p, layout.r, layout.c, layout.n, model, hypothesis, config
-            )
+            ))
         else:
-            approx = BartlettApprox(layout.p, *bartlett_dfs(layout, model, hypothesis))
-        lam = wilks_lambda(decomp, hypothesis, model)
-        p_value = (calibrated_pvalue(lam, approx) if method == "mcd"
-                   else bartlett_pvalue(lam, approx.p, approx.nu1, approx.nu2))
-        reports.append(
-            WilksTestReport(method, hypothesis, model, lam, approx, p_value)
-        )
-    return reports
+            approxes.append(BartlettApprox(layout.p, *bartlett_dfs(layout, model, hypothesis)))
+        lams.append(wilks_lambda(decomp, hypothesis, model))
+    if method == "mcd":
+        p_values = [calibrated_pvalue(lam, approx) for lam, approx in zip(lams, approxes)]
+    else:
+        # every hypothesis in one chi-square pass
+        nu1, nu2 = np.array([(a.nu1, a.nu2) for a in approxes]).reshape(-1, 2).T
+        p_values = bartlett_pvalue(np.array(lams), layout.p, nu1, nu2).tolist()
+    return [
+        WilksTestReport(method, hypothesis, model, lam, approx, p_value)
+        for hypothesis, lam, approx, p_value in zip(hypotheses, lams, approxes, p_values)
+    ]

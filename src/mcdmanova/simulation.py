@@ -38,11 +38,11 @@ from .manova import (
     Model,
     SspDecomposition,
     TwoWayLayout,
+    _design_template,
     bartlett_dfs,
     bartlett_pvalue,
     calibrated_pvalue,
     hypotheses_for,
-    layout_from_cells,
     method_ssp,
     wilks_lambda,
 )
@@ -217,6 +217,14 @@ def _normal_cells(
     return gen.standard_normal(out=out)
 
 
+def _cells_layout(design: Design, cells: np.ndarray) -> TwoWayLayout:
+    """The design's layout holding a read-only view of ``cells``, a
+    finite C-contiguous (r, c, n, p) float64 array left unchanged."""
+    view = cells.reshape(-1, design.p)
+    view.setflags(write=False)
+    return _design_template(design.r, design.c, design.n)._holding(view)
+
+
 def gen_null(
     design: Design, rng: RngStream, out: np.ndarray | None = None
 ) -> TwoWayLayout:
@@ -227,7 +235,7 @@ def gen_null(
     those of a draw into a new array, which is the default.  Every
     ``gen_*`` function takes ``out`` alike.
     """
-    return layout_from_cells(_normal_cells(design, rng.generator(), out), copy=False)
+    return _cells_layout(design, _normal_cells(design, rng.generator(), out))
 
 
 def gen_alternative(
@@ -242,7 +250,7 @@ def gen_alternative(
         raise DimensionError("mean layout was built for a different design")
     cells = _normal_cells(design, rng.generator(), out)
     cells += means.mu[:, :, None, :]
-    return layout_from_cells(cells, copy=False)
+    return _cells_layout(design, cells)
 
 
 def gen_power_with_interactions(design: Design, d: float) -> MeanLayout:
@@ -291,7 +299,7 @@ def gen_contaminated(
     cells[-1, -1] = np.where(outlying[:, None], shift + 0.25 * target, target)
     if not np.all(np.isfinite(cells[-1, -1])):  # a shift too large for a float
         raise NonNumeric("observations contain non-finite values")
-    return layout_from_cells(cells, copy=False)
+    return _cells_layout(design, cells)
 
 
 def experiment_pairs(kind: str) -> tuple[tuple[Model, Hypothesis], ...]:
@@ -320,20 +328,20 @@ def experiment_pairs(kind: str) -> tuple[tuple[Model, Hypothesis], ...]:
 
 def _layout_maker(
     kind: str, design: Design, setting: float, epsilon: float
-) -> Callable[..., TwoWayLayout]:
-    """The data draw of one setting: one ``gen_*`` call per stream, which
-    takes the ``gen_*`` functions' ``out``.
+) -> Callable[[RngStream, np.ndarray | None], TwoWayLayout]:
+    """The data draw of one setting: one ``gen_*`` call per stream and
+    ``out`` array.
 
     The setting's mean layout or contamination spec is built here, once.
     """
     if kind == "size":
-        return lambda rng, out=None: gen_null(design, rng, out)
+        return lambda rng, out: gen_null(design, rng, out)
     if kind == "robustness":
         spec = ContaminationSpec(epsilon, setting)
-        return lambda rng, out=None: gen_contaminated(design, spec, rng, out)
+        return lambda rng, out: gen_contaminated(design, spec, rng, out)
     make_means = gen_power_with_interactions if kind == "power_inter" else gen_power_additive
     means = make_means(design, setting)
-    return lambda rng, out=None: gen_alternative(design, means, rng, out)
+    return lambda rng, out: gen_alternative(design, means, rng, out)
 
 
 def _usable_cores() -> int:
@@ -377,36 +385,36 @@ def _ssp_or_error(
 
 
 def replicate(
-    make_layout: Callable[..., TwoWayLayout],
+    design: Design,
+    make_layout: Callable[[RngStream, np.ndarray], TwoWayLayout],
     base: RngStream,
     methods: tuple[str, ...],
     pairs: tuple[tuple[Model, Hypothesis], ...],
     m: int,
     mcd_config: McdConfig = McdConfig(),
-    design: Design | None = None,
 ) -> tuple[dict[tuple[str, tuple[Model, Hypothesis]], np.ndarray], int, int]:
     """Wilks' Lambda of every (method, pair) over ``m`` replications.
 
-    Attempt ``a`` draws its dataset with ``make_layout`` from
-    ``base.substream(a, 0)`` and, for the "mcd" method, its robust weights
-    from ``base.substream(a, 1)``; every method sees the identical
-    dataset.  An attempt on which any method's pipeline degenerates is
-    discarded and the next attempt is drawn; after ``10 * m + 1000``
-    attempts the last degeneracy is raised.
+    Attempt ``a`` draws its dataset of ``design`` with
+    ``make_layout(base.substream(a, 0), out)`` and, for the "mcd"
+    method, its robust weights from ``base.substream(a, 1)``; every
+    method sees the identical dataset.  An attempt on which any
+    method's pipeline degenerates is discarded and the next attempt is
+    drawn; after ``10 * m + 1000`` attempts the last degeneracy is
+    raised.
 
-    Attempts run in blocks.  Given the ``design`` of its datasets, a
-    block draws them into one (b, r, c, n, p) array: ``make_layout`` is
-    then called with the keyword ``out``, the attempt's (r, c, n, p)
-    slice, which its layout holds (as ``gen_*`` with ``out`` does).  The
-    "cla" and "rnk" SSP decompositions of a block come from one stacked
-    :func:`method_ssp` call each, which fails every attempt alike (unit
-    weights degenerate only when N < p + 2); the "mcd" ones come one
-    attempt at a time and are stacked.  The
-    Wilks' Lambdas come from one :func:`wilks_lambda` call per method
-    and pair on the stack of live attempts; a stacked call that
-    degenerates is redone one attempt (member) at a time.  Lambdas,
-    redraws, attempts and the raised error equal those of evaluating one
-    attempt at a time.
+    Attempts run in blocks.  A block draws its datasets into one
+    (b, r, c, n, p) array: ``out`` is the attempt's (r, c, n, p) slice,
+    which ``make_layout`` fills and its layout may hold, as the
+    ``gen_*`` functions' ``out`` does.  The "cla" and "rnk" SSP
+    decompositions of a block come from one stacked :func:`method_ssp`
+    call each, which fails every attempt alike (unit weights degenerate
+    only when N < p + 2); the "mcd" ones come one attempt at a time and
+    are stacked.  The Wilks' Lambdas come from one :func:`wilks_lambda`
+    call per method and pair on the stack of live attempts; a stacked
+    call that degenerates is redone one attempt (member) at a time.
+    Lambdas, redraws, attempts and the raised error equal those of
+    evaluating one attempt at a time.
 
     From ``_MIN_PARALLEL_ATTEMPTS`` replications on, with "mcd" among
     the methods and more than one usable core, the per-attempt "mcd"
@@ -437,14 +445,11 @@ def replicate(
             # Never more attempts than successes still needed, so a block
             # draws exactly the attempts a one-at-a-time loop would.
             size = min(m - done, max_attempts - attempt, _BLOCK)
-            streams = [base.substream(a) for a in range(attempt, attempt + size)]
+            first = attempt
             attempt += size
-            if design is None:
-                layouts = [make_layout(stream.substream(0)) for stream in streams]
-            else:
-                block_cells = np.empty((size, design.r, design.c, design.n, design.p))
-                layouts = [make_layout(stream.substream(0), out=cells)
-                           for stream, cells in zip(streams, block_cells)]
+            block_cells = np.empty((size, design.r, design.c, design.n, design.p))
+            layouts = [make_layout(base.substream(a, 0), cells)
+                       for a, cells in zip(range(first, attempt), block_cells)]
             block = {key: np.empty(size) for key in lambdas}
             failed: dict[int, Exception] = {}
             alive = list(range(size))
@@ -461,7 +466,7 @@ def replicate(
                 else:
                     args = (
                         [layouts[i] for i in alive], repeat(mcd_config),
-                        [streams[i].substream(1) for i in alive],
+                        [base.substream(first + i, 1) for i in alive],
                     )
                     if pool is not None:
                         # one task per worker: the attempts cost about the same
@@ -585,8 +590,8 @@ def run_experiment(
     lams = np.empty((len(settings), len(methods), len(pairs), m))
     for si, setting in enumerate(settings):
         lambdas, redraws, attempts = replicate(
-            _layout_maker(kind, design, setting, epsilon),
-            root.substream(si), methods, pairs, m, mcd_config, design,
+            design, _layout_maker(kind, design, setting, epsilon),
+            root.substream(si), methods, pairs, m, mcd_config,
         )
         if redraws:
             logger.warning(

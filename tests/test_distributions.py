@@ -359,7 +359,38 @@ class TestChi2CdfMatchesFrozen:
         assert str(info.value) == message
 
 
+def frozen_chi2_quantile(prob: float, df: float) -> float:
+    """The one-step-at-a-time bisection, on the frozen kernel."""
+    lo = 0.0
+    hi = df + 10.0 * math.sqrt(2.0 * df) + 10.0
+    for _ in range(200):
+        if frozen_chi2_cdf(hi, df) >= prob:
+            break
+        lo = hi
+        hi *= 2.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if frozen_chi2_cdf(mid, df) < prob:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestChi2Quantile:
+    @pytest.mark.parametrize("prob, df", [
+        (0.975, 2.0), (0.975, 5.0), (0.999, 2.0), (0.999, 4.0), (0.5, 3.0),
+        (0.3, 0.7), (1e-6, 4.0), (0.999999, 40.0), (0.75, 2.618), (0.5, 1e4),
+        # the bracket doubles; the bisection runs into its 200-step cap
+        (1.0 - 2.0**-53, 1.0), (5e-324, 3.0), (1e-300, 0.37),
+    ])
+    def test_equals_one_step_bisection(self, prob, df):
+        got = distributions.chi2_quantile.__wrapped__(prob, df)
+        assert type(got) is float
+        assert got == frozen_chi2_quantile(prob, df)
+
     def test_cutoff_constant(self):
         # Frozen via scipy.stats.chi2.ppf(0.975, 2).
         assert chi2_quantile(0.975, 2) == pytest.approx(

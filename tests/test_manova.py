@@ -1185,6 +1185,42 @@ class TestRunManova:
             assert a.lambda_ == b.lambda_
             assert a.p_value == b.p_value
 
+    @pytest.mark.parametrize("method", ["cla", "rnk"])
+    def test_hypotheses_by_member_or_value(self, method):
+        lay = random_layout(np.random.default_rng(26), r=3, c=2, n=10, p=2)
+        full = {rep.hypothesis: rep for rep in run_manova(lay, Model.WITH_INTERACTIONS, method)}
+        chosen = run_manova(lay, Model.WITH_INTERACTIONS, method,
+                            hypotheses=["interaction", Hypothesis.ROW_EFFECTS, "row"])
+        assert [rep.hypothesis for rep in chosen] == [
+            Hypothesis.INTERACTIONS, Hypothesis.ROW_EFFECTS, Hypothesis.ROW_EFFECTS,
+        ]
+        for rep in chosen:
+            assert rep.lambda_ == full[rep.hypothesis].lambda_
+            assert rep.p_value == full[rep.hypothesis].p_value
+            assert rep.approx == full[rep.hypothesis].approx
+        assert run_manova(lay, Model.WITH_INTERACTIONS, method, hypotheses=()) == []
+
+    @pytest.mark.parametrize("method", ["cla", "rnk"])
+    def test_p_values_equal_scalar_bartlett_p_values(self, method):
+        lay = random_layout(np.random.default_rng(25), r=3, c=4, n=5, p=3)
+        for model in Model:
+            for rep in run_manova(lay, model, method):
+                nu1, nu2 = bartlett_dfs(lay, model, rep.hypothesis)
+                assert rep.approx == BartlettApprox(3, nu1, nu2)
+                assert type(rep.p_value) is float
+                assert rep.p_value == bartlett_pvalue(rep.lambda_, 3, nu1, nu2)
+
+    @pytest.mark.parametrize("model, given", [
+        (Model.ADDITIVE_ONLY, "interaction"),
+        (Model.ADDITIVE_ONLY, Hypothesis.INTERACTIONS),
+        (Model.WITH_INTERACTIONS, "rows"),
+        (Model.WITH_INTERACTIONS, Model.ADDITIVE_ONLY),
+    ])
+    def test_hypothesis_outside_model_rejected(self, model, given):
+        lay = random_layout(np.random.default_rng(27))
+        with pytest.raises(DomainError, match=f"not tested under the {model.value} model"):
+            run_manova(lay, model, "cla", hypotheses=["row", given])
+
     def test_mcd_requires_calibration_source(self):
         lay = random_layout(np.random.default_rng(29), n=8)
         with pytest.raises(MissingCalibration):

@@ -417,9 +417,9 @@ class TestRunExperiment:
         pairs = sim.experiment_pairs(kind)
         rows = iter(reports)
         for si, setting in enumerate(settings):
-            # one layout per attempt, drawn without a block array
-            lambdas, _, _ = sim.replicate(
-                sim._layout_maker(kind, design, setting, 0.1),
+            # one attempt at a time, each drawn into its own array
+            lambdas, _, _ = loop_replicate(
+                design, sim._layout_maker(kind, design, setting, 0.1),
                 RngStream(seed).substream(si), methods, pairs, m, FAST,
             )
             for method in methods:
@@ -445,19 +445,18 @@ class TestRunExperiment:
         make = sim._layout_maker(kind, design, SETTINGS[kind], 0.1)
         seen = []
 
-        def spy(stream, out=None):
-            layout = make(stream, out=out)
+        def spy(stream, out):
+            layout = make(stream, out)
             seen.append((stream, out, layout))
             return layout
 
-        sim.replicate(spy, RngStream(75), ("cla",), sim.experiment_pairs(kind), 5,
-                      design=design)
+        sim.replicate(design, spy, RngStream(75), ("cla",), sim.experiment_pairs(kind), 5)
         assert len(seen) == 5
         block = seen[0][1].base
         assert block.shape == (5, 3, 2, 5, 2)
         for stream, out, layout in seen:
             assert out.base is block and np.shares_memory(layout.observations, out)
-            assert layout.observations.tobytes() == make(stream).observations.tobytes()
+            assert layout.observations.tobytes() == make(stream, None).observations.tobytes()
 
     def test_reports_compare_and_hash_by_identity(self):
         args = ("size", Design(2, 2, 3, 1), (), ("cla",), 4)
@@ -502,8 +501,9 @@ def small_source():
     return CalibrationSource(entries=calibrate_design(2, 2, 2, 10, 50, 1, FAST))
 
 
-def loop_replicate(make_layout, base, methods, pairs, m, mcd_config=McdConfig()):
-    """Reference: ``replicate`` evaluating one attempt at a time."""
+def loop_replicate(design, make_layout, base, methods, pairs, m, mcd_config=McdConfig()):
+    """Reference: ``replicate`` evaluating one attempt at a time, each
+    drawn into its own array."""
     lambdas = {(method, pair): np.empty(m) for method in methods for pair in pairs}
     done = attempt = redraws = 0
     max_attempts = 10 * m + 1000
@@ -514,7 +514,8 @@ def loop_replicate(make_layout, base, methods, pairs, m, mcd_config=McdConfig())
             raise last_error
         stream = base.substream(attempt)
         attempt += 1
-        layout = make_layout(stream.substream(0))
+        layout = make_layout(stream.substream(0),
+                             np.empty((design.r, design.c, design.n, design.p)))
         weights_rng = stream.substream(1)
         try:
             for method in methods:
@@ -543,8 +544,8 @@ def degenerate_layouts(design, bad):
     "dup" repeats the first coordinate (every method's W is singular),
     "exp" appends its exponential (only the ranks are collinear)."""
 
-    def make(stream):
-        layout = gen_null(design, stream)
+    def make(stream, out):
+        layout = gen_null(design, stream, out)
         how = bad.get(attempt_of(stream))
         if how is None:
             return layout
@@ -582,7 +583,7 @@ class TestBlockReplicate:
     def test_matches_reference(self, kind, design, methods, m):
         make = sim._layout_maker(kind, design, SETTINGS[kind], 0.1)
         pairs = sim.experiment_pairs(kind)
-        assert_same_run(*run_both(make, RngStream(60), methods, pairs, m, TINY))
+        assert_same_run(*run_both(design, make, RngStream(60), methods, pairs, m, TINY))
 
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_forced_robust_weights_failures(self, monkeypatch, block):
@@ -597,8 +598,9 @@ class TestBlockReplicate:
             return real(layout, config, rng)
 
         monkeypatch.setattr(manova, "robust_weights", flaky)
-        make = degenerate_layouts(Design(2, 2, 8, 2), {2: "dup", 7: "exp"})
-        args = (make, RngStream(61), ("cla", "mcd", "rnk"), sim.experiment_pairs("size"), 7, TINY)
+        design = Design(2, 2, 8, 2)
+        make = degenerate_layouts(design, {2: "dup", 7: "exp"})
+        args = (design, make, RngStream(61), ("cla", "mcd", "rnk"), sim.experiment_pairs("size"), 7, TINY)
         block_run = sim.replicate(*args)
         block_calls, calls[:] = calls[:], []
         reference = loop_replicate(*args)
@@ -613,7 +615,7 @@ class TestBlockReplicate:
         monkeypatch.setattr(sim, "_BLOCK", block)
         design = Design(3, 2, 6, 2)
         bad = {0: "dup", 3: "exp", 4: "dup", 11: "exp", 12: "exp"}
-        args = (degenerate_layouts(design, bad), RngStream(62), ("cla", "rnk"),
+        args = (design, degenerate_layouts(design, bad), RngStream(62), ("cla", "rnk"),
                 sim.experiment_pairs("size"), 10)
         block_run, reference = run_both(*args)
         assert_same_run(block_run, reference)
@@ -628,14 +630,14 @@ class TestBlockReplicate:
         monkeypatch.setattr(manova, "robust_weights", broken)
         design = Design(2, 2, 6, 2)
 
-        def make(stream):
+        def make(stream, out):
             bad = {attempt_of(stream): "dup"} if attempt_of(stream) % 2 == 0 else {}
-            return degenerate_layouts(design, bad)(stream)
+            return degenerate_layouts(design, bad)(stream, out)
 
         errors = []
         for run in (sim.replicate, loop_replicate):
             with pytest.raises(SingularSubset) as info:
-                run(make, RngStream(63), ("cla", "mcd"), sim.experiment_pairs("size"), 2, TINY)
+                run(design, make, RngStream(63), ("cla", "mcd"), sim.experiment_pairs("size"), 2, TINY)
             errors.append(str(info.value))
         assert errors == ["forced at attempt 1019"] * 2
 
@@ -648,12 +650,12 @@ class TestBlockReplicate:
         for run in (sim.replicate, loop_replicate):
             attempts = []
 
-            def make(stream):
+            def make(stream, out):
                 attempts.append(attempt_of(stream))
-                return gen_null(design, stream)
+                return gen_null(design, stream, out)
 
             with pytest.raises(DegenerateWeights) as info:
-                run(make, RngStream(65), methods, sim.experiment_pairs("size"), 3, TINY)
+                run(design, make, RngStream(65), methods, sim.experiment_pairs("size"), 3, TINY)
             errors.append(str(info.value))
             drawn.append(attempts)
         assert errors[0] == errors[1]
@@ -665,7 +667,7 @@ class TestBlockReplicate:
         errors = []
         for run in (sim.replicate, loop_replicate):
             with pytest.raises(NotPositiveDefinite) as info:
-                run(make, RngStream(64), ("cla",), sim.experiment_pairs("size"), 2)
+                run(design, make, RngStream(64), ("cla",), sim.experiment_pairs("size"), 2)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
 
@@ -695,7 +697,7 @@ def no_pool(*args, **kwargs):
 def mcd_run(design, m):
     """Arguments of a ``("mcd",)`` replicate run on null data."""
     make = sim._layout_maker("size", design, 0.0, 0.1)
-    return make, RngStream(68), ("mcd",), sim.experiment_pairs("size"), m, TINY
+    return design, make, RngStream(68), ("mcd",), sim.experiment_pairs("size"), m, TINY
 
 
 def mcd_replicate(design, m):
@@ -725,8 +727,9 @@ class TestParallelReplicate:
     @pytest.mark.parametrize("block", [5, 64])
     def test_matches_reference(self, monkeypatch, pools, block):
         monkeypatch.setattr(sim, "_BLOCK", block)
-        make = degenerate_layouts(Design(2, 2, 8, 2), {1: "dup", 6: "dup", 7: "dup"})
-        args = (make, RngStream(69), ("mcd",), sim.experiment_pairs("size"), 12, TINY)
+        design = Design(2, 2, 8, 2)
+        make = degenerate_layouts(design, {1: "dup", 6: "dup", 7: "dup"})
+        args = (design, make, RngStream(69), ("mcd",), sim.experiment_pairs("size"), 12, TINY)
         run = sim.replicate(*args)
         assert pools == [2]
         assert multiprocessing.active_children() == []
@@ -739,11 +742,12 @@ class TestParallelReplicate:
             raise SingularSubset(f"forced at attempt {attempt_of(rng)}")
 
         monkeypatch.setattr(manova, "robust_weights", broken)
-        make = sim._layout_maker("size", Design(2, 2, 6, 2), 0.0, 0.1)
+        design = Design(2, 2, 6, 2)
+        make = sim._layout_maker("size", design, 0.0, 0.1)
         errors = []
         for run in (sim.replicate, loop_replicate):
             with pytest.raises(SingularSubset) as info:
-                run(make, RngStream(63), ("mcd",), sim.experiment_pairs("size"), 2, TINY)
+                run(design, make, RngStream(63), ("mcd",), sim.experiment_pairs("size"), 2, TINY)
             errors.append(str(info.value))
         assert pools == [2]
         assert multiprocessing.active_children() == []
