@@ -99,6 +99,54 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
 
+# NumPy SeedSequence's hash: hashmix while absorbing entropy (A), of
+# generate_state (B), and the multipliers of mix
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_B = np.array([0x8B51F9DD * pow(0x58F38DED, k, 1 << 32) & _MASK32 for k in range(5)],
+                   dtype=np.uint32)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+
+
+def _philox_keys(base: RngStream, ids: range | np.ndarray, *suffix: int) -> np.ndarray:
+    """The (len(ids), 2) uint64 Philox keys of ``base.substream(i, *suffix)``.
+
+    Each row is the key :meth:`RngStream.generator` gives that stream:
+    NumPy's ``SeedSequence`` mixes the words all ids share, then its hash
+    absorbs the id and suffix words and generates the state as uint32
+    arithmetic over all ids at once.  Ids and suffix values must lie
+    below 2**32, where SeedSequence's one-word integers end.
+    """
+    ids = np.asarray(ids)
+    if min(ids.min(initial=0), *suffix, 0) < 0 or max(ids.max(initial=0), *suffix, 0) > _MASK32:
+        raise DomainError("block stream ids must lie in [0, 2**32)")
+    mixer = np.random.SeedSequence(base.seed, spawn_key=(0, *base.path)).pool
+    # that took 4 hashmix calls per word: the seed's, padded to 4, and the path's
+    words = max(4, -(-base.seed.bit_length() // 32))
+    words += sum(max(1, -(-v.bit_length() // 32)) for v in (0, *base.path))
+    tail = [ids.astype(np.uint32)[:, None], *map(np.uint32, suffix)]
+    hashes = np.array([_INIT_A * pow(_MULT_A, 4 * words + k, 1 << 32) & _MASK32
+                       for k in range(4 * len(tail) + 1)], dtype=np.uint32)
+    for k, word in enumerate(tail):
+        value = (word ^ hashes[4 * k : 4 * k + 4]) * hashes[4 * k + 1 : 4 * k + 5]
+        value ^= value >> np.uint32(16)
+        mixer = _MIX_L * mixer - _MIX_R * value
+        mixer ^= mixer >> np.uint32(16)
+    state = (mixer ^ _HASH_B[:4]) * _HASH_B[1:]
+    state ^= state >> np.uint32(16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+def _rekeyed(gen: np.random.Generator, keys: np.ndarray):
+    """Yield ``gen`` once per key, its Philox in the state of a new ``Philox(key=key)``."""
+    zero = np.zeros(4, dtype=np.uint64)
+    for key in keys:
+        gen.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": zero, "key": key},
+            "buffer": zero, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        yield gen
+
+
 @lru_cache(maxsize=1024)
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function for positive real ``x``.

@@ -246,16 +246,17 @@ def _mid_ranks(x: np.ndarray) -> np.ndarray:
     """1-based ranks down axis -2 of ``x``, ties given their mean rank.
 
     ``x`` is one (N, p) sample or a (b, N, p) stack of them; every
-    column of every sample becomes one line of N values.  A stable
-    argsort orders each line; a run of equal values holding sorted
-    positions ``first .. end - 1`` (0-based) gets the mid-rank
-    ``(first + end + 1) / 2``.  The positions are integers, so every rank
-    is an exact integer or half-integer.
+    column of every sample becomes one line of N values.  An argsort
+    orders each line; a run of equal values holding sorted positions
+    ``first .. end - 1`` (0-based) gets the mid-rank
+    ``(first + end + 1) / 2``, whatever order the sort left the run in,
+    so the sort need not be stable.  The positions are integers, so
+    every rank is an exact integer or half-integer.
     """
     columns = np.swapaxes(x, -1, -2)
     lines = columns.reshape(-1, columns.shape[-1])
     count, N = lines.shape
-    order = np.argsort(lines, axis=1, kind="stable")
+    order = np.argsort(lines, axis=1)
     line = np.arange(count)[:, None]
     ordered = lines[line, order]
     pos = np.arange(N)
@@ -784,11 +785,16 @@ def calibrated_pvalue(lam: float | np.ndarray, entry) -> float | np.ndarray:
     ``q``.  ``lam`` may also be an array of lambdas, whose p-values come
     from one :func:`chi2_cdf` pass, as in :func:`bartlett_pvalue`.
     """
+    return 1.0 - chi2_cdf(*_calibrated_args(lam, entry))
+
+
+def _calibrated_args(lam: float | np.ndarray, entry) -> tuple:
+    """The chi-square point(s) and degrees of freedom of :func:`calibrated_pvalue`."""
     logs = _log_lambdas(lam)
     delta, q = float(entry.delta), float(entry.q)
     if delta <= 0 or q <= 0:
         raise DomainError(f"delta and q must be positive, got {delta}, {q}")
-    return 1.0 - chi2_cdf(-logs / delta, q)
+    return -logs / delta, q
 
 
 @dataclass(frozen=True)
@@ -894,10 +900,18 @@ def run_manova(
         else:
             approxes.append(BartlettApprox(layout.p, *bartlett_dfs(layout, model, hypothesis)))
         lams.append(wilks_lambda(decomp, hypothesis, model))
+    # every hypothesis in one chi-square pass, with the p-values and the
+    # first error of one calibrated_pvalue or bartlett_pvalue call each
     if method == "mcd":
-        p_values = [calibrated_pvalue(lam, approx) for lam, approx in zip(lams, approxes)]
+        args = []
+        for lam, approx in zip(lams, approxes):
+            try:
+                args.append(_calibrated_args(lam, approx))
+            except DomainError:
+                chi2_cdf(*np.array(args).reshape(-1, 2).T)  # an earlier one's error first
+                raise
+        p_values = (1.0 - chi2_cdf(*np.array(args).reshape(-1, 2).T)).tolist()
     else:
-        # every hypothesis in one chi-square pass
         nu1, nu2 = np.array([(a.nu1, a.nu2) for a in approxes]).reshape(-1, 2).T
         p_values = bartlett_pvalue(np.array(lams), layout.p, nu1, nu2).tolist()
     return [

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import RngStream, chi2_quantile
+from .distributions import RngStream, _philox_keys, _rekeyed, chi2_quantile
 from .errors import (
     CellWiped,
     DegenerateWeights,
@@ -217,6 +217,11 @@ def _normal_cells(
     return gen.standard_normal(out=out)
 
 
+def _generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
+    """A new generator of stream ``rng``, or ``rng`` itself if a generator."""
+    return rng.generator() if isinstance(rng, RngStream) else rng
+
+
 def _cells_layout(design: Design, cells: np.ndarray) -> TwoWayLayout:
     """The design's layout holding a read-only view of ``cells``, a
     finite C-contiguous (r, c, n, p) float64 array left unchanged."""
@@ -226,20 +231,22 @@ def _cells_layout(design: Design, cells: np.ndarray) -> TwoWayLayout:
 
 
 def gen_null(
-    design: Design, rng: RngStream, out: np.ndarray | None = None
+    design: Design, rng: RngStream | np.random.Generator, out: np.ndarray | None = None
 ) -> TwoWayLayout:
     """All cells i.i.d. standard normal; a pure function of the stream.
 
-    ``out``, a C-contiguous float64 (r, c, n, p) array, receives the
-    draw, and the layout holds a read-only view of it; the bytes are
-    those of a draw into a new array, which is the default.  Every
-    ``gen_*`` function takes ``out`` alike.
+    ``rng`` is a stream, drawn from its start, or a generator, drawn
+    from where it stands.  ``out``, a C-contiguous float64 (r, c, n, p)
+    array, receives the draw, and the layout holds a read-only view of
+    it; the bytes are those of a draw into a new array, which is the
+    default.  Every ``gen_*`` function takes ``rng`` and ``out`` alike.
     """
-    return _cells_layout(design, _normal_cells(design, rng.generator(), out))
+    return _cells_layout(design, _normal_cells(design, _generator(rng), out))
 
 
 def gen_alternative(
-    design: Design, means: MeanLayout, rng: RngStream, out: np.ndarray | None = None
+    design: Design, means: MeanLayout, rng: RngStream | np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> TwoWayLayout:
     """Standard normal cells shifted by per-cell means.
 
@@ -248,7 +255,7 @@ def gen_alternative(
     """
     if means.design != design:
         raise DimensionError("mean layout was built for a different design")
-    cells = _normal_cells(design, rng.generator(), out)
+    cells = _normal_cells(design, _generator(rng), out)
     cells += means.mu[:, :, None, :]
     return _cells_layout(design, cells)
 
@@ -281,7 +288,8 @@ def gen_power_additive(design: Design, d: float) -> MeanLayout:
 
 
 def gen_contaminated(
-    design: Design, spec: ContaminationSpec, rng: RngStream, out: np.ndarray | None = None
+    design: Design, spec: ContaminationSpec, rng: RngStream | np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> TwoWayLayout:
     """Null data with the last cell replaced by the mixture model.
 
@@ -290,7 +298,7 @@ def gen_contaminated(
     same as :func:`gen_null` would produce, so epsilon = 0 reproduces
     the null dataset bit for bit.
     """
-    gen = rng.generator()
+    gen = _generator(rng)
     cells = _normal_cells(design, gen, out)
     outlying = gen.random(design.n) < spec.epsilon
     q_p = math.sqrt(chi2_quantile(0.999, design.p) / design.p)
@@ -328,20 +336,20 @@ def experiment_pairs(kind: str) -> tuple[tuple[Model, Hypothesis], ...]:
 
 def _layout_maker(
     kind: str, design: Design, setting: float, epsilon: float
-) -> Callable[[RngStream, np.ndarray | None], TwoWayLayout]:
-    """The data draw of one setting: one ``gen_*`` call per stream and
+) -> Callable[[np.random.Generator, np.ndarray | None], TwoWayLayout]:
+    """The data draw of one setting: one ``gen_*`` call per generator and
     ``out`` array.
 
     The setting's mean layout or contamination spec is built here, once.
     """
     if kind == "size":
-        return lambda rng, out: gen_null(design, rng, out)
+        return lambda gen, out: gen_null(design, gen, out)
     if kind == "robustness":
         spec = ContaminationSpec(epsilon, setting)
-        return lambda rng, out: gen_contaminated(design, spec, rng, out)
+        return lambda gen, out: gen_contaminated(design, spec, gen, out)
     make_means = gen_power_with_interactions if kind == "power_inter" else gen_power_additive
     means = make_means(design, setting)
-    return lambda rng, out: gen_alternative(design, means, rng, out)
+    return lambda gen, out: gen_alternative(design, means, gen, out)
 
 
 def _usable_cores() -> int:
@@ -386,7 +394,7 @@ def _ssp_or_error(
 
 def replicate(
     design: Design,
-    make_layout: Callable[[RngStream, np.ndarray], TwoWayLayout],
+    make_layout: Callable[[np.random.Generator, np.ndarray], TwoWayLayout],
     base: RngStream,
     methods: tuple[str, ...],
     pairs: tuple[tuple[Model, Hypothesis], ...],
@@ -396,23 +404,26 @@ def replicate(
     """Wilks' Lambda of every (method, pair) over ``m`` replications.
 
     Attempt ``a`` draws its dataset of ``design`` with
-    ``make_layout(base.substream(a, 0), out)`` and, for the "mcd"
-    method, its robust weights from ``base.substream(a, 1)``; every
-    method sees the identical dataset.  An attempt on which any
-    method's pipeline degenerates is discarded and the next attempt is
-    drawn; after ``10 * m + 1000`` attempts the last degeneracy is
-    raised.
+    ``make_layout(gen, out)``, where ``gen`` is a generator at the start
+    of stream ``base.substream(a, 0)``, and, for the "mcd" method, its
+    robust weights from ``base.substream(a, 1)``; every method sees the
+    identical dataset.  An attempt on which any method's pipeline
+    degenerates is discarded and the next attempt is drawn; after
+    ``10 * m + 1000`` attempts the last degeneracy is raised.
 
     Attempts run in blocks.  A block draws its datasets into one
     (b, r, c, n, p) array: ``out`` is the attempt's (r, c, n, p) slice,
     which ``make_layout`` fills and its layout may hold, as the
-    ``gen_*`` functions' ``out`` does.  The "cla" and "rnk" SSP
-    decompositions of a block come from one stacked :func:`method_ssp`
-    call each, which fails every attempt alike (unit weights degenerate
-    only when N < p + 2); the "mcd" ones come one attempt at a time and
-    are stacked.  The Wilks' Lambdas come from one :func:`wilks_lambda`
-    call per method and pair on the stack of live attempts; a stacked
-    call that degenerates is redone one attempt (member) at a time.
+    ``gen_*`` functions' ``out`` does.  The block's data streams are
+    keyed in one pass, and ``gen`` is one generator per call whose
+    Philox is re-keyed for every attempt, so ``make_layout`` must not
+    keep it.  The "cla" and "rnk" SSP decompositions of a block come
+    from one stacked :func:`method_ssp` call each, which fails every
+    attempt alike (unit weights degenerate only when N < p + 2); the
+    "mcd" ones come one attempt at a time and are stacked.  The Wilks'
+    Lambdas come from one :func:`wilks_lambda` call per method and pair
+    on the stack of live attempts; a stacked call that degenerates is
+    redone one attempt (member) at a time.
     Lambdas, redraws, attempts and the raised error equal those of
     evaluating one attempt at a time.
 
@@ -437,6 +448,7 @@ def replicate(
     max_attempts = 10 * m + 1000
     last_error: Exception | None = None
     pool, workers = _open_pool(methods, m)
+    gen = np.random.Generator(np.random.Philox(0))  # re-keyed for each attempt
     try:
         while done < m:
             if attempt >= max_attempts:
@@ -448,8 +460,8 @@ def replicate(
             first = attempt
             attempt += size
             block_cells = np.empty((size, design.r, design.c, design.n, design.p))
-            layouts = [make_layout(base.substream(a, 0), cells)
-                       for a, cells in zip(range(first, attempt), block_cells)]
+            keys = _philox_keys(base, range(first, attempt), 0)
+            layouts = [make_layout(g, cells) for g, cells in zip(_rekeyed(gen, keys), block_cells)]
             block = {key: np.empty(size) for key in lambdas}
             failed: dict[int, Exception] = {}
             alive = list(range(size))

@@ -121,6 +121,54 @@ class TestRngStream:
         RngStream(2**64 - 1).substream(2**63).generator().standard_normal(1)
 
 
+def seed_sequence_key(seed, path):
+    """The Philox key NumPy's own SeedSequence gives a stream name."""
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(0, *path))
+    return seq.generate_state(2, np.uint64)
+
+
+class TestBlockKeys:
+    """``_philox_keys`` keys a run of substreams as SeedSequence does."""
+
+    IDS = (0, 1, 63, 2**32 - 1)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**130 + 5])
+    @pytest.mark.parametrize("path", [(), (0,), (3, 1)], ids=str)
+    @pytest.mark.parametrize("suffix", [(0,), (1,), (), (5, 2**32 - 1)], ids=str)
+    def test_equal_seed_sequence_keys(self, seed, path, suffix):
+        got = distributions._philox_keys(RngStream(seed, path), self.IDS, *suffix)
+        want = [seed_sequence_key(seed, (*path, i, *suffix)) for i in self.IDS]
+        assert got.dtype == np.uint64 and got.shape == (len(self.IDS), 2)
+        assert got.tobytes() == np.array(want).tobytes()
+
+    def test_keys_of_a_range_draw_the_streams_bits(self):
+        base = RngStream(12345, (4,))
+        gen = np.random.Generator(np.random.Philox(0))
+        gen.random(3)  # whatever the bit generator held before
+        keys = distributions._philox_keys(base, range(60, 70), 0)
+        for a, got in zip(range(60, 70), distributions._rekeyed(gen, keys), strict=True):
+            assert got is gen
+            want = base.substream(a, 0).generator()
+            assert gen.standard_normal(7).tobytes() == want.standard_normal(7).tobytes()
+            assert gen.random(5).tobytes() == want.random(5).tobytes()
+            assert gen.integers(0, 2**40, 3).tobytes() == want.integers(0, 2**40, 3).tobytes()
+            # an odd count of 32-bit draws leaves half a word for the next key to drop
+            assert gen.random(3, np.float32).tobytes() == want.random(3, np.float32).tobytes()
+
+    def test_empty_run(self):
+        assert distributions._philox_keys(RngStream(1), range(0), 0).shape == (0, 2)
+
+    def test_ids_end_below_two_words(self):
+        # SeedSequence splits an id from 2**32 on into two words
+        base = RngStream(9, (1,))
+        last = distributions._philox_keys(base, [2**32 - 1], 0)
+        assert last.tobytes() == seed_sequence_key(9, (1, 2**32 - 1, 0)).tobytes()
+        for ids, suffix in (([2**32], (0,)), ([0, 2**32 + 3], (0,)), ([2**63], (0,)),
+                            ([2**70], ()), ([0], (2**32,)), ([-1], (0,)), ([0], (-1,))):
+            with pytest.raises(DomainError, match=r"\[0, 2\*\*32\)"):
+                distributions._philox_keys(base, ids, *suffix)
+
+
 class TestLnGamma:
     def test_reference_values_moderate_range(self):
         for x, expected in LN_GAMMA_TABLE.items():

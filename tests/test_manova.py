@@ -395,6 +395,47 @@ class TestMidRanksMatchScipy:
         assert manova._mid_ranks(x)[:, 0].tolist() == [2.5, 2.5, 4.0, 1.0]
 
 
+def stable_mid_ranks(x):
+    """Mid-ranks down axis -2 from a stable argsort, one run of ties at
+    a time: the reference for the kernel's unstable sort."""
+    columns = np.swapaxes(x, -1, -2)
+    lines = columns.reshape(-1, columns.shape[-1])
+    ranks = np.empty(lines.shape)
+    for line, out in zip(lines, ranks):
+        order = np.argsort(line, kind="stable")
+        ordered = line[order].tolist()
+        first = 0
+        while first < len(ordered):
+            end = first + 1
+            while end < len(ordered) and ordered[end] == ordered[first]:
+                end += 1
+            out[order[first:end]] = (first + end + 1) / 2
+            first = end
+    return np.swapaxes(ranks.reshape(columns.shape), -1, -2)
+
+
+class TestMidRanksMatchStableSort:
+    """Stacks heavy with ties, where an unstable sort permutes each run."""
+
+    KINDS = {
+        "integer": lambda rng, shape: rng.integers(-2, 3, size=shape).astype(float),
+        "signed_zeros": lambda rng, shape: rng.choice([-0.0, 0.0, 1.0, -1.0], size=shape),
+        "zeros_and_normals": lambda rng, shape: np.where(
+            rng.random(shape) < 0.7, rng.choice([-0.0, 0.0], size=shape),
+            rng.normal(size=shape)),
+        "constant_lines": lambda rng, shape: np.broadcast_to(
+            rng.choice([-0.0, 0.0, 2.5], size=shape[:-2] + (1, shape[-1])), shape).copy(),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    def test_stacks(self, kind):
+        for seed, shape in enumerate([(40, 80, 2), (20, 80, 1), (7, 33, 3), (1, 200, 2), (5, 2, 4)]):
+            x = self.KINDS[kind](np.random.default_rng([seed, 17]), shape)
+            got = manova._mid_ranks(x)
+            assert got.tobytes() == stable_mid_ranks(x).tobytes()
+            assert got[0].tobytes() == manova._mid_ranks(x[0]).tobytes()
+
+
 class TestWeightSet:
     def test_totals(self):
         lay = random_layout(np.random.default_rng(6), r=2, c=3, n=4)
@@ -1249,6 +1290,47 @@ class TestRunManova:
         for rep, entry in zip(reports, source.served, strict=True):
             assert rep.approx is entry
             assert 0.0 <= rep.p_value <= 1.0
+
+    class ListSource:
+        """Serves its entries in turn, one per lookup."""
+
+        def __init__(self, *entries):
+            self.entries = iter(entries)
+
+        def entry_for(self, p, r, c, n, model, hypothesis, mcd_config):
+            return next(self.entries)
+
+    def mcd_run(self, *entries, hypotheses=None):
+        lay = layout_from_cells(RngStream(32).generator().standard_normal((3, 2, 12, 2)))
+        return run_manova(lay, Model.WITH_INTERACTIONS, "mcd", McdConfig(n_starts=40, n_keep=4),
+                          self.ListSource(*entries), RngStream(33), hypotheses)
+
+    def test_mcd_p_values_in_one_pass_equal_one_call_each(self, monkeypatch):
+        passes = []
+        real = manova.chi2_cdf
+        monkeypatch.setattr(manova, "chi2_cdf", lambda *a: passes.append(a) or real(*a))
+        reports = self.mcd_run(_Entry(0.02, 4.0), _Entry(0.013, 2.5), _Entry(0.031, 6.2))
+        assert len(passes) == 1
+        for rep in reports:
+            assert type(rep.p_value) is float
+            assert rep.p_value == calibrated_pvalue(rep.lambda_, rep.approx)
+        assert self.mcd_run(hypotheses=()) == []
+
+    @pytest.mark.parametrize("entries", [
+        ((0.02, 4.0), (-1.0, 4.0), (0.02, math.nan)),
+        ((0.02, math.nan), (-1.0, 4.0), (0.02, 4.0)),
+        ((math.nan, 4.0), (0.02, math.inf), (0.0, 4.0)),
+        ((0.02, 4.0), (0.02, math.inf), (0.02, 0.0)),
+        ((0.02, 4.0), (0.02, 4.0), (0.02, -math.inf)),
+    ], ids=str)
+    def test_mcd_errors_equal_one_call_each(self, entries):
+        lams = [rep.lambda_ for rep in self.mcd_run(*[_Entry(0.02, 4.0)] * 3)]
+        with pytest.raises(DomainError) as one_each:
+            for lam, entry in zip(lams, entries):
+                calibrated_pvalue(lam, _Entry(*entry))
+        with pytest.raises(DomainError) as one_pass:
+            self.mcd_run(*[_Entry(*entry) for entry in entries])
+        assert str(one_pass.value) == str(one_each.value)
 
     def test_unknown_method_rejected(self):
         lay = random_layout(np.random.default_rng(31))

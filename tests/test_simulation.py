@@ -4,6 +4,7 @@ import concurrent.futures
 import math
 import multiprocessing
 import pickle
+import sys
 import threading
 
 import numpy as np
@@ -441,22 +442,77 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("kind", sim.EXPERIMENT_KINDS)
     def test_block_layouts_hold_their_streams_draws(self, kind):
-        design = Design(3, 2, 5, 2)
-        make = sim._layout_maker(kind, design, SETTINGS[kind], 0.1)
+        # robustness at epsilon 0.4: its trailing random(n) picks outliers
+        design, base = Design(3, 2, 5, 2), RngStream(75)
+        make = sim._layout_maker(kind, design, SETTINGS[kind], 0.4)
         seen = []
 
-        def spy(stream, out):
-            layout = make(stream, out)
-            seen.append((stream, out, layout))
+        def spy(gen, out):
+            layout = make(gen, out)
+            seen.append((out, layout, gen.bit_generator.random_raw(2).tobytes()))
             return layout
 
-        sim.replicate(design, spy, RngStream(75), ("cla",), sim.experiment_pairs(kind), 5)
+        sim.replicate(design, spy, base, ("cla",), sim.experiment_pairs(kind), 5)
         assert len(seen) == 5
-        block = seen[0][1].base
+        block = seen[0][0].base
         assert block.shape == (5, 3, 2, 5, 2)
-        for stream, out, layout in seen:
+        for a, (out, layout, after) in enumerate(seen):
             assert out.base is block and np.shares_memory(layout.observations, out)
-            assert layout.observations.tobytes() == make(stream, None).observations.tobytes()
+            # the public draw from the attempt's own stream, and where it leaves it
+            gen = base.substream(a, 0).generator()
+            assert layout.observations.tobytes() == make(gen, None).observations.tobytes()
+            assert after == gen.bit_generator.random_raw(2).tobytes()
+
+    @pytest.mark.parametrize("kind", sim.EXPERIMENT_KINDS)
+    def test_block_draws_equal_public_gen_draws(self, kind):
+        design, base = Design(2, 3, 4, 3), RngStream(76, (2,))
+        setting = SETTINGS[kind]
+        draws = {
+            "size": lambda rng: gen_null(design, rng),
+            "robustness": lambda rng: gen_contaminated(
+                design, ContaminationSpec(0.4, setting), rng),
+            "power_inter": lambda rng: gen_alternative(
+                design, gen_power_with_interactions(design, setting), rng),
+            "power_additive": lambda rng: gen_alternative(
+                design, gen_power_additive(design, setting), rng),
+        }
+        make, seen = sim._layout_maker(kind, design, setting, 0.4), []
+
+        def spy(gen, out):
+            seen.append(make(gen, out))
+            return seen[-1]
+
+        sim.replicate(design, spy, base, ("cla",), sim.experiment_pairs(kind), 70)
+        assert len(seen) == 70  # a block of 64, then one of 6
+        for a, layout in enumerate(seen):
+            want = draws[kind](base.substream(a, 0))
+            assert layout.observations.tobytes() == want.observations.tobytes()
+
+    def test_concurrent_runs_return_what_they_return_alone(self):
+        # each replicate call re-keys its own bit generator; a shared one
+        # would mix the threads' data streams
+        args = ("robustness", Design(2, 2, 10, 2), (3.0, 6.0), ("cla", "rnk"), 70)
+        alone = {seed: run_experiment(*args, master_seed=seed)[0].block.tobytes()
+                 for seed in (1, 2, 3)}
+        start, got = threading.Barrier(len(alone)), {seed: [] for seed in alone}
+
+        def work(seed):
+            start.wait(timeout=60)
+            for _ in range(4):
+                got[seed].append(run_experiment(*args, master_seed=seed)[0].block.tobytes())
+
+        threads = [threading.Thread(target=work, args=(seed,)) for seed in alone]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {seed: [want] * 4 for seed, want in alone.items()}
 
     def test_reports_compare_and_hash_by_identity(self):
         args = ("size", Design(2, 2, 3, 1), (), ("cla",), 4)
@@ -514,7 +570,7 @@ def loop_replicate(design, make_layout, base, methods, pairs, m, mcd_config=McdC
             raise last_error
         stream = base.substream(attempt)
         attempt += 1
-        layout = make_layout(stream.substream(0),
+        layout = make_layout(stream.substream(0).generator(),
                              np.empty((design.r, design.c, design.n, design.p)))
         weights_rng = stream.substream(1)
         try:
@@ -539,14 +595,27 @@ def attempt_of(stream):
     return stream.path[-2]
 
 
-def degenerate_layouts(design, bad):
-    """``gen_null`` data, made rank-deficient at the attempts in ``bad``:
-    "dup" repeats the first coordinate (every method's W is singular),
-    "exp" appends its exponential (only the ranks are collinear)."""
+def stream_key(gen):
+    """The Philox key of a generator: it names the stream being drawn."""
+    return tuple(gen.bit_generator.state["state"]["key"].tolist())
 
-    def make(stream, out):
-        layout = gen_null(design, stream, out)
-        how = bad.get(attempt_of(stream))
+
+def data_attempts(base, count):
+    """Maps the key of attempt a's data stream, ``base.substream(a, 0)``,
+    to a, for the first ``count`` attempts."""
+    return {stream_key(base.substream(a, 0).generator()): a for a in range(count)}
+
+
+def degenerate_layouts(design, bad, base):
+    """``gen_null`` data, made rank-deficient at the attempts in ``bad``
+    of a run from ``base``: "dup" repeats the first coordinate (every
+    method's W is singular), "exp" appends its exponential (only the
+    ranks are collinear)."""
+    attempts = data_attempts(base, max(bad) + 1)
+
+    def make(gen, out):
+        how = bad.get(attempts.get(stream_key(gen)))
+        layout = gen_null(design, gen, out)
         if how is None:
             return layout
         x = layout.observations[:, :1]
@@ -599,7 +668,7 @@ class TestBlockReplicate:
 
         monkeypatch.setattr(manova, "robust_weights", flaky)
         design = Design(2, 2, 8, 2)
-        make = degenerate_layouts(design, {2: "dup", 7: "exp"})
+        make = degenerate_layouts(design, {2: "dup", 7: "exp"}, RngStream(61))
         args = (design, make, RngStream(61), ("cla", "mcd", "rnk"), sim.experiment_pairs("size"), 7, TINY)
         block_run = sim.replicate(*args)
         block_calls, calls[:] = calls[:], []
@@ -615,7 +684,7 @@ class TestBlockReplicate:
         monkeypatch.setattr(sim, "_BLOCK", block)
         design = Design(3, 2, 6, 2)
         bad = {0: "dup", 3: "exp", 4: "dup", 11: "exp", 12: "exp"}
-        args = (design, degenerate_layouts(design, bad), RngStream(62), ("cla", "rnk"),
+        args = (design, degenerate_layouts(design, bad, RngStream(62)), RngStream(62), ("cla", "rnk"),
                 sim.experiment_pairs("size"), 10)
         block_run, reference = run_both(*args)
         assert_same_run(block_run, reference)
@@ -629,10 +698,7 @@ class TestBlockReplicate:
 
         monkeypatch.setattr(manova, "robust_weights", broken)
         design = Design(2, 2, 6, 2)
-
-        def make(stream, out):
-            bad = {attempt_of(stream): "dup"} if attempt_of(stream) % 2 == 0 else {}
-            return degenerate_layouts(design, bad)(stream, out)
+        make = degenerate_layouts(design, dict.fromkeys(range(0, 1020, 2), "dup"), RngStream(63))
 
         errors = []
         for run in (sim.replicate, loop_replicate):
@@ -650,20 +716,20 @@ class TestBlockReplicate:
         for run in (sim.replicate, loop_replicate):
             attempts = []
 
-            def make(stream, out):
-                attempts.append(attempt_of(stream))
-                return gen_null(design, stream, out)
+            def make(gen, out):
+                attempts.append(stream_key(gen))
+                return gen_null(design, gen, out)
 
             with pytest.raises(DegenerateWeights) as info:
                 run(design, make, RngStream(65), methods, sim.experiment_pairs("size"), 3, TINY)
             errors.append(str(info.value))
             drawn.append(attempts)
         assert errors[0] == errors[1]
-        assert drawn[0] == drawn[1] == list(range(1030))
+        assert drawn[0] == drawn[1] == list(data_attempts(RngStream(65), 1030))
 
     def test_exhaustion_in_wilks_step(self):
         design = Design(2, 2, 6, 2)
-        make = degenerate_layouts(design, {a: "dup" for a in range(1020)})
+        make = degenerate_layouts(design, dict.fromkeys(range(1020), "dup"), RngStream(64))
         errors = []
         for run in (sim.replicate, loop_replicate):
             with pytest.raises(NotPositiveDefinite) as info:
@@ -728,7 +794,7 @@ class TestParallelReplicate:
     def test_matches_reference(self, monkeypatch, pools, block):
         monkeypatch.setattr(sim, "_BLOCK", block)
         design = Design(2, 2, 8, 2)
-        make = degenerate_layouts(design, {1: "dup", 6: "dup", 7: "dup"})
+        make = degenerate_layouts(design, {1: "dup", 6: "dup", 7: "dup"}, RngStream(69))
         args = (design, make, RngStream(69), ("mcd",), sim.experiment_pairs("size"), 12, TINY)
         run = sim.replicate(*args)
         assert pools == [2]
