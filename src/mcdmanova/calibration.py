@@ -160,9 +160,8 @@ def null_statistic_samples(
         statistics, aligned across pairs by replication.
     """
     pairs = experiment_pairs("size")
-    design = Design(r, c, n, p)
     lambdas, redraws, attempts = replicate(
-        design, partial(gen_null, design), RngStream(seed),
+        partial(gen_null, Design(r, c, n, p)), RngStream(seed),
         ("mcd",), pairs, m_prime, mcd_config,
     )
     if redraws:

@@ -134,12 +134,6 @@ def parse_table(
     return rows
 
 
-def _mcd_config(args: argparse.Namespace) -> McdConfig:
-    if args.mcd_alpha is None:
-        return McdConfig()
-    return McdConfig(alpha=args.mcd_alpha)
-
-
 def _cache_path(args: argparse.Namespace) -> Path | None:
     return args.cache if args.cache is not None else cache_path_from_env()
 
@@ -191,7 +185,7 @@ def cmd_test(args: argparse.Namespace) -> str:
         tuple(Hypothesis(h) for h in dict.fromkeys(args.hypothesis))
         if args.hypothesis else hypotheses_for(model)
     )
-    mcd_config = _mcd_config(args)
+    mcd_config = McdConfig(alpha=args.mcd_alpha)
     source = _calibration_source(args, methods, args.seed)
     reports: dict[str, dict[Hypothesis, object]] = {}
     for method in methods:
@@ -242,7 +236,7 @@ def cmd_calibrate(args: argparse.Namespace) -> str:
         raise DomainError("no cache file: pass --cache or set CAL_CACHE")
     r, c, n, p = args.design
     entries = calibrate_design(
-        p, r, c, n, args.m_prime, args.seed, _mcd_config(args)
+        p, r, c, n, args.m_prime, args.seed, McdConfig(alpha=args.mcd_alpha)
     )
     merge_cache(cache, entries)
     lines = [
@@ -265,7 +259,7 @@ def cmd_simulate(args: argparse.Namespace) -> str:
         spec = dataclasses.replace(spec, alpha=args.alpha)
     if args.seed is not None:
         spec = dataclasses.replace(spec, seed=args.seed)
-    mcd_config = _mcd_config(args)
+    mcd_config = McdConfig(alpha=args.mcd_alpha)
     source = _calibration_source(args, spec.methods, spec.seed)
     reports = spec.run(mcd_config, source)
     if args.out is not None:
@@ -380,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # shared options, added after each subcommand's own, where --help lists them
     for cmd in (test, cal, sim):
-        cmd.add_argument("--mcd-alpha", type=float, default=None,
+        cmd.add_argument("--mcd-alpha", type=float, default=McdConfig.alpha,
                          help="MCD subset fraction in [0.5, 1]")
         cmd.add_argument("--cache", type=Path, default=None,
                          help="calibration cache file (default: env CAL_CACHE)")

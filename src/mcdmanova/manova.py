@@ -405,6 +405,8 @@ class SspDecomposition:
     @classmethod
     def stack(cls, members: Sequence[SspDecomposition]) -> SspDecomposition:
         """One stacked decomposition of single ``members``, in order."""
+        if not members:
+            raise DimensionError("an empty sequence of decompositions has no shape")
         return cls(
             *(_read_only(np.stack([getattr(d, name) for d in members]))
               for name in ("W", "E", "R_row", "R_col"))
@@ -618,6 +620,8 @@ def method_ssp(
     if method == "rnk":
         return classical_ssp(rank_transform(layout))
     if method == "mcd":
+        if not isinstance(layout, TwoWayLayout):
+            raise DomainError('"mcd" takes one layout, not a sequence')
         return weighted_ssp(layout, robust_weights(layout, config, rng))
     raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
 

@@ -206,20 +206,12 @@ class ExperimentReport:
 
 
 def _normal_cells(
-    design: Design, gen: np.random.Generator, out: np.ndarray | None
-) -> np.ndarray:
-    """``out``, or a new (r, c, n, p) array, filled with standard normals."""
-    shape = (design.r, design.c, design.n, design.p)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise DimensionError(f"out has shape {out.shape}, the design {shape}")
-    return gen.standard_normal(out=out)
-
-
-def _generator(rng: RngStream | np.random.Generator) -> np.random.Generator:
-    """A new generator of stream ``rng``, or ``rng`` itself if a generator."""
-    return rng.generator() if isinstance(rng, RngStream) else rng
+    design: Design, rng: RngStream | np.random.Generator
+) -> tuple[np.random.Generator, np.ndarray]:
+    """The generator of ``rng`` and a new (r, c, n, p) array of standard
+    normals drawn from it: a stream's new generator, or ``rng`` itself."""
+    gen = rng.generator() if isinstance(rng, RngStream) else rng
+    return gen, gen.standard_normal((design.r, design.c, design.n, design.p))
 
 
 def _cells_layout(design: Design, cells: np.ndarray) -> TwoWayLayout:
@@ -230,23 +222,17 @@ def _cells_layout(design: Design, cells: np.ndarray) -> TwoWayLayout:
     return _design_template(design.r, design.c, design.n)._holding(view)
 
 
-def gen_null(
-    design: Design, rng: RngStream | np.random.Generator, out: np.ndarray | None = None
-) -> TwoWayLayout:
+def gen_null(design: Design, rng: RngStream | np.random.Generator) -> TwoWayLayout:
     """All cells i.i.d. standard normal; a pure function of the stream.
 
     ``rng`` is a stream, drawn from its start, or a generator, drawn
-    from where it stands.  ``out``, a C-contiguous float64 (r, c, n, p)
-    array, receives the draw, and the layout holds a read-only view of
-    it; the bytes are those of a draw into a new array, which is the
-    default.  Every ``gen_*`` function takes ``rng`` and ``out`` alike.
+    from where it stands; every ``gen_*`` function takes it alike.
     """
-    return _cells_layout(design, _normal_cells(design, _generator(rng), out))
+    return _cells_layout(design, _normal_cells(design, rng)[1])
 
 
 def gen_alternative(
-    design: Design, means: MeanLayout, rng: RngStream | np.random.Generator,
-    out: np.ndarray | None = None,
+    design: Design, means: MeanLayout, rng: RngStream | np.random.Generator
 ) -> TwoWayLayout:
     """Standard normal cells shifted by per-cell means.
 
@@ -255,7 +241,7 @@ def gen_alternative(
     """
     if means.design != design:
         raise DimensionError("mean layout was built for a different design")
-    cells = _normal_cells(design, _generator(rng), out)
+    cells = _normal_cells(design, rng)[1]
     cells += means.mu[:, :, None, :]
     return _cells_layout(design, cells)
 
@@ -288,8 +274,7 @@ def gen_power_additive(design: Design, d: float) -> MeanLayout:
 
 
 def gen_contaminated(
-    design: Design, spec: ContaminationSpec, rng: RngStream | np.random.Generator,
-    out: np.ndarray | None = None,
+    design: Design, spec: ContaminationSpec, rng: RngStream | np.random.Generator
 ) -> TwoWayLayout:
     """Null data with the last cell replaced by the mixture model.
 
@@ -298,8 +283,7 @@ def gen_contaminated(
     same as :func:`gen_null` would produce, so epsilon = 0 reproduces
     the null dataset bit for bit.
     """
-    gen = _generator(rng)
-    cells = _normal_cells(design, gen, out)
+    gen, cells = _normal_cells(design, rng)
     outlying = gen.random(design.n) < spec.epsilon
     q_p = math.sqrt(chi2_quantile(0.999, design.p) / design.p)
     shift = spec.nu * q_p
@@ -336,20 +320,19 @@ def experiment_pairs(kind: str) -> tuple[tuple[Model, Hypothesis], ...]:
 
 def _layout_maker(
     kind: str, design: Design, setting: float, epsilon: float
-) -> Callable[[np.random.Generator, np.ndarray | None], TwoWayLayout]:
-    """The data draw of one setting: one ``gen_*`` call per generator and
-    ``out`` array.
+) -> Callable[[np.random.Generator], TwoWayLayout]:
+    """The data draw of one setting: one ``gen_*`` call per generator.
 
     The setting's mean layout or contamination spec is built here, once.
     """
     if kind == "size":
-        return lambda gen, out: gen_null(design, gen, out)
+        return lambda gen: gen_null(design, gen)
     if kind == "robustness":
         spec = ContaminationSpec(epsilon, setting)
-        return lambda gen, out: gen_contaminated(design, spec, gen, out)
+        return lambda gen: gen_contaminated(design, spec, gen)
     make_means = gen_power_with_interactions if kind == "power_inter" else gen_power_additive
     means = make_means(design, setting)
-    return lambda gen, out: gen_alternative(design, means, gen, out)
+    return lambda gen: gen_alternative(design, means, gen)
 
 
 def _usable_cores() -> int:
@@ -393,8 +376,7 @@ def _ssp_or_error(
 
 
 def replicate(
-    design: Design,
-    make_layout: Callable[[np.random.Generator, np.ndarray], TwoWayLayout],
+    make_layout: Callable[[np.random.Generator], TwoWayLayout],
     base: RngStream,
     methods: tuple[str, ...],
     pairs: tuple[tuple[Model, Hypothesis], ...],
@@ -403,29 +385,25 @@ def replicate(
 ) -> tuple[dict[tuple[str, tuple[Model, Hypothesis]], np.ndarray], int, int]:
     """Wilks' Lambda of every (method, pair) over ``m`` replications.
 
-    Attempt ``a`` draws its dataset of ``design`` with
-    ``make_layout(gen, out)``, where ``gen`` is a generator at the start
-    of stream ``base.substream(a, 0)``, and, for the "mcd" method, its
-    robust weights from ``base.substream(a, 1)``; every method sees the
-    identical dataset.  An attempt on which any method's pipeline
-    degenerates is discarded and the next attempt is drawn; after
-    ``10 * m + 1000`` attempts the last degeneracy is raised.
+    Attempt ``a`` draws its dataset with ``make_layout(gen)``, where
+    ``gen`` is a generator at the start of stream ``base.substream(a, 0)``,
+    and, for the "mcd" method, its robust weights from
+    ``base.substream(a, 1)``; every method sees the identical dataset.
+    An attempt on which any method's pipeline degenerates is discarded
+    and the next attempt is drawn; after ``10 * m + 1000`` attempts the
+    last degeneracy is raised.
 
-    Attempts run in blocks.  A block draws its datasets into one
-    (b, r, c, n, p) array: ``out`` is the attempt's (r, c, n, p) slice,
-    which ``make_layout`` fills and its layout may hold, as the
-    ``gen_*`` functions' ``out`` does.  The block's data streams are
-    keyed in one pass, and ``gen`` is one generator per call whose
-    Philox is re-keyed for every attempt, so ``make_layout`` must not
-    keep it.  The "cla" and "rnk" SSP decompositions of a block come
-    from one stacked :func:`method_ssp` call each, which fails every
-    attempt alike (unit weights degenerate only when N < p + 2); the
-    "mcd" ones come one attempt at a time and are stacked.  The Wilks'
-    Lambdas come from one :func:`wilks_lambda` call per method and pair
-    on the stack of live attempts; a stacked call that degenerates is
-    redone one attempt (member) at a time.
-    Lambdas, redraws, attempts and the raised error equal those of
-    evaluating one attempt at a time.
+    Attempts run in blocks.  A block's data streams are keyed in one
+    pass, and ``gen`` is one generator per call whose Philox is re-keyed
+    for every attempt, so ``make_layout`` must not keep it.  The "cla"
+    and "rnk" SSP decompositions of a block come from one stacked
+    :func:`method_ssp` call each, which fails every attempt alike (unit
+    weights degenerate only when N < p + 2); the "mcd" ones come one
+    attempt at a time and are stacked.  The Wilks' Lambdas come from one
+    :func:`wilks_lambda` call per method and pair on the stack of live
+    attempts; a stacked call that degenerates is redone one attempt
+    (member) at a time.  Lambdas, redraws, attempts and the raised error
+    equal those of evaluating one attempt at a time.
 
     From ``_MIN_PARALLEL_ATTEMPTS`` replications on, with "mcd" among
     the methods and more than one usable core, the per-attempt "mcd"
@@ -459,9 +437,8 @@ def replicate(
             size = min(m - done, max_attempts - attempt, _BLOCK)
             first = attempt
             attempt += size
-            block_cells = np.empty((size, design.r, design.c, design.n, design.p))
             keys = _philox_keys(base, range(first, attempt), 0)
-            layouts = [make_layout(g, cells) for g, cells in zip(_rekeyed(gen, keys), block_cells)]
+            layouts = [make_layout(g) for g in _rekeyed(gen, keys)]
             block = {key: np.empty(size) for key in lambdas}
             failed: dict[int, Exception] = {}
             alive = list(range(size))
@@ -602,7 +579,7 @@ def run_experiment(
     lams = np.empty((len(settings), len(methods), len(pairs), m))
     for si, setting in enumerate(settings):
         lambdas, redraws, attempts = replicate(
-            design, _layout_maker(kind, design, setting, epsilon),
+            _layout_maker(kind, design, setting, epsilon),
             root.substream(si), methods, pairs, m, mcd_config,
         )
         if redraws:

@@ -51,9 +51,8 @@ def calibrated_entry(key, mcd_config):
 def classical_null(r, c, n, p, m, seed):
     """Classical ``-ln(lambda)`` null samples of every size pair."""
     pairs = experiment_pairs("size")
-    design = Design(r, c, n, p)
     lambdas, _, _ = replicate(
-        design, partial(gen_null, design), RngStream(seed), ("cla",), pairs, m
+        partial(gen_null, Design(r, c, n, p)), RngStream(seed), ("cla",), pairs, m
     )
     return {pair: -np.log(lambdas["cla", pair]) for pair in pairs}
 

@@ -46,6 +46,7 @@ from mcdmanova.manova import (
     run_manova,
     validate_layout,
 )
+from mcdmanova.mcd import McdConfig
 
 # First six observations of the waste-composition example, as a CSV.
 WASTE_HEAD = """\
@@ -808,3 +809,11 @@ class TestInstalledEntryPoints:
     def test_parser_builds(self):
         parser = build_parser()
         assert parser.prog == "mcdmanova"
+
+    def test_mcd_alpha_defaults_to_the_config_default(self):
+        parser = build_parser()
+        for argv in (["test", "--input", "t.csv", "--factors", "a", "b", "--responses", "y"],
+                     ["calibrate", "--design", "2", "2", "5", "2"],
+                     ["simulate", "--input", "e.txt"]):
+            args = parser.parse_args(argv)
+            assert McdConfig(alpha=args.mcd_alpha) == McdConfig()

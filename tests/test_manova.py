@@ -679,6 +679,21 @@ class TestStackedCalls:
                 call()
         assert rank_transform([]) == []
 
+    def test_empty_stack_of_decompositions(self):
+        with pytest.raises(DimensionError, match="empty sequence of decompositions"):
+            SspDecomposition.stack([])
+
+    def test_mcd_takes_one_layout(self, monkeypatch):
+        def unreachable(*args):
+            raise AssertionError("fitted a sequence of layouts")
+
+        monkeypatch.setattr(manova, "robust_weights", unreachable)
+        rng = np.random.default_rng(21)
+        layouts = [random_layout(rng, r=2, c=2, n=6) for _ in range(2)]
+        for sequence in (layouts, tuple(layouts), layouts[:1], []):
+            with pytest.raises(DomainError, match='"mcd" takes one layout'):
+                manova.method_ssp(sequence, "mcd")
+
     def test_first_failing_member_raises(self):
         good = random_layout(np.random.default_rng(18), r=2, c=2, n=4)
         bad = random_layout(np.random.default_rng(19), r=2, c=2, n=4)

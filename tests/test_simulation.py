@@ -204,25 +204,19 @@ class TestGenerators:
 
 
     @pytest.mark.parametrize("draw", [
-        lambda design, stream, out=None: gen_null(design, stream, out),
-        lambda design, stream, out=None: gen_alternative(
-            design, gen_power_additive(design, 2.0), stream, out),
-        lambda design, stream, out=None: gen_contaminated(
-            design, ContaminationSpec(0.3, 5.0), stream, out),
+        lambda design, rng: gen_null(design, rng),
+        lambda design, rng: gen_alternative(design, gen_power_additive(design, 2.0), rng),
+        lambda design, rng: gen_contaminated(design, ContaminationSpec(0.3, 5.0), rng),
     ], ids=["null", "alternative", "contaminated"])
-    def test_out_receives_the_default_draw(self, draw):
-        design = Design(3, 2, 7, 2)
-        block = np.empty((3, 3, 2, 7, 2))
-        for k, cells in enumerate(block):
-            stream = RngStream(71, (k, 0))
-            held, alone = draw(design, stream, cells), draw(design, stream)
-            assert held.observations.tobytes() == alone.observations.tobytes()
-            assert np.shares_memory(held.observations, block)
-            for layout in (held, alone):
-                assert not layout.observations.flags.writeable
-                assert layout.observations.shape == (42, 2) and layout.p == 2
-        with pytest.raises(DimensionError):
-            draw(design, RngStream(71), np.empty((3, 2, 7, 3)))
+    def test_each_draw_holds_its_own_read_only_array(self, draw):
+        design, stream = Design(3, 2, 7, 2), RngStream(71, (0, 0))
+        first, second = draw(design, stream), draw(design, stream.generator())
+        assert first.observations.tobytes() == second.observations.tobytes()
+        assert not np.shares_memory(first.observations, second.observations)
+        for layout in (first, second):
+            assert not layout.observations.flags.writeable
+            assert owner(layout.observations).nbytes == layout.observations.nbytes
+            assert layout.observations.shape == (42, 2) and layout.p == 2
 
     def test_null_draw_is_one_standard_normal_fill(self):
         design = Design(2, 3, 4, 3)
@@ -418,9 +412,9 @@ class TestRunExperiment:
         pairs = sim.experiment_pairs(kind)
         rows = iter(reports)
         for si, setting in enumerate(settings):
-            # one attempt at a time, each drawn into its own array
+            # one attempt at a time
             lambdas, _, _ = loop_replicate(
-                design, sim._layout_maker(kind, design, setting, 0.1),
+                sim._layout_maker(kind, design, setting, 0.1),
                 RngStream(seed).substream(si), methods, pairs, m, FAST,
             )
             for method in methods:
@@ -447,21 +441,35 @@ class TestRunExperiment:
         make = sim._layout_maker(kind, design, SETTINGS[kind], 0.4)
         seen = []
 
-        def spy(gen, out):
-            layout = make(gen, out)
-            seen.append((out, layout, gen.bit_generator.random_raw(2).tobytes()))
+        def spy(gen):
+            layout = make(gen)
+            seen.append((layout, gen.bit_generator.random_raw(2).tobytes()))
             return layout
 
-        sim.replicate(design, spy, base, ("cla",), sim.experiment_pairs(kind), 5)
+        sim.replicate(spy, base, ("cla",), sim.experiment_pairs(kind), 5)
         assert len(seen) == 5
-        block = seen[0][0].base
-        assert block.shape == (5, 3, 2, 5, 2)
-        for a, (out, layout, after) in enumerate(seen):
-            assert out.base is block and np.shares_memory(layout.observations, out)
+        for a, (layout, after) in enumerate(seen):
             # the public draw from the attempt's own stream, and where it leaves it
             gen = base.substream(a, 0).generator()
-            assert layout.observations.tobytes() == make(gen, None).observations.tobytes()
+            assert layout.observations.tobytes() == make(gen).observations.tobytes()
             assert after == gen.bit_generator.random_raw(2).tobytes()
+
+    @pytest.mark.parametrize("kind", sim.EXPERIMENT_KINDS)
+    def test_block_layouts_share_no_memory_and_are_read_only(self, kind):
+        design = Design(2, 2, 4, 2)
+        make, seen = sim._layout_maker(kind, design, SETTINGS[kind], 0.4), []
+
+        def spy(gen):
+            seen.append(make(gen))
+            return seen[-1]
+
+        sim.replicate(spy, RngStream(77), ("cla",), sim.experiment_pairs(kind), 70)
+        assert len(seen) == 70  # a block of 64, then one of 6
+        for a, layout in enumerate(seen):
+            assert not layout.observations.flags.writeable
+            assert owner(layout.observations).nbytes == layout.observations.nbytes
+            for other in seen[:a]:
+                assert not np.shares_memory(layout.observations, other.observations)
 
     @pytest.mark.parametrize("kind", sim.EXPERIMENT_KINDS)
     def test_block_draws_equal_public_gen_draws(self, kind):
@@ -478,11 +486,11 @@ class TestRunExperiment:
         }
         make, seen = sim._layout_maker(kind, design, setting, 0.4), []
 
-        def spy(gen, out):
-            seen.append(make(gen, out))
+        def spy(gen):
+            seen.append(make(gen))
             return seen[-1]
 
-        sim.replicate(design, spy, base, ("cla",), sim.experiment_pairs(kind), 70)
+        sim.replicate(spy, base, ("cla",), sim.experiment_pairs(kind), 70)
         assert len(seen) == 70  # a block of 64, then one of 6
         for a, layout in enumerate(seen):
             want = draws[kind](base.substream(a, 0))
@@ -557,9 +565,16 @@ def small_source():
     return CalibrationSource(entries=calibrate_design(2, 2, 2, 10, 50, 1, FAST))
 
 
-def loop_replicate(design, make_layout, base, methods, pairs, m, mcd_config=McdConfig()):
+def owner(array):
+    """The array that owns ``array``'s memory."""
+    while array.base is not None:
+        array = array.base
+    return array
+
+
+def loop_replicate(make_layout, base, methods, pairs, m, mcd_config=McdConfig()):
     """Reference: ``replicate`` evaluating one attempt at a time, each
-    drawn into its own array."""
+    from a generator of its own stream."""
     lambdas = {(method, pair): np.empty(m) for method in methods for pair in pairs}
     done = attempt = redraws = 0
     max_attempts = 10 * m + 1000
@@ -570,8 +585,7 @@ def loop_replicate(design, make_layout, base, methods, pairs, m, mcd_config=McdC
             raise last_error
         stream = base.substream(attempt)
         attempt += 1
-        layout = make_layout(stream.substream(0).generator(),
-                             np.empty((design.r, design.c, design.n, design.p)))
+        layout = make_layout(stream.substream(0).generator())
         weights_rng = stream.substream(1)
         try:
             for method in methods:
@@ -613,9 +627,9 @@ def degenerate_layouts(design, bad, base):
     ranks are collinear)."""
     attempts = data_attempts(base, max(bad) + 1)
 
-    def make(gen, out):
+    def make(gen):
         how = bad.get(attempts.get(stream_key(gen)))
-        layout = gen_null(design, gen, out)
+        layout = gen_null(design, gen)
         if how is None:
             return layout
         x = layout.observations[:, :1]
@@ -652,7 +666,7 @@ class TestBlockReplicate:
     def test_matches_reference(self, kind, design, methods, m):
         make = sim._layout_maker(kind, design, SETTINGS[kind], 0.1)
         pairs = sim.experiment_pairs(kind)
-        assert_same_run(*run_both(design, make, RngStream(60), methods, pairs, m, TINY))
+        assert_same_run(*run_both(make, RngStream(60), methods, pairs, m, TINY))
 
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_forced_robust_weights_failures(self, monkeypatch, block):
@@ -669,7 +683,7 @@ class TestBlockReplicate:
         monkeypatch.setattr(manova, "robust_weights", flaky)
         design = Design(2, 2, 8, 2)
         make = degenerate_layouts(design, {2: "dup", 7: "exp"}, RngStream(61))
-        args = (design, make, RngStream(61), ("cla", "mcd", "rnk"), sim.experiment_pairs("size"), 7, TINY)
+        args = (make, RngStream(61), ("cla", "mcd", "rnk"), sim.experiment_pairs("size"), 7, TINY)
         block_run = sim.replicate(*args)
         block_calls, calls[:] = calls[:], []
         reference = loop_replicate(*args)
@@ -684,7 +698,7 @@ class TestBlockReplicate:
         monkeypatch.setattr(sim, "_BLOCK", block)
         design = Design(3, 2, 6, 2)
         bad = {0: "dup", 3: "exp", 4: "dup", 11: "exp", 12: "exp"}
-        args = (design, degenerate_layouts(design, bad, RngStream(62)), RngStream(62), ("cla", "rnk"),
+        args = (degenerate_layouts(design, bad, RngStream(62)), RngStream(62), ("cla", "rnk"),
                 sim.experiment_pairs("size"), 10)
         block_run, reference = run_both(*args)
         assert_same_run(block_run, reference)
@@ -703,7 +717,7 @@ class TestBlockReplicate:
         errors = []
         for run in (sim.replicate, loop_replicate):
             with pytest.raises(SingularSubset) as info:
-                run(design, make, RngStream(63), ("cla", "mcd"), sim.experiment_pairs("size"), 2, TINY)
+                run(make, RngStream(63), ("cla", "mcd"), sim.experiment_pairs("size"), 2, TINY)
             errors.append(str(info.value))
         assert errors == ["forced at attempt 1019"] * 2
 
@@ -716,12 +730,12 @@ class TestBlockReplicate:
         for run in (sim.replicate, loop_replicate):
             attempts = []
 
-            def make(gen, out):
+            def make(gen):
                 attempts.append(stream_key(gen))
-                return gen_null(design, gen, out)
+                return gen_null(design, gen)
 
             with pytest.raises(DegenerateWeights) as info:
-                run(design, make, RngStream(65), methods, sim.experiment_pairs("size"), 3, TINY)
+                run(make, RngStream(65), methods, sim.experiment_pairs("size"), 3, TINY)
             errors.append(str(info.value))
             drawn.append(attempts)
         assert errors[0] == errors[1]
@@ -733,7 +747,7 @@ class TestBlockReplicate:
         errors = []
         for run in (sim.replicate, loop_replicate):
             with pytest.raises(NotPositiveDefinite) as info:
-                run(design, make, RngStream(64), ("cla",), sim.experiment_pairs("size"), 2)
+                run(make, RngStream(64), ("cla",), sim.experiment_pairs("size"), 2)
             errors.append(str(info.value))
         assert errors[0] == errors[1]
 
@@ -763,7 +777,7 @@ def no_pool(*args, **kwargs):
 def mcd_run(design, m):
     """Arguments of a ``("mcd",)`` replicate run on null data."""
     make = sim._layout_maker("size", design, 0.0, 0.1)
-    return design, make, RngStream(68), ("mcd",), sim.experiment_pairs("size"), m, TINY
+    return make, RngStream(68), ("mcd",), sim.experiment_pairs("size"), m, TINY
 
 
 def mcd_replicate(design, m):
@@ -795,7 +809,7 @@ class TestParallelReplicate:
         monkeypatch.setattr(sim, "_BLOCK", block)
         design = Design(2, 2, 8, 2)
         make = degenerate_layouts(design, {1: "dup", 6: "dup", 7: "dup"}, RngStream(69))
-        args = (design, make, RngStream(69), ("mcd",), sim.experiment_pairs("size"), 12, TINY)
+        args = (make, RngStream(69), ("mcd",), sim.experiment_pairs("size"), 12, TINY)
         run = sim.replicate(*args)
         assert pools == [2]
         assert multiprocessing.active_children() == []
@@ -813,7 +827,7 @@ class TestParallelReplicate:
         errors = []
         for run in (sim.replicate, loop_replicate):
             with pytest.raises(SingularSubset) as info:
-                run(design, make, RngStream(63), ("mcd",), sim.experiment_pairs("size"), 2, TINY)
+                run(make, RngStream(63), ("mcd",), sim.experiment_pairs("size"), 2, TINY)
             errors.append(str(info.value))
         assert pools == [2]
         assert multiprocessing.active_children() == []
