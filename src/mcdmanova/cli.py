@@ -87,6 +87,8 @@ def parse_table(
 
     Raises
     ------
+    DomainError
+        A column is named twice among the factor and response columns.
     EmptyTable
         No lines at all, or a header without data rows.
     MissingColumn
@@ -105,7 +107,9 @@ def parse_table(
     delim = _detect_delimiter(lines[0])
     header = [field.strip() for field in lines[0].split(delim)]
     wanted = list(factor_cols) + list(response_cols)
-    for name in wanted:
+    for k, name in enumerate(wanted):
+        if name in wanted[:k]:
+            raise DomainError(f"column {name!r} is named twice")
         if name not in header:
             raise MissingColumn(
                 f"column {name!r} not found; header has {header}"

@@ -430,8 +430,7 @@ class SspDecomposition:
 
 
 def weighted_ssp(
-    layout: TwoWayLayout | Sequence[TwoWayLayout],
-    weights: WeightSet | Sequence[WeightSet],
+    layout: TwoWayLayout | Sequence[TwoWayLayout], weights: WeightSet
 ) -> SspDecomposition:
     """Weighted SSP matrices of a balanced two-way layout.
 
@@ -446,98 +445,77 @@ def weighted_ssp(
     and R_col analogously over columns.
 
     ``layout`` may also be a non-empty sequence of layouts of one design
-    (r, c, n, p), with a sequence of one WeightSet each; all are then
-    decomposed in one stacked pass, and the result is one stacked
-    decomposition whose member i equals, bit for bit, the decomposition
-    pair i gives alone.
+    (r, c, n, p) and one labelling: the same label arrays, which every
+    layout built inside the package shares, or equal values.  The one
+    WeightSet weighs every member; all are decomposed in one stacked
+    pass, and the result is one stacked decomposition whose member i
+    equals, bit for bit, the decomposition layout i gives alone.
 
     Raises
     ------
     DimensionError
-        A weight vector does not match its layout, the sequence is empty,
-        or the layouts of a sequence differ in design.
+        ``weights`` is not one WeightSet of the layout's design, the
+        sequence is empty, or its layouts differ in design or labels.
     DegenerateWeights
         Fewer than p + 2 observations carry weight one.
     CellWiped
         Some cell has weight total zero, so its mean is undefined.
-
-    For a sequence, every weight vector's shape is checked first, then
-    the first pair that degenerates raises its error.
     """
     single = isinstance(layout, TwoWayLayout)
     layouts = [layout] if single else list(layout)
-    weight_sets = [weights] if single else list(weights)
-    if len(weight_sets) != len(layouts):
-        raise DimensionError(
-            f"{len(layouts)} layouts but {len(weight_sets)} weight sets"
-        )
-    for lay, ws in zip(layouts, weight_sets):
-        if ws.w.shape != (lay.size,):
-            raise DimensionError(
-                f"weight vector shape {ws.w.shape} does not match N = {lay.size}"
-            )
     if not layouts:
         raise DimensionError("an empty sequence of layouts has no design")
-
+    if not isinstance(weights, WeightSet):
+        raise DimensionError(f"weights must be one WeightSet, got {type(weights).__name__}")
     Y = _stacked_observations(layouts)
-    b, _, p = Y.shape
-    r, c, n = layouts[0].r, layouts[0].c, layouts[0].n
-    # Members sharing one weight set, or one design's labels, share one
-    # row of the arrays below, broadcast over the stack.
-    if all(ws is weight_sets[0] for ws in weight_sets):
-        weight_sets = weight_sets[:1]
+    b, N, p = Y.shape
     first = layouts[0]
-    if all(lay.row_label is first.row_label and lay.col_label is first.col_label
-           for lay in layouts):
-        layouts = layouts[:1]
-    cell_n = np.array([ws.cell_totals for ws in weight_sets], dtype=np.float64)
-    grand_n = np.array([ws.grand_total for ws in weight_sets], dtype=np.float64)
-    failing = np.flatnonzero((grand_n < p + 2) | (cell_n == 0).any(axis=(1, 2)))
-    if failing.size:
-        ws = weight_sets[failing[0]]
-        if ws.grand_total < p + 2:
-            raise DegenerateWeights(
-                f"only {ws.grand_total} observations have weight one, "
-                f"need at least p + 2 = {p + 2}"
-            )
-        bad = np.argwhere(ws.cell_totals == 0)[0]
+    r, c, n = first.r, first.c, first.n
+    rows, cols = first.row_label, first.col_label
+    for lay in layouts[1:]:
+        for mine, ours in ((lay.row_label, rows), (lay.col_label, cols)):
+            if mine is not ours and not np.array_equal(mine, ours):
+                raise DimensionError("layouts of one call must share their labels")
+    if weights.w.shape != (N,):
+        raise DimensionError(
+            f"weight vector shape {weights.w.shape} does not match N = {N}"
+        )
+    if weights.cell_totals.shape != (r, c):
+        R, C = weights.cell_totals.shape
+        raise DimensionError(f"weights of a {R}x{C} design do not match the {r}x{c} layout")
+    if weights.grand_total < p + 2:
+        raise DegenerateWeights(
+            f"only {weights.grand_total} observations have weight one, "
+            f"need at least p + 2 = {p + 2}"
+        )
+    if (weights.cell_totals == 0).any():
+        bad = np.argwhere(weights.cell_totals == 0)[0]
         raise CellWiped(f"cell ({bad[0]}, {bad[1]}) has zero weight total")
 
-    member = np.arange(b)[:, None]
-
-    def gather(x: np.ndarray, index: np.ndarray) -> np.ndarray:
-        """``x[i, index[i]]`` for every member i; a shared index row is taken once."""
-        return x.take(index[0], axis=1) if len(index) == 1 else x[member, index]
-
-    rows = np.array([lay.row_label for lay in layouts])
-    cols = np.array([lay.col_label for lay in layouts])
     idx = rows * c + cols
-    w = np.array([ws.w for ws in weight_sets], dtype=np.float64)[:, :, None]
-    row_n = np.array([ws.row_totals for ws in weight_sets], dtype=np.float64)
-    col_n = np.array([ws.col_totals for ws in weight_sets], dtype=np.float64)
+    w = weights.w.astype(np.float64)[:, None]
+    row_n = weights.row_totals.astype(np.float64)[:, None]
+    col_n = weights.col_totals.astype(np.float64)[:, None]
 
     # Each cell's weighted rows, in observation order, summed one after
     # another (what np.bincount does): a running sum adds in that order.
-    by_cell = gather(Y * w, np.argsort(idx, axis=1, kind="stable"))
+    by_cell = (Y * w).take(np.argsort(idx, kind="stable"), axis=1)
     running = np.cumsum(by_cell.reshape(b, r * c, n, p), axis=2)
     cell_sums = running[:, :, -1].reshape(b, r, c, p)
-    cell_means = cell_sums / cell_n[:, :, :, None]
-    row_means = cell_sums.sum(axis=2) / row_n[:, :, None]
-    col_means = cell_sums.sum(axis=1) / col_n[:, :, None]
-    grand_mean = cell_sums.sum(axis=(1, 2)) / grand_n[:, None]
+    cell_means = cell_sums / weights.cell_totals.astype(np.float64)[:, :, None]
+    row_means = cell_sums.sum(axis=2) / row_n
+    col_means = cell_sums.sum(axis=1) / col_n
+    grand_mean = cell_sums.sum(axis=(1, 2))[:, None] / float(weights.grand_total)
 
     def weighted_cross(dev: np.ndarray, weight: np.ndarray) -> np.ndarray:
         """``(dev * weight).T @ dev`` for every member of the stack."""
         return np.matmul((dev * weight).transpose(0, 2, 1), dev)
 
-    resid_w = Y - gather(cell_means.reshape(b, r * c, p), idx)
-    W = weighted_cross(resid_w, w)
-    resid_e = (
-        Y - gather(row_means, rows) - gather(col_means, cols) + grand_mean[:, None]
-    )
+    W = weighted_cross(Y - cell_means.reshape(b, r * c, p).take(idx, axis=1), w)
+    resid_e = Y - row_means.take(rows, axis=1) - col_means.take(cols, axis=1) + grand_mean
     E = weighted_cross(resid_e, w)
-    R_row = weighted_cross(row_means - grand_mean[:, None], row_n[:, :, None])
-    R_col = weighted_cross(col_means - grand_mean[:, None], col_n[:, :, None])
+    R_row = weighted_cross(row_means - grand_mean, row_n)
+    R_col = weighted_cross(col_means - grand_mean, col_n)
     decomp = SspDecomposition(*map(_read_only, (W, E, R_row, R_col)))
     return decomp[0] if single else decomp
 
@@ -547,13 +525,16 @@ def classical_ssp(
 ) -> SspDecomposition:
     """SSP decomposition with every observation at weight one.
 
-    A sequence of layouts is decomposed in one stacked pass, as by
+    A sequence of layouts of one design and one labelling is decomposed
+    in one stacked pass under one unit WeightSet, as by
     :func:`weighted_ssp`.
     """
     if isinstance(layout, TwoWayLayout):
         return weighted_ssp(layout, unit_weights(layout))
     layouts = list(layout)
-    return weighted_ssp(layouts, [unit_weights(lay) for lay in layouts])
+    if not layouts:
+        raise DimensionError("an empty sequence of layouts has no design")
+    return weighted_ssp(layouts, unit_weights(layouts[0]))
 
 
 def robust_weights(
@@ -612,8 +593,8 @@ def method_ssp(
     calibrated null and the test it serves always share one pipeline.
 
     For "cla" and "rnk", ``layout`` may also be a sequence of layouts of
-    one design, decomposed in one stacked pass into one stacked
-    decomposition.
+    one design and one labelling, decomposed in one stacked pass into one
+    stacked decomposition, as by :func:`classical_ssp`.
     """
     if method == "cla":
         return classical_ssp(layout)

@@ -704,6 +704,21 @@ class TestExitCodes:
         )
         assert code == 5
 
+    @pytest.mark.parametrize("sub", ["test", "ilr"])
+    @pytest.mark.parametrize("factors, responses, twice", [
+        (["district", "year"], ["biogenic", "biogenic"], "biogenic"),
+        (["district", "district"], ["biogenic", "residual"], "district"),
+        (["district", "year"], ["residual", "year"], "year"),
+    ])
+    def test_column_named_twice(self, sub, factors, responses, twice, tmp_path, capsys):
+        data = write_balanced_csv(tmp_path / "d.csv")
+        code, out, err = run_cli(
+            [sub, "--input", str(data), "--factors", *factors, "--responses", *responses],
+            capsys,
+        )
+        assert code == DomainError.exit_code == 3
+        assert (out, err) == ("", f"mcdmanova: error: column {twice!r} is named twice\n")
+
     def test_missing_calibration(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CAL_CACHE", raising=False)
         data = write_balanced_csv(tmp_path / "d.csv")

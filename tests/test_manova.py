@@ -627,6 +627,11 @@ def oracle_case(case, p, design, seed, b=4):
     return layouts, weights
 
 
+def shared_stack(layouts):
+    """The observations of ``layouts`` on the first one's label arrays."""
+    return [layouts[0].with_observations(lay.observations) for lay in layouts]
+
+
 class TestStackedKernelsMatchFrozen:
     """The stacked SSP and rank kernels, on a stack and on one layout,
     equal the bodies they replaced bit for bit."""
@@ -641,12 +646,16 @@ class TestStackedKernelsMatchFrozen:
     def test_weighted_ssp(self, case, p):
         for seed, design in enumerate(self.DESIGNS):
             layouts, weights = oracle_case(case, p, design, seed)
-            stacked = weighted_ssp(layouts, weights)
-            for lay, ws, got in zip(layouts, weights, stacked):
+            # each layout alone, with its own labels and weights, and the
+            # stack of all observations on one labelling and weight set
+            pairs = [(lay, ws, weighted_ssp(lay, ws)) for lay, ws in zip(layouts, weights)]
+            shared = shared_stack(layouts)
+            stacked = weighted_ssp(shared, weights[0])
+            pairs += [(lay, weights[0], got) for lay, got in zip(shared, stacked)]
+            for lay, ws, got in pairs:
                 want = frozen_weighted_ssp(lay, ws)
-                for d in (got, weighted_ssp(lay, ws)):
-                    for a, b in zip(ssp_fields(d), want, strict=True):
-                        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                for a, b in zip(ssp_fields(got), want, strict=True):
+                    assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("p", range(1, 6))
@@ -673,7 +682,9 @@ class TestStackedKernelsMatchFrozen:
 class TestStackedCalls:
     def test_empty_sequences(self):
         # an empty stack has no design to decompose
-        for call in (lambda: weighted_ssp([], []), lambda: classical_ssp([]),
+        lay = random_layout(np.random.default_rng(17), r=2, c=2, n=4)
+        for call in (lambda: weighted_ssp([], unit_weights(lay)),
+                     lambda: classical_ssp([]),
                      lambda: manova.method_ssp([], "rnk")):
             with pytest.raises(DimensionError):
                 call()
@@ -694,19 +705,26 @@ class TestStackedCalls:
             with pytest.raises(DomainError, match='"mcd" takes one layout'):
                 manova.method_ssp(sequence, "mcd")
 
-    def test_first_failing_member_raises(self):
-        good = random_layout(np.random.default_rng(18), r=2, c=2, n=4)
-        bad = random_layout(np.random.default_rng(19), r=2, c=2, n=4)
-        wiped = np.ones(bad.size, dtype=np.int64)
-        wiped[(bad.row_label == 1) & (bad.col_label == 0)] = 0
-        few = np.zeros(bad.size, dtype=np.int64)
-        few[:3] = 1
-        weights = [unit_weights(good), WeightSet(bad, wiped),
-                   WeightSet(bad, few)]
-        with pytest.raises(CellWiped, match=r"cell \(1, 0\)"):
-            weighted_ssp([good, bad, bad], weights)
-        with pytest.raises(DegenerateWeights):
-            weighted_ssp([good, bad, bad], [weights[0], weights[2], weights[1]])
+    def test_stack_weight_checks_raise_as_for_one_layout(self):
+        # shape first, then too few weights, then a wiped cell, each with
+        # the message a single layout gets
+        rng = np.random.default_rng(18)
+        lay = random_layout(rng, r=2, c=2, n=4)
+        stack = [lay, lay.with_observations(rng.normal(size=(lay.size, 2)))]
+        wiped = np.ones(lay.size, dtype=np.int64)
+        wiped[(lay.row_label == 1) & (lay.col_label == 0)] = 0
+        few = np.zeros(lay.size, dtype=np.int64)
+        few[:3] = 1  # three kept rows, all in cell (0, 0)
+        short = random_layout(rng, r=2, c=2, n=3)
+        cases = [
+            (WeightSet(short, few[:12]), DimensionError, r"shape \(12,\) does not match N = 16"),
+            (WeightSet(lay, wiped), CellWiped, r"^cell \(1, 0\) has zero weight total$"),
+            (WeightSet(lay, few), DegenerateWeights, r"only 3 .* p \+ 2 = 4$"),
+        ]
+        for weights, error, message in cases:
+            for layout in (lay, stack):
+                with pytest.raises(error, match=message):
+                    weighted_ssp(layout, weights)
 
     def test_mismatched_members_rejected(self):
         rng = np.random.default_rng(20)
@@ -717,7 +735,37 @@ class TestStackedCalls:
         with pytest.raises(DimensionError):
             rank_transform([a, b])
         with pytest.raises(DimensionError):
-            weighted_ssp([a, a], [unit_weights(a)])
+            weighted_ssp([a, b], unit_weights(a))
+
+    def test_different_labels_rejected(self):
+        lay = shuffled_table_layout(22)
+        relabelled = layout_from_cells(lay.cell_array())  # same design, cell order
+        for stack in ([lay, relabelled], [relabelled, lay, lay]):
+            with pytest.raises(DimensionError, match="must share their labels"):
+                weighted_ssp(stack, unit_weights(lay))
+            for method in ("cla", "rnk"):
+                with pytest.raises(DimensionError, match="must share their labels"):
+                    manova.method_ssp(stack, method)
+
+    def test_equal_labels_in_distinct_arrays_accepted(self):
+        lay = shuffled_table_layout(23, p=3)
+        twin = TwoWayLayout(lay.r, lay.c, lay.n, lay.p, lay.observations[::-1],
+                            lay.row_label.copy(), lay.col_label.copy())
+        assert twin.row_label is not lay.row_label
+        weights = WeightSet(lay, np.ones(lay.size, dtype=np.int64))
+        stacked = weighted_ssp([lay, twin], weights)
+        shared = weighted_ssp(shared_stack([lay, twin]), weights)
+        for got, want in zip(ssp_fields(stacked), ssp_fields(shared)):
+            assert got.tobytes() == want.tobytes()
+
+    def test_one_weight_set_per_call(self):
+        # a sequence of weight sets is refused with the package's error
+        lay = random_layout(np.random.default_rng(24), r=2, c=2, n=4)
+        weights = unit_weights(lay)
+        for layout, given in ((lay, [weights]), ([lay, lay], [weights, weights]),
+                              ([lay, lay], (weights,))):
+            with pytest.raises(DimensionError, match="one WeightSet, got"):
+                weighted_ssp(layout, given)
 
 
 def ssp_fields(d):
@@ -734,15 +782,11 @@ class TestStackedDecomposition:
     def test_members_equal_single_layouts(self, case, p):
         for seed, design in enumerate(TestStackedKernelsMatchFrozen.DESIGNS):
             layouts, weights = oracle_case(case, p, design, seed)
-            calls = [(weighted_ssp, (layouts, weights), zip(layouts, weights))]
-            calls += [(manova.method_ssp, (layouts, method), [(lay, method) for lay in layouts])
+            # one labelling (a shuffled one in the shuffled case)
+            shared = shared_stack(layouts)
+            calls = [(weighted_ssp, (shared, weights[0]), [(lay, weights[0]) for lay in shared])]
+            calls += [(manova.method_ssp, (shared, method), [(lay, method) for lay in shared])
                       for method in ("cla", "rnk")]
-            # a stack sharing one label row (a shuffled one in the shuffled
-            # case) is gathered by a single take of that row
-            shared = [layouts[0].with_observations(lay.observations) for lay in layouts]
-            assert all(lay.row_label is shared[0].row_label for lay in shared)
-            shared_weights = [WeightSet(lay, ws.w) for lay, ws in zip(shared, weights)]
-            calls.append((weighted_ssp, (shared, shared_weights), zip(shared, shared_weights)))
             for func, stack_args, single_args in calls:
                 stacked = func(*stack_args)
                 assert len(stacked) == len(layouts)
@@ -857,6 +901,14 @@ class TestWeightedSsp:
         w[:4] = 1
         with pytest.raises(DegenerateWeights):
             weighted_ssp(lay, WeightSet(lay, w))
+
+    def test_weights_of_another_design_rejected(self):
+        rng = np.random.default_rng(25)
+        a = random_layout(rng, r=2, c=4, n=2)
+        b = random_layout(rng, r=4, c=2, n=2)  # same N = 16, another design
+        for layout in (a, [a, a]):
+            with pytest.raises(DimensionError, match=r"4x2 design do not match the 2x4"):
+                weighted_ssp(layout, unit_weights(b))
 
 
 class TestWilksLambda:

@@ -704,6 +704,25 @@ class TestBlockReplicate:
         assert_same_run(block_run, reference)
         assert block_run[1:] == (5, 15)
 
+    @pytest.mark.parametrize("method", ["cla", "rnk"])
+    def test_make_layout_with_two_labellings_rejected(self, method):
+        # a block's cla and rnk layouts are decomposed under one labelling
+        design = Design(2, 2, 4, 2)
+        make, drawn = sim._layout_maker("size", design, SETTINGS["size"], 0.1), []
+        order = np.random.default_rng(64).permutation(16)
+
+        def two_labellings(gen):
+            drawn.append(make(gen))
+            lay = drawn[-1]
+            if len(drawn) % 2:
+                return lay
+            return manova.TwoWayLayout(2, 2, 4, 2, lay.observations[order],
+                                       lay.row_label[order], lay.col_label[order])
+
+        with pytest.raises(DimensionError, match="must share their labels"):
+            sim.replicate(two_labellings, RngStream(64), (method,),
+                          sim.experiment_pairs("size"), 4)
+
     def test_exhaustion_raises_reference_error(self, monkeypatch):
         # even attempts fail at cla's Wilks step, odd ones in the robust
         # pipeline; the last attempt's first failure is raised
