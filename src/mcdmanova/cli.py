@@ -63,13 +63,9 @@ from .simulation import format_report_table, read_experiment_file
 
 __all__ = ["parse_table", "build_parser", "main"]
 
-# Candidate field separators, in tie-breaking order.
+# Candidate field separators, in tie-breaking order; a table's is the
+# one its header holds most often.
 _DELIMITERS = (",", ";", "\t")
-
-
-def _detect_delimiter(header: str) -> str:
-    """Pick the candidate separator occurring most often in the header."""
-    return max(_DELIMITERS, key=header.count)
 
 
 def parse_table(
@@ -79,8 +75,9 @@ def parse_table(
 ) -> list[tuple]:
     """Read a delimited text file into raw (labels..., values...) rows.
 
-    The first line must be a header naming every requested column; the
-    field separator is auto-detected among comma, semicolon, and tab.
+    The first line must be a header naming every requested column once;
+    the field separator is auto-detected among comma, semicolon, and
+    tab, and a leading UTF-8 byte-order mark is dropped.
     Factor columns stay strings (level order is assigned downstream by
     first appearance), response columns are converted to float.  Blank
     lines are skipped; row numbers in diagnostics count data rows.
@@ -88,7 +85,8 @@ def parse_table(
     Raises
     ------
     DomainError
-        A column is named twice among the factor and response columns.
+        A column is named twice among the factor and response columns,
+        or a requested column appears more than once in the header.
     EmptyTable
         No lines at all, or a header without data rows.
     MissingColumn
@@ -98,13 +96,22 @@ def parse_table(
     DimensionError
         A row has a different field count than the header.
     """
+    return _read_table(path, factor_cols, response_cols)[0]
+
+
+def _read_table(
+    path: str | Path,
+    factor_cols: tuple[str, ...] | list[str],
+    response_cols: tuple[str, ...] | list[str],
+) -> tuple[list[tuple], str]:
+    # parse_table's rows, and the field separator it detected
     lines = [
-        line for line in Path(path).read_text(encoding="utf-8").splitlines()
+        line for line in Path(path).read_text(encoding="utf-8-sig").splitlines()
         if line.strip()
     ]
     if not lines:
         raise EmptyTable(f"{path}: no header line")
-    delim = _detect_delimiter(lines[0])
+    delim = max(_DELIMITERS, key=lines[0].count)
     header = [field.strip() for field in lines[0].split(delim)]
     wanted = list(factor_cols) + list(response_cols)
     for k, name in enumerate(wanted):
@@ -114,6 +121,8 @@ def parse_table(
             raise MissingColumn(
                 f"column {name!r} not found; header has {header}"
             )
+        if header.count(name) > 1:
+            raise DomainError(f"column {name!r} appears more than once in the header")
     indices = [header.index(name) for name in wanted]
     n_factors = len(factor_cols)
     rows: list[tuple] = []
@@ -135,7 +144,7 @@ def parse_table(
         rows.append(tuple(record))
     if not rows:
         raise EmptyTable(f"{path}: header only, no data rows")
-    return rows
+    return rows, delim
 
 
 def _cache_path(args: argparse.Namespace) -> Path | None:
@@ -286,14 +295,12 @@ def cmd_simulate(args: argparse.Namespace) -> str:
 
 def cmd_ilr(args: argparse.Namespace) -> str:
     """Transform response columns to ilr coordinates, write --out."""
-    rows = parse_table(args.input, args.factors, args.responses)
+    rows, delim = _read_table(args.input, args.factors, args.responses)
     table = _ilr_rows(np.array([row[2:] for row in rows], dtype=np.float64))
     header = list(args.factors) + [f"ilr{k}" for k in range(1, len(args.responses))]
-    lines = [",".join(header)]
+    lines = [delim.join(header)]
     for row, coords in zip(rows, table):
-        lines.append(
-            ",".join(list(row[:2]) + [f"{z:.17g}" for z in coords])
-        )
+        lines.append(delim.join(list(row[:2]) + [f"{z:.17g}" for z in coords]))
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         args.out.write_text(text, encoding="utf-8")

@@ -51,8 +51,6 @@ _STIRLING = (
 _SHIFT_POINT = 10.0
 _EPS = 1e-16
 _MAX_SERIES_ITER = 600
-_CHUNK = 32  # series terms per pass; p-values of a few df need fewer
-_TREE_LEVELS = 5  # bisection steps of chi2_quantile per chi2_cdf pass
 
 
 @dataclass(frozen=True)
@@ -177,34 +175,22 @@ def ln_gamma(x: float) -> float:
 def _gamma_p_series(a: np.ndarray, t: np.ndarray) -> np.ndarray:
     # Lower regularized incomplete gamma by power series, divided by the
     # prefactor t^a e^-t / Gamma(a); valid t < a + 1.  Elementwise over
-    # 1-D arrays.  Up to _CHUNK terms at a time come from a running
-    # product and their partial sums from a running sum, each computed
-    # in term order, so every element ends at the partial sum where its
-    # own term first falls below _EPS of it.  All terms are positive.
-    out = np.empty_like(a)
-    live = np.arange(len(a))
+    # 1-D arrays, each element frozen once its term falls below _EPS of
+    # its sum.  All terms are positive.
     term = 1.0 / a
     total = term
-    for k in range(1, _MAX_SERIES_ITER, _CHUNK):
-        # float k: the same sums a + k, without a cast of int k
-        ks = np.arange(k, min(k + _CHUNK, _MAX_SERIES_ITER), dtype=np.float64)[:, None]
-        # row 0 carries the last term, then the sum; row j is term k + j - 1
-        steps = np.empty((len(ks) + 1, len(live)))
-        steps[0] = term
-        steps[1:] = t / (a + ks)
-        terms = np.cumprod(steps, axis=0)
-        steps[0] = total
-        steps[1:] = terms[1:]
-        totals = np.cumsum(steps, axis=0)
-        done = terms[1:] < totals[1:] * _EPS
-        hit = done.any(axis=0)
-        first = done.argmax(axis=0)[hit] + 1
-        out[live[hit]] = totals[first, hit]
-        miss = ~hit
-        live, a, t = live[miss], a[miss], t[miss]
-        term, total = terms[-1, miss], totals[-1, miss]
-        if not len(live):
-            break
+    out = np.empty_like(total)
+    live = np.arange(len(a))
+    for k in range(1, _MAX_SERIES_ITER):
+        term = term * (t / (a + float(k)))
+        total = total + term
+        done = term < total * _EPS
+        if np.count_nonzero(done):
+            out[live[done]] = total[done]
+            keep = ~done
+            live, a, t, term, total = live[keep], a[keep], t[keep], term[keep], total[keep]
+            if not len(live):
+                break
     out[live] = total
     return out
 
@@ -295,23 +281,6 @@ def chi2_cdf(x: float | np.ndarray, df: float | np.ndarray) -> float | np.ndarra
     return float(out[0]) if xs.ndim == 0 else out.reshape(xs.shape)
 
 
-def _midpoint_tree(lo: float, hi: float, levels: int) -> np.ndarray:
-    """Every midpoint ``levels`` bisection steps from (lo, hi) can meet.
-
-    In heap order: node i halves its interval, and its lower half is
-    node 2i + 1, its upper half node 2i + 2.  Each midpoint is
-    ``0.5 * (lo + hi)`` of its own interval, as a step computes it.
-    """
-    lows, highs = np.array([lo]), np.array([hi])
-    mids = []
-    for _ in range(levels):
-        mid = 0.5 * (lows + highs)
-        mids.append(mid)
-        lows = np.stack([lows, mid], axis=1).ravel()
-        highs = np.stack([mid, highs], axis=1).ravel()
-    return np.concatenate(mids)
-
-
 @lru_cache(maxsize=1024)
 def chi2_quantile(prob: float, df: float) -> float:
     """Inverse chi-square distribution function.
@@ -320,11 +289,6 @@ def chi2_quantile(prob: float, df: float) -> float:
     returned point satisfies the equation to within a few units in the
     last place of ``prob``.  Results are cached, since the pipelines ask
     for the same few cutoffs on every replication.
-
-    The bisection takes its steps ``_TREE_LEVELS`` at a time: one
-    :func:`chi2_cdf` pass over every midpoint those steps can meet,
-    then a walk down the tree of them, so each step compares the very
-    midpoint and value a one-at-a-time bisection would.
 
     Parameters
     ----------
@@ -346,19 +310,14 @@ def chi2_quantile(prob: float, df: float) -> float:
             break
         lo = hi
         hi *= 2.0
-    for step in range(200):
-        if step % _TREE_LEVELS == 0:
-            mids = _midpoint_tree(lo, hi, _TREE_LEVELS)
-            below = (chi2_cdf(mids, df) < prob).tolist()
-            mids = mids.tolist()
-            node = 0
-        mid = mids[node]
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
-        if below[node]:
-            lo, node = mid, 2 * node + 2
+        if chi2_cdf(mid, df) < prob:
+            lo = mid
         else:
-            hi, node = mid, 2 * node + 1
+            hi = mid
     return 0.5 * (lo + hi)
 
 

@@ -707,7 +707,7 @@ def read_experiment_file(path: str | Path) -> ExperimentSpec:
     """
     values: dict[str, str] = {}
     for lineno, raw in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
+        Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
     ):
         line = raw.strip()
         if not line or line.startswith("#"):

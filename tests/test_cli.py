@@ -116,6 +116,22 @@ class TestParseTable:
         rows = parse_table(path, ["a", "b"], ["y"])
         assert rows == [("u", "v", 1.5), ("w", "x", 2.5)]
 
+    def test_requested_column_twice_in_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("a,b,y,y\nu,v,1,2\nu,w,3,4\n", encoding="utf-8")
+        with pytest.raises(DomainError, match="column 'y' appears more than once"):
+            parse_table(path, ["a", "b"], ["y"])
+        # a repeated column nobody asks for is no error
+        assert parse_table(path, ["b", "a"], []) == [("v", "u"), ("w", "u")]
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(WASTE_HEAD, encoding="utf-8")
+        marked.write_text(WASTE_HEAD, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        columns = (["district", "year"], ["biogenic", "recyclables", "residual"])
+        assert parse_table(marked, *columns) == parse_table(plain, *columns)
+
     def test_header_only_is_empty(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b,y\n", encoding="utf-8")
@@ -478,15 +494,27 @@ class TestIlrSubcommand:
         assert code == DimensionError.exit_code
         assert "at least two" in err
 
-    def test_round_trip_matches_inline_transform(self, tmp_path, capsys):
-        """ilr output piped into test equals test --ilr, byte for byte."""
+    @pytest.mark.parametrize("delim", [",", ";", "\t"])
+    def test_round_trip_matches_inline_transform(self, delim, tmp_path, capsys):
+        """ilr output piped into test equals test --ilr, byte for byte.
+
+        The output keeps the input's separator, so a factor label of a
+        ``;`` or tab table may hold a comma."""
         data = write_balanced_csv(tmp_path / "d.csv")
+        if delim != ",":
+            lines = data.read_text(encoding="utf-8").replace(",", delim).splitlines()
+            lines = [line.replace(f"XY{delim}", f"X,Y{delim}", 1) for line in lines]
+            data.write_text("\n".join(lines) + "\n", encoding="utf-8")
         transformed = tmp_path / "d_ilr.csv"
         code, _, _ = run_cli(
             ["ilr", "--input", str(data), *BASE, "--out", str(transformed)],
             capsys,
         )
         assert code == 0
+        written = transformed.read_text(encoding="utf-8").splitlines()
+        assert written[0] == delim.join(["district", "year", "ilr1", "ilr2"])
+        assert all(len(line.split(delim)) == 4 for line in written)
+        assert written[1].startswith("XY," if delim == "," else f"X,Y{delim}2011{delim}")
         common = ["--model", "additive", "--method", "cla", "--method", "rnk"]
         out_a = tmp_path / "a.tsv"
         code, human_a, _ = run_cli(
@@ -718,6 +746,24 @@ class TestExitCodes:
         )
         assert code == DomainError.exit_code == 3
         assert (out, err) == ("", f"mcdmanova: error: column {twice!r} is named twice\n")
+
+    @pytest.mark.parametrize("sub", ["test", "ilr"])
+    @pytest.mark.parametrize("header, twice", [
+        ("district,year,biogenic,recyclables,biogenic", "biogenic"),
+        ("district,year,biogenic,recyclables,year", "year"),
+    ])
+    def test_column_twice_in_header(self, sub, header, twice, tmp_path, capsys):
+        data = write_balanced_csv(tmp_path / "d.csv")
+        lines = data.read_text(encoding="utf-8").splitlines()
+        data.write_text("\n".join([header, *lines[1:]]) + "\n", encoding="utf-8")
+        code, out, err = run_cli(
+            [sub, "--input", str(data), "--factors", "district", "year",
+             "--responses", "biogenic", "recyclables"],
+            capsys,
+        )
+        assert code == DomainError.exit_code == 3
+        assert (out, err) == (
+            "", f"mcdmanova: error: column {twice!r} appears more than once in the header\n")
 
     def test_missing_calibration(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CAL_CACHE", raising=False)

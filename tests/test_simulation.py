@@ -970,6 +970,14 @@ epsilon = 0.1
         spec = read_experiment_file(path)
         assert (spec.alpha, spec.seed, spec.epsilon) == (0.05, 0, 0.1)
 
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        text = self.GOOD.split("\n", 1)[1]  # from the kind line on
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+        assert read_experiment_file(marked) == read_experiment_file(plain)
+
     def test_spec_runs(self, tmp_path):
         path = tmp_path / "exp.txt"
         path.write_text(
