@@ -16,7 +16,7 @@ import math
 from dataclasses import InitVar, dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -751,18 +751,6 @@ def bartlett_pvalue(
     return 1.0 - chi2_cdf(statistic, p * nu2)
 
 
-class CalibrationLookup(Protocol):
-    """Provider of simulated null-distribution parameters.
-
-    ``entry_for`` returns an object with ``delta`` and ``q`` attributes
-    for the requested design and hypothesis of a run with MCD
-    configuration ``mcd_config``, or raises MissingCalibration.
-    """
-
-    def entry_for(self, p: int, r: int, c: int, n: int,
-                  model: Model, hypothesis: Hypothesis, mcd_config: McdConfig): ...
-
-
 def calibrated_pvalue(lam: float | np.ndarray, entry) -> float | np.ndarray:
     """P-value of -ln(lambda) under the fitted delta * chi2(q) null.
 
@@ -770,16 +758,11 @@ def calibrated_pvalue(lam: float | np.ndarray, entry) -> float | np.ndarray:
     ``q``.  ``lam`` may also be an array of lambdas, whose p-values come
     from one :func:`chi2_cdf` pass, as in :func:`bartlett_pvalue`.
     """
-    return 1.0 - chi2_cdf(*_calibrated_args(lam, entry))
-
-
-def _calibrated_args(lam: float | np.ndarray, entry) -> tuple:
-    """The chi-square point(s) and degrees of freedom of :func:`calibrated_pvalue`."""
     logs = _log_lambdas(lam)
     delta, q = float(entry.delta), float(entry.q)
     if delta <= 0 or q <= 0:
         raise DomainError(f"delta and q must be positive, got {delta}, {q}")
-    return -logs / delta, q
+    return 1.0 - chi2_cdf(-logs / delta, q)
 
 
 @dataclass(frozen=True)
@@ -794,7 +777,7 @@ class BartlettApprox:
 @dataclass(frozen=True, eq=False)
 class WilksTestReport:
     """One hypothesis test result; ``approx`` is a BartlettApprox for
-    "cla" and "rnk", and for "mcd" the entry its calibration lookup returned."""
+    "cla" and "rnk", and for "mcd" the entry its calibration source returned."""
 
     method: str
     hypothesis: Hypothesis
@@ -817,7 +800,7 @@ def run_manova(
     model: Model,
     method: str,
     config: McdConfig = McdConfig(),
-    calibration_source: CalibrationLookup | None = None,
+    calibration_source=None,
     rng: RngStream = RngStream(0),
     hypotheses: Sequence[Hypothesis] | None = None,
 ) -> list[WilksTestReport]:
@@ -834,8 +817,10 @@ def run_manova(
         two use Bartlett p-values; "mcd" uses calibrated p-values.
     config : McdConfig, optional
         MCD settings for the robust method and its calibration lookups.
-    calibration_source : CalibrationLookup, optional
-        Required for "mcd": supplies (delta, q) per hypothesis.
+    calibration_source : optional
+        Required for "mcd": an object with the ``entry_for`` method of
+        :class:`~mcdmanova.calibration.CalibrationSource`, asked once per
+        hypothesis for the entry whose ``delta`` and ``q`` give its p-value.
     rng : RngStream, optional
         Randomness for the robust weight construction.
     hypotheses : sequence of Hypothesis, optional
@@ -876,7 +861,7 @@ def run_manova(
             "method 'mcd' needs a calibration source for its p-values"
         )
     decomp = method_ssp(layout, method, config, rng)
-    approxes, lams = [], []
+    approxes, lams, p_values = [], [], []
     for hypothesis in hypotheses:
         if method == "mcd":
             approxes.append(calibration_source.entry_for(
@@ -885,18 +870,10 @@ def run_manova(
         else:
             approxes.append(BartlettApprox(layout.p, *bartlett_dfs(layout, model, hypothesis)))
         lams.append(wilks_lambda(decomp, hypothesis, model))
-    # every hypothesis in one chi-square pass, with the p-values and the
-    # first error of one calibrated_pvalue or bartlett_pvalue call each
-    if method == "mcd":
-        args = []
-        for lam, approx in zip(lams, approxes):
-            try:
-                args.append(_calibrated_args(lam, approx))
-            except DomainError:
-                chi2_cdf(*np.array(args).reshape(-1, 2).T)  # an earlier one's error first
-                raise
-        p_values = (1.0 - chi2_cdf(*np.array(args).reshape(-1, 2).T)).tolist()
-    else:
+        if method == "mcd":
+            p_values.append(calibrated_pvalue(lams[-1], approxes[-1]))
+    # the Bartlett p-values of every hypothesis in one chi-square pass
+    if method != "mcd":
         nu1, nu2 = np.array([(a.nu1, a.nu2) for a in approxes]).reshape(-1, 2).T
         p_values = bartlett_pvalue(np.array(lams), layout.p, nu1, nu2).tolist()
     return [
