@@ -23,7 +23,8 @@ import fcntl
 import logging
 import os
 import uuid
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from enum import Enum
 from functools import partial
 from pathlib import Path
 from typing import Iterable
@@ -44,6 +45,7 @@ __all__ = [
     "CACHE_ENV_VAR",
     "CACHE_HEADER",
     "LOW_PRECISION_TRIALS",
+    "PIPELINE_VERSION",
     "CalibrationEntry",
     "CalibrationKey",
     "CalibrationSource",
@@ -58,7 +60,13 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 CACHE_ENV_VAR = "CAL_CACHE"
-CACHE_HEADER = "mcdmanova calibration cache v1"
+CACHE_HEADER = "mcdmanova calibration cache v2"
+_V1_HEADER = "mcdmanova calibration cache v1"
+
+# Version of the estimation pipeline a calibration was fitted with: a
+# change that moves any bit of the estimator bumps it, so entries fitted
+# before the change are never served to a run after it.
+PIPELINE_VERSION = 1
 
 # Below this many trials the variance estimate carries too few degrees
 # of freedom for a trustworthy tail fit.
@@ -72,7 +80,9 @@ class CalibrationKey:
     """Identity of one calibrated null distribution.
 
     Two runs with equal keys produce bit-identical entries, so the key
-    doubles as the cache lookup key.
+    doubles as the cache lookup key.  It holds the MCD configuration and
+    the pipeline version of the fit, which a test run must share to be
+    served the entry.
 
     Parameters
     ----------
@@ -86,6 +96,11 @@ class CalibrationKey:
         Number of Monte Carlo trials, at least 2.
     seed : int
         Master seed, a 64-bit unsigned integer.
+    alpha, n_starts, n_keep : float, int, int
+        The MCD configuration of the fit, checked as an ``McdConfig``;
+        ``McdConfig()``'s values by default.
+    pipeline : int
+        The pipeline version of the fit, ``PIPELINE_VERSION`` by default.
     """
 
     p: int
@@ -96,6 +111,10 @@ class CalibrationKey:
     hypothesis: Hypothesis
     m_prime: int
     seed: int
+    alpha: float = McdConfig().alpha
+    n_starts: int = McdConfig().n_starts
+    n_keep: int = McdConfig().n_keep
+    pipeline: int = PIPELINE_VERSION
 
     def __post_init__(self) -> None:
         Design(self.r, self.c, self.n, self.p)
@@ -108,6 +127,9 @@ class CalibrationKey:
                 f"hypothesis {self.hypothesis.value!r} is not testable "
                 f"under the {self.model.value!r} model"
             )
+        McdConfig(self.alpha, self.n_starts, self.n_keep)
+        if self.pipeline < 1:
+            raise DomainError(f"pipeline must be at least 1, got {self.pipeline}")
 
 
 @dataclass(frozen=True)
@@ -200,11 +222,12 @@ def calibrate_design(
 
     The five entries share a single simulation pass.  Deterministic
     given ``seed``: the same seed always reproduces identical entries.
-    ``mcd_config`` must match the configuration later used for testing.
+    ``mcd_config`` goes into the five keys, with ``PIPELINE_VERSION``, so
+    the entries serve only test runs with the same configuration.
     The five keys are built, and so checked, before any simulation runs.
     """
     keys = [
-        CalibrationKey(p, r, c, n, model, hyp, m_prime, seed)
+        CalibrationKey(p, r, c, n, model, hyp, m_prime, seed, **asdict(mcd_config))
         for model, hyp in experiment_pairs("size")
     ]
     samples = null_statistic_samples(p, r, c, n, m_prime, seed, mcd_config)
@@ -213,46 +236,103 @@ def calibrate_design(
     )
 
 
-def _format_entry(entry: CalibrationEntry) -> str:
-    k = entry.key
-    return (
-        f"{k.p} {k.r} {k.c} {k.n} {k.model.value} {k.hypothesis.value} "
-        f"{k.m_prime} {k.seed} "
-        f"{entry.delta:.17g} {entry.q:.17g} {entry.ave_L:.17g} {entry.var_L:.17g}"
+# A record's fields: the key's, then the fitted values.  Format, parse,
+# sort and match all read these names; records name each field, so a
+# field added later leaves older readers a CorruptCache, not a misread.
+_KEY_FIELDS = tuple(f.name for f in fields(CalibrationKey))
+_VALUE_FIELDS = tuple(f.name for f in fields(CalibrationEntry) if f.name != "key")
+_PARSERS = {"int": int, "float": float, "Model": Model, "Hypothesis": Hypothesis}
+_TYPES = {f.name: _PARSERS[f.type]
+          for f in (*fields(CalibrationKey), *fields(CalibrationEntry)) if f.name != "key"}
+# A v1 record holds the other fields, in order; its fit was made at these
+# settings (the MCD configuration and the pipeline version).
+_V1_SETTINGS = {"alpha": "0.5", "n_starts": "500", "n_keep": "10", "pipeline": "1"}
+_V1_FIELDS = tuple(name for name in _TYPES if name not in _V1_SETTINGS)
+_SETTING_FIELDS = tuple(_V1_SETTINGS)
+# Fits of one null differ only in these; a lookup prefers more trials,
+# then the smaller seed.
+_TRIAL_FIELDS = ("m_prime", "seed")
+_DESIGN_FIELDS = tuple(name for name in _KEY_FIELDS
+                       if name not in _SETTING_FIELDS + _TRIAL_FIELDS)
+
+
+def _text(value) -> str:
+    """A record value as written: enums by value, floats to 17 digits."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, float):
+        return f"{value:.17g}"
+    return str(value)
+
+
+def _named(obj, names) -> dict:
+    return {name: getattr(obj, name) for name in names}
+
+
+def _pairs(named: dict) -> str:
+    return " ".join(f"{name}={_text(value)}" for name, value in named.items())
+
+
+def _sort_key(key: CalibrationKey) -> tuple:
+    return tuple(
+        value.value if isinstance(value, Enum) else value
+        for value in _named(key, _KEY_FIELDS).values()
     )
 
 
-def _parse_record(line: str, lineno: int) -> CalibrationEntry:
-    fields = line.split()
-    if len(fields) != 12:
+def _format_entry(entry: CalibrationEntry) -> str:
+    return f"{_pairs(_named(entry.key, _KEY_FIELDS))} {_pairs(_named(entry, _VALUE_FIELDS))}"
+
+
+def _v2_fields(line: str, lineno: int) -> dict[str, str]:
+    named: dict[str, str] = {}
+    for token in line.split():
+        name, _, value = token.partition("=")
+        if name not in _TYPES:
+            raise CorruptCache(f"cache line {lineno}: unknown field {name!r}")
+        if name in named:
+            raise CorruptCache(f"cache line {lineno}: field {name!r} given twice")
+        named[name] = value
+    missing = [name for name in _TYPES if name not in named]
+    if missing:
+        raise CorruptCache(f"cache line {lineno}: missing field(s) {', '.join(missing)}")
+    return named
+
+
+def _v1_fields(line: str, lineno: int) -> dict[str, str]:
+    values = line.split()
+    if len(values) != len(_V1_FIELDS):
         raise CorruptCache(
-            f"cache line {lineno}: expected 12 fields, found {len(fields)}"
+            f"cache line {lineno}: expected {len(_V1_FIELDS)} fields, found {len(values)}"
         )
+    return dict(zip(_V1_FIELDS, values)) | _V1_SETTINGS
+
+
+def _parse_record(named: dict[str, str], lineno: int) -> CalibrationEntry:
     try:
-        key = CalibrationKey(
-            int(fields[0]), int(fields[1]), int(fields[2]), int(fields[3]),
-            Model(fields[4]), Hypothesis(fields[5]),
-            int(fields[6]), int(fields[7]),
-        )
-        return CalibrationEntry(
-            key, float(fields[8]), float(fields[9]),
-            float(fields[10]), float(fields[11]),
-        )
+        typed = {name: _TYPES[name](value) for name, value in named.items()}
+        key = CalibrationKey(**{name: typed[name] for name in _KEY_FIELDS})
+        return CalibrationEntry(key, **{name: typed[name] for name in _VALUE_FIELDS})
     except (ValueError, DomainError) as exc:
         raise CorruptCache(f"cache line {lineno}: {exc}") from exc
 
 
 def read_cache(path: str | Path) -> dict[CalibrationKey, CalibrationEntry]:
-    """Load a cache file; a missing file is an empty cache."""
+    """Load a cache file; a missing file is an empty cache.
+
+    Reads the v2 format, and v1 files as fits at alpha 0.5 with 500
+    starts, 10 kept and pipeline 1.
+    """
     path = Path(path)
     if not path.exists():
         return {}
     lines = path.read_text(encoding="ascii").splitlines()
-    if not lines or lines[0] != CACHE_HEADER:
+    split = {CACHE_HEADER: _v2_fields, _V1_HEADER: _v1_fields}.get(lines[0] if lines else None)
+    if split is None:
         raise CorruptCache(f"cache line 1: expected header {CACHE_HEADER!r}")
     entries: dict[CalibrationKey, CalibrationEntry] = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        entry = _parse_record(line, lineno)
+        entry = _parse_record(split(line, lineno), lineno)
         entries[entry.key] = entry
     return entries
 
@@ -260,17 +340,11 @@ def read_cache(path: str | Path) -> dict[CalibrationKey, CalibrationEntry]:
 def write_cache(
     path: str | Path, entries: dict[CalibrationKey, CalibrationEntry]
 ) -> None:
-    """Write the whole cache, sorted by key so files diff cleanly."""
+    """Write the whole cache in the v2 format, sorted by key so files
+    diff cleanly."""
     path = Path(path)
-
-    def sort_key(key: CalibrationKey):
-        return (key.p, key.r, key.c, key.n, key.model.value,
-                key.hypothesis.value, key.m_prime, key.seed)
-
     lines = [CACHE_HEADER]
-    lines.extend(
-        _format_entry(entries[key]) for key in sorted(entries, key=sort_key)
-    )
+    lines.extend(_format_entry(entries[key]) for key in sorted(entries, key=_sort_key))
     # A temporary file of its own per write, so concurrent writers never
     # move each other's half-written files into place.
     tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
@@ -354,22 +428,26 @@ class CalibrationSource:
     ) -> CalibrationEntry:
         """The stored entry for one test of design (p, r, c, n).
 
-        A design without an entry is calibrated on the fly with
-        ``mcd_config``, the configuration of the run the entry serves, so
-        that null and test share one pipeline; with on-the-fly
-        calibration disabled, MissingCalibration is raised instead.
+        Only an entry fitted with ``mcd_config``, the configuration of
+        the run the entry serves, and with ``PIPELINE_VERSION`` is
+        served, so that null and test share one pipeline.  A design
+        without one is calibrated on the fly with ``mcd_config``; with
+        on-the-fly calibration disabled, MissingCalibration is raised
+        instead, naming the run's settings and any others the design is
+        stored at.
         """
-        matches = [
-            e for e in self._entries.values()
-            if (e.key.p, e.key.r, e.key.c, e.key.n) == (p, r, c, n)
-            and e.key.model is model and e.key.hypothesis is hypothesis
-        ]
+        design = dict(p=p, r=r, c=c, n=n, model=model, hypothesis=hypothesis)
+        settings = asdict(mcd_config) | {"pipeline": PIPELINE_VERSION}
+        stored = [e for e in self._entries.values()
+                  if _named(e.key, _DESIGN_FIELDS) == design]
+        matches = [e for e in stored if _named(e.key, _SETTING_FIELDS) == settings]
         if matches:
             return max(matches, key=lambda e: (e.key.m_prime, -e.key.seed))
         if self.on_the_fly is None:
+            others = sorted({_pairs(_named(e.key, _SETTING_FIELDS)) for e in stored})
+            held = f"; stored only at {' and at '.join(others)}" if others else ""
             raise MissingCalibration(
-                f"no calibration entry for p={p} r={r} c={c} n={n} "
-                f"model={model.value} hypothesis={hypothesis.value}; "
+                f"no calibration entry for {_pairs(design)} at {_pairs(settings)}{held}; "
                 f"calibrate the design first or enable on-the-fly calibration"
             )
         logger.info(

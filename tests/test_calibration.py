@@ -4,6 +4,7 @@ import math
 import multiprocessing
 import sys
 import threading
+from dataclasses import asdict, replace
 from functools import partial
 
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from mcdmanova import calibration, manova, simulation
 from mcdmanova.calibration import (
     CACHE_HEADER,
+    PIPELINE_VERSION,
     CalibrationEntry,
     CalibrationKey,
     CalibrationSource,
@@ -41,11 +43,12 @@ def small_key(m_prime=40, seed=123, model=Model.WITH_INTERACTIONS,
 
 
 def calibrated_entry(key, mcd_config):
-    """The entry of ``key`` from a calibration of its whole design."""
+    """The entry of ``key``, refitted at ``mcd_config``, from a
+    calibration of its whole design."""
     entries = calibrate_design(
         key.p, key.r, key.c, key.n, key.m_prime, key.seed, mcd_config
     )
-    return {entry.key: entry for entry in entries}[key]
+    return {entry.key: entry for entry in entries}[replace(key, **asdict(mcd_config))]
 
 
 def classical_null(r, c, n, p, m, seed):
@@ -105,6 +108,22 @@ class TestCalibrationKey:
                            Hypothesis.ROW_EFFECTS, 40, 0)
 
 
+    def test_defaults_are_the_default_config_and_pipeline(self):
+        key = small_key()
+        assert McdConfig(key.alpha, key.n_starts, key.n_keep) == McdConfig()
+        assert key.pipeline == PIPELINE_VERSION == 1
+
+    @pytest.mark.parametrize("settings, message", [
+        (dict(alpha=0.3), "alpha must lie in"),
+        (dict(n_starts=0), "n_starts must be at least 1"),
+        (dict(n_starts=5, n_keep=6), "n_keep must lie in"),
+        (dict(pipeline=0), "pipeline must be at least 1"),
+    ])
+    def test_settings_checked(self, settings, message):
+        with pytest.raises(DomainError, match=message):
+            replace(small_key(), **settings)
+
+
 class TestCalibrationEntry:
     def test_invariants_enforced(self):
         key = small_key()
@@ -161,6 +180,12 @@ class TestCalibrate:
         monkeypatch.setattr(calibration, "replicate", unreachable)
         with pytest.raises(DomainError):
             calibrate_design(2, 2, 2, 10, m_prime, seed, FAST)
+
+    def test_keys_carry_the_config_and_pipeline(self):
+        config = McdConfig(alpha=0.75, n_starts=30, n_keep=3)
+        for entry in calibrate_design(2, 2, 2, 10, 4, 1, config):
+            assert McdConfig(entry.key.alpha, entry.key.n_starts, entry.key.n_keep) == config
+            assert entry.key.pipeline == PIPELINE_VERSION
 
     def test_design_pass_has_one_entry_per_pair(self):
         entries = calibrate_design(2, 2, 2, 10, 40, 123, FAST)
@@ -283,8 +308,8 @@ class TestCache:
         path = tmp_path / "cal.txt"
         keys = [small_key(m_prime=3000, seed=s) for s in (9, 1, 5)]
         write_cache(path, {k: synthetic_entry(k) for k in keys})
-        seeds = [int(line.split()[7]) for line in
-                 path.read_text().splitlines()[1:]]
+        seeds = [int(dict(field.split("=") for field in line.split())["seed"])
+                 for line in path.read_text().splitlines()[1:]]
         assert seeds == sorted(seeds)
 
     def test_concurrent_writers_never_tear_the_file(self, tmp_path):
@@ -362,6 +387,66 @@ class TestCache:
         assert read_cache(path).get(key) == e
 
 
+    def test_v2_round_trip_at_another_config(self, tmp_path):
+        path = tmp_path / "cal.txt"
+        key = replace(small_key(m_prime=3000), alpha=0.75, n_starts=40, n_keep=4)
+        e = synthetic_entry(key, delta=0.1 / 3, q=4.5)
+        merge_cache(path, [e])
+        header, record = path.read_text().splitlines()
+        assert header == CACHE_HEADER == "mcdmanova calibration cache v2"
+        assert record == (
+            "p=2 r=2 c=2 n=10 model=interactions hypothesis=interaction "
+            "m_prime=3000 seed=123 alpha=0.75 n_starts=40 n_keep=4 pipeline=1 "
+            f"delta={e.delta:.17g} q=4.5 ave_L={e.ave_L:.17g} var_L={e.var_L:.17g}"
+        )
+        assert read_cache(path) == {key: e}
+        # any field order reads the same
+        path.write_text(f"{header}\n{' '.join(reversed(record.split()))}\n")
+        assert read_cache(path) == {key: e}
+
+    def test_v1_file_read_at_the_default_config(self, tmp_path):
+        path = tmp_path / "cal.txt"
+        path.write_text("mcdmanova calibration cache v1\n"
+                        "2 2 2 10 interactions interaction 3000 123 0.0625 4 0.25 0.03125\n")
+        (key, entry), = read_cache(path).items()
+        assert key == small_key(m_prime=3000)
+        assert (key.alpha, key.n_starts, key.n_keep, key.pipeline) == (0.5, 500, 10, 1)
+        assert (entry.delta, entry.q, entry.ave_L, entry.var_L) == (0.0625, 4.0, 0.25, 0.03125)
+        # a merge writes the whole file as v2
+        merge_cache(path, [])
+        assert path.read_text().splitlines()[0] == CACHE_HEADER
+        assert read_cache(path) == {key: entry}
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda fields: fields + ["bogus=1"], "line 2: unknown field 'bogus'"),
+        (lambda fields: fields + ["7"], "line 2: unknown field '7'"),
+        (lambda fields: fields + [fields[0]], "line 2: field 'p' given twice"),
+        (lambda fields: fields[1:], "line 2: missing field\\(s\\) p$"),
+        (lambda fields: fields[:6], "line 2: missing field\\(s\\) m_prime, seed, alpha, "
+                                    "n_starts, n_keep, pipeline, delta, q, ave_L, var_L$"),
+        (lambda fields: [f.replace("n_keep=10", "n_keep=ten") for f in fields],
+         "line 2: invalid literal"),
+        (lambda fields: [f.replace("n_keep=10", "n_keep=600") for f in fields],
+         "line 2: n_keep must lie in"),
+        (lambda fields: [f.replace("pipeline=1", "pipeline=0") for f in fields],
+         "line 2: pipeline must be at least 1"),
+    ])
+    def test_corrupt_v2_record_names_its_line(self, tmp_path, edit, message):
+        path = tmp_path / "cal.txt"
+        merge_cache(path, [synthetic_entry()])
+        header, record = path.read_text().splitlines()
+        path.write_text(f"{header}\n{' '.join(edit(record.split()))}\n")
+        with pytest.raises(CorruptCache, match=message):
+            read_cache(path)
+
+    def test_v1_record_needs_its_twelve_fields(self, tmp_path):
+        path = tmp_path / "cal.txt"
+        path.write_text("mcdmanova calibration cache v1\n"
+                        "2 2 2 10 interactions interaction 3000 123 0.0625 4 0.25\n")
+        with pytest.raises(CorruptCache, match="line 2: expected 12 fields, found 11"):
+            read_cache(path)
+
+
 class TestCalibrationSource:
     def test_prefers_more_trials_then_smaller_seed(self):
         kd = dict(p=2, r=2, c=2, n=10, model=Model.WITH_INTERACTIONS,
@@ -373,7 +458,7 @@ class TestCalibrationSource:
         ]
         src = CalibrationSource(entries=entries)
         got = src.entry_for(2, 2, 2, 10, Model.WITH_INTERACTIONS,
-                            Hypothesis.INTERACTIONS, FAST)
+                            Hypothesis.INTERACTIONS, McdConfig())
         assert (got.key.m_prime, got.key.seed) == (3000, 2)
 
     def test_missing_raises(self):
@@ -417,5 +502,53 @@ class TestCalibrationSource:
         extra = synthetic_entry(small_key(m_prime=5000, seed=5))
         src = CalibrationSource(entries=[extra], cache_file=path)
         got = src.entry_for(2, 2, 2, 10, Model.WITH_INTERACTIONS,
-                            Hypothesis.INTERACTIONS, FAST)
+                            Hypothesis.INTERACTIONS, McdConfig())
         assert got == extra
+
+    def test_v1_entry_serves_the_default_config_only(self, tmp_path):
+        path = tmp_path / "cal.txt"
+        path.write_text("mcdmanova calibration cache v1\n"
+                        "2 2 2 10 interactions interaction 3000 123 0.0625 4 0.25 0.03125\n")
+        src = CalibrationSource(cache_file=path)
+        args = (2, 2, 2, 10, Model.WITH_INTERACTIONS, Hypothesis.INTERACTIONS)
+        assert src.entry_for(*args, McdConfig()).key == small_key(m_prime=3000)
+        for config in (McdConfig(alpha=0.75), McdConfig(n_starts=499), McdConfig(n_keep=9)):
+            with pytest.raises(MissingCalibration):
+                src.entry_for(*args, config)
+
+    def test_entry_of_another_pipeline_not_served(self, monkeypatch):
+        src = CalibrationSource(entries=[synthetic_entry()])
+        args = (2, 2, 2, 10, Model.WITH_INTERACTIONS, Hypothesis.INTERACTIONS, McdConfig())
+        assert src.entry_for(*args) == synthetic_entry()
+        monkeypatch.setattr(calibration, "PIPELINE_VERSION", 2)
+        with pytest.raises(MissingCalibration, match="at alpha=0.5 n_starts=500 n_keep=10 "
+                                                     "pipeline=2; stored only at alpha=0.5 "
+                                                     "n_starts=500 n_keep=10 pipeline=1;"):
+            src.entry_for(*args)
+
+    def test_mismatch_message_names_both_settings(self):
+        entries = [
+            synthetic_entry(replace(small_key(m_prime=3000), alpha=0.75)),
+            synthetic_entry(replace(small_key(m_prime=3000), n_starts=40, n_keep=4)),
+            synthetic_entry(replace(small_key(m_prime=3000, hypothesis=Hypothesis.ROW_EFFECTS),
+                                    alpha=0.6)),
+        ]
+        src = CalibrationSource(entries=entries)
+        with pytest.raises(MissingCalibration) as exc:
+            src.entry_for(2, 2, 2, 10, Model.WITH_INTERACTIONS, Hypothesis.INTERACTIONS,
+                          McdConfig())
+        assert str(exc.value) == (
+            "no calibration entry for p=2 r=2 c=2 n=10 model=interactions "
+            "hypothesis=interaction at alpha=0.5 n_starts=500 n_keep=10 pipeline=1; "
+            "stored only at alpha=0.5 n_starts=40 n_keep=4 pipeline=1 "
+            "and at alpha=0.75 n_starts=500 n_keep=10 pipeline=1; "
+            "calibrate the design first or enable on-the-fly calibration"
+        )
+        with pytest.raises(MissingCalibration) as exc:
+            src.entry_for(2, 2, 2, 11, Model.WITH_INTERACTIONS, Hypothesis.INTERACTIONS,
+                          McdConfig())
+        assert str(exc.value) == (
+            "no calibration entry for p=2 r=2 c=2 n=11 model=interactions "
+            "hypothesis=interaction at alpha=0.5 n_starts=500 n_keep=10 pipeline=1; "
+            "calibrate the design first or enable on-the-fly calibration"
+        )

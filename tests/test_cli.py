@@ -575,11 +575,6 @@ class TestCalibrateSubcommand:
 
 
 class TestCalibrationIdentity:
-    @pytest.mark.xfail(
-        strict=True,
-        reason="ROADMAP item 1: calibration keys do not carry the MCD "
-               "alpha, so an entry fitted at alpha 0.5 serves a 0.75 test",
-    )
     def test_entry_fitted_at_another_alpha_is_not_served(self, tmp_path, capsys):
         data = write_balanced_csv(tmp_path / "d.csv", r=3, c=2, n=8,
                                   compositional=False)
@@ -605,6 +600,23 @@ class TestCalibrationIdentity:
                               for line in out.read_text().splitlines()[1:]]
         assert len(p_values["empty"]) == 3
         assert p_values["fitted"] == p_values["empty"]
+
+    def test_entry_at_another_alpha_named_in_the_error(self, tmp_path, capsys):
+        data = write_balanced_csv(tmp_path / "d.csv", r=3, c=2, n=8,
+                                  compositional=False)
+        cache = tmp_path / "fitted.txt"
+        run_cli(["calibrate", "--design", "3", "2", "8", "3", "--m-prime", "4",
+                 "--seed", "1", "--cache", str(cache)], capsys)
+        code, table, err = run_cli(
+            ["test", "--input", str(data), *BASE, "--method", "mcd",
+             "--hypothesis", "row", "--mcd-alpha", "0.75", "--cache", str(cache)],
+            capsys,
+        )
+        assert code == MissingCalibration.exit_code and table == ""
+        assert (
+            "hypothesis=row at alpha=0.75 n_starts=500 n_keep=10 pipeline=1; "
+            "stored only at alpha=0.5 n_starts=500 n_keep=10 pipeline=1;"
+        ) in err
 
 
 class TestSimulateSubcommand:

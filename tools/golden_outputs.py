@@ -13,7 +13,10 @@ and per-subcommand ``--help`` texts, one usage error, and two mcd
 ``test`` runs on a cache that holds one low-trial entry of its design,
 the row entry under interactions: one calibrates the missing entries on
 the fly, the other prints only the row hypothesis and so needs no other
-entry (``--hypothesis row``, no on-the-fly calibration), and ``ilr``
+entry (``--hypothesis row``, no on-the-fly calibration); that row test
+at ``--mcd-alpha 0.75`` on two more copies, which exits 14 without
+on-the-fly calibration (the entry was fitted at the default alpha) and
+calibrates the design at 0.75 with it; and ``ilr``
 on a semicolon-separated table with a comma in a district label,
 whose output ``test`` then reads back; the
 status of the ``SystemExit`` that argparse raises for the first two is
@@ -31,7 +34,7 @@ BLAS runs single-threaded so the comparison holds on one machine, and
 terminal.  The
 calibrations and the mcd ``simulate`` runs spread their robust
 replications over one worker process per usable core, which leaves every
-output byte-identical.  The whole set of 97 files takes about 5
+output byte-identical.  The whole set of 104 files takes about 5
 seconds on one core (``taskset -c 0``) and 4 seconds on two.  Exits 1
 if any command exits with another status than the one listed for it in
 ``EXPECTED`` (zero for every command not listed).
@@ -80,7 +83,8 @@ TABLE_ARGS = ["--input", "waste.csv", *COLUMN_ARGS]
 
 # Commands that must fail, with their exit status: an error message is
 # output too.
-EXPECTED = {"ilr-bad-part": 17, "usage-additive-interaction": 2}
+EXPECTED = {"ilr-bad-part": 17, "test-partial-cache-alpha075": 14,
+            "usage-additive-interaction": 2}
 
 SUBCOMMANDS = ("test", "calibrate", "simulate", "ilr")
 
@@ -124,8 +128,11 @@ def write_inputs() -> None:
     # (r=3 c=2 n=8 p=3): the row test under interactions uses it, the
     # other tests calibrate on the fly with more trials.  Its fields
     # (delta 1/16, q 4, ave_L 1/4, var_L 1/32) meet the entry invariants
-    # exactly.  Each run that reads it gets its own copy.
-    for name in ("test-partial-cache", "test-partial-cache-row"):
+    # exactly.  The v1 format records no MCD settings, so the entry is
+    # read as a fit at the default ones.  Each run that reads it gets its
+    # own copy.
+    for name in ("test-partial-cache", "test-partial-cache-row",
+                 "test-partial-cache-alpha075", "test-partial-cache-alpha075-fly"):
         Path(f"{name}.cache").write_text(
             "mcdmanova calibration cache v1\n"
             "3 3 2 8 interactions row 50 3 0.0625 4 0.25 0.03125\n",
@@ -183,6 +190,16 @@ def commands() -> dict[str, list[str]]:
                                       "--hypothesis", "row", "--seed", "7",
                                       "--cache", "test-partial-cache-row.cache",
                                       "--out", "test-partial-cache-row.tsv"]
+    # the row test at alpha 0.75: the cached entry, fitted at the default
+    # alpha, is not served, so the run fails without on-the-fly
+    # calibration and calibrates the design at 0.75 with it
+    alpha075 = ["test", *TABLE_ARGS, "--method", "mcd", "--hypothesis", "row",
+                "--mcd-alpha", "0.75", "--seed", "7"]
+    runs["test-partial-cache-alpha075"] = [
+        *alpha075, "--cache", "test-partial-cache-alpha075.cache"]
+    runs["test-partial-cache-alpha075-fly"] = [
+        *alpha075, "--cache", "test-partial-cache-alpha075-fly.cache",
+        "--calibrate-on-the-fly", "20", "--out", "test-partial-cache-alpha075-fly.tsv"]
     runs["test-rounded"] = ["test", "--input", "waste-rounded.csv", *COLUMN_ARGS,
                             "--method", "cla", "--method", "rnk",
                             "--out", "test-rounded.tsv"]
