@@ -111,7 +111,7 @@ class TestCalibrationKey:
     def test_defaults_are_the_default_config_and_pipeline(self):
         key = small_key()
         assert McdConfig(key.alpha, key.n_starts, key.n_keep) == McdConfig()
-        assert key.pipeline == PIPELINE_VERSION == 1
+        assert key.pipeline == PIPELINE_VERSION
 
     @pytest.mark.parametrize("settings, message", [
         (dict(alpha=0.3), "alpha must lie in"),
@@ -389,14 +389,14 @@ class TestCache:
 
     def test_v2_round_trip_at_another_config(self, tmp_path):
         path = tmp_path / "cal.txt"
-        key = replace(small_key(m_prime=3000), alpha=0.75, n_starts=40, n_keep=4)
+        key = replace(small_key(m_prime=3000), alpha=0.75, n_starts=40, n_keep=4, pipeline=3)
         e = synthetic_entry(key, delta=0.1 / 3, q=4.5)
         merge_cache(path, [e])
         header, record = path.read_text().splitlines()
         assert header == CACHE_HEADER == "mcdmanova calibration cache v2"
         assert record == (
             "p=2 r=2 c=2 n=10 model=interactions hypothesis=interaction "
-            "m_prime=3000 seed=123 alpha=0.75 n_starts=40 n_keep=4 pipeline=1 "
+            "m_prime=3000 seed=123 alpha=0.75 n_starts=40 n_keep=4 pipeline=3 "
             f"delta={e.delta:.17g} q=4.5 ave_L={e.ave_L:.17g} var_L={e.var_L:.17g}"
         )
         assert read_cache(path) == {key: e}
@@ -409,8 +409,8 @@ class TestCache:
         path.write_text("mcdmanova calibration cache v1\n"
                         "2 2 2 10 interactions interaction 3000 123 0.0625 4 0.25 0.03125\n")
         (key, entry), = read_cache(path).items()
-        assert key == small_key(m_prime=3000)
-        assert (key.alpha, key.n_starts, key.n_keep, key.pipeline) == (0.5, 500, 10, 1)
+        assert key == replace(small_key(m_prime=3000), alpha=0.5, n_starts=500, n_keep=10,
+                              pipeline=1)
         assert (entry.delta, entry.q, entry.ave_L, entry.var_L) == (0.0625, 4.0, 0.25, 0.03125)
         # a merge writes the whole file as v2
         merge_cache(path, [])
