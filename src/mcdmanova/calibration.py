@@ -332,6 +332,8 @@ def read_cache(path: str | Path) -> dict[CalibrationKey, CalibrationEntry]:
         raise CorruptCache(f"cache line 1: expected header {CACHE_HEADER!r}")
     entries: dict[CalibrationKey, CalibrationEntry] = {}
     for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
         entry = _parse_record(split(line, lineno), lineno)
         entries[entry.key] = entry
     return entries

@@ -67,6 +67,10 @@ __all__ = ["parse_table", "build_parser", "main"]
 # one its header holds most often.
 _DELIMITERS = (",", ";", "\t")
 
+# Simulation trials of `calibrate` and of `--calibrate-on-the-fly` without
+# a count.
+DEFAULT_TRIALS = 3000
+
 
 def parse_table(
     path: str | Path,
@@ -358,8 +362,8 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--design", nargs=4, type=int, required=True,
                      metavar=("R", "C", "N", "P"),
                      help="levels, levels, per-cell count, dimension")
-    cal.add_argument("--m-prime", type=int, default=3000, dest="m_prime",
-                     help="number of simulation trials")
+    cal.add_argument("--m-prime", type=int, default=DEFAULT_TRIALS,
+                     dest="m_prime", help="number of simulation trials")
     cal.add_argument("--seed", type=int, default=0)
 
     sim = sub.add_parser(
@@ -391,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="calibration cache file (default: env CAL_CACHE)")
     for cmd in (test, sim):
         cmd.add_argument("--calibrate-on-the-fly", nargs="?", type=int,
-                         const=3000, default=None, metavar="TRIALS",
-                         help="calibrate missing designs now (default 3000 trials)")
+                         const=DEFAULT_TRIALS, default=None, metavar="TRIALS",
+                         help="calibrate missing designs now (default %(const)s trials)")
         cmd.add_argument("--out", type=Path, default=None,
                          help="write a full-precision machine-readable table")
     return parser

@@ -52,6 +52,10 @@ _SHIFT_POINT = 10.0
 _EPS = 1e-16
 _MAX_SERIES_ITER = 600
 
+# Relative pivot floor of the Cholesky gate: a pivot at or below
+# p * PIVOT_TOL * max(diag) of its p x p matrix fails.
+PIVOT_TOL = 1e-14
+
 
 @dataclass(frozen=True)
 class RngStream:
@@ -343,12 +347,12 @@ class CholeskyFactor:
 
 def _pivot_cholesky(stack: np.ndarray) -> tuple[np.ndarray, ...]:
     # Cholesky factors of an (s, p, p) stack, column by column with the
-    # arithmetic of a single matrix.  A pivot at or below p * 1e-14 *
+    # arithmetic of a single matrix.  A pivot at or below p * PIVOT_TOL *
     # max(diag) of its matrix fails and is replaced by one.  Also returns
     # the thresholds and each matrix's first failing pivot: its index (p
     # where none fails) and its value.
     s, p, _ = stack.shape
-    threshold = p * 1e-14 * np.diagonal(stack, axis1=1, axis2=2).max(axis=1)
+    threshold = p * PIVOT_TOL * np.diagonal(stack, axis1=1, axis2=2).max(axis=1)
     lower = np.zeros_like(stack)
     fail_at, fail_value = np.full(s, p), np.zeros(s)
     for j in range(p):
@@ -384,7 +388,7 @@ def cholesky(mat: np.ndarray) -> CholeskyFactor:
     DimensionError
         If the matrices are not square.
     NotPositiveDefinite
-        If any pivot falls at or below ``p * 1e-14 * max(diag)`` of its
+        If any pivot falls at or below ``p * PIVOT_TOL * max(diag)`` of its
         matrix; this single rule is the package-wide positive-definiteness
         gate.  A stack reports its first failing matrix, at that matrix's
         first failing pivot.

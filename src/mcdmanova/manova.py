@@ -34,6 +34,7 @@ from .errors import (
     Unbalanced,
 )
 from .mcd import (
+    REWEIGHT_QUANTILE,
     McdConfig,
     fast_mcd,
     fast_mcd_batch,
@@ -570,7 +571,7 @@ def robust_weights(
     pooled_raw = fast_mcd(resid, config, rng=rng.substream(1))
     c0 = reweight(resid, pooled_raw).scatter
     distances = robust_distances(resid, np.zeros(layout.p), c0)
-    cutoff = math.sqrt(chi2_quantile(0.975, layout.p))
+    cutoff = math.sqrt(chi2_quantile(REWEIGHT_QUANTILE, layout.p))
     weights = WeightSet(layout, (distances <= cutoff).astype(np.int64))
     if weights.grand_total < layout.p + 2:
         raise DegenerateWeights(

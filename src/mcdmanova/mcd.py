@@ -56,7 +56,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import RngStream, chi2_cdf, chi2_quantile, cholesky, cholesky_mask
+from .distributions import (
+    PIVOT_TOL,
+    RngStream,
+    chi2_cdf,
+    chi2_quantile,
+    cholesky,
+    cholesky_mask,
+)
 from .errors import DimensionError, DomainError, SingularSubset
 
 __all__ = [
@@ -377,7 +384,7 @@ class _Workspace:
             factor, ok = cholesky_mask(cov)
             return _precision_from_chol(factor.lower), np.where(ok, factor.log_det, np.inf), ok
         a, b_, c = cov[..., 0], cov[..., 1], cov[..., 2]
-        threshold = 2e-14 * np.maximum(np.maximum(a, c), 0.0)
+        threshold = 2 * PIVOT_TOL * np.maximum(np.maximum(a, c), 0.0)
         a_ok = a > threshold
         pivot2 = c - b_ * b_ / np.where(a_ok, a, 1.0)
         ok = a_ok & (pivot2 > threshold)

@@ -439,6 +439,31 @@ class TestCache:
         with pytest.raises(CorruptCache, match=message):
             read_cache(path)
 
+    @pytest.mark.parametrize("version", ["v1", "v2"])
+    def test_blank_lines_skipped(self, tmp_path, version):
+        path, clean = tmp_path / "cal.txt", tmp_path / "clean.txt"
+        seeds = (1, 2)
+        if version == "v1":
+            path.write_text("mcdmanova calibration cache v1\n" + "".join(
+                f"2 2 2 10 interactions interaction 3000 {seed} 0.0625 4 0.25 0.03125\n"
+                for seed in seeds))
+        else:
+            keys = [small_key(m_prime=3000, seed=seed) for seed in seeds]
+            write_cache(path, {key: synthetic_entry(key) for key in keys})
+        header, first, second = path.read_text().splitlines()
+        expected = read_cache(path)
+        assert len(expected) == 2
+        path.write_text(f"{header}\n{first}\n  \n{second}\n\n\t\n")
+        assert read_cache(path) == expected
+        # a merge rewrites the file without them
+        merge_cache(path, [])
+        write_cache(clean, expected)
+        assert path.read_text() == clean.read_text()
+        # diagnostics still count physical lines
+        path.write_text(f"{header}\n\n{first}\nbogus\n")
+        with pytest.raises(CorruptCache, match="^cache line 4: "):
+            read_cache(path)
+
     def test_v1_record_needs_its_twelve_fields(self, tmp_path):
         path = tmp_path / "cal.txt"
         path.write_text("mcdmanova calibration cache v1\n"

@@ -11,17 +11,19 @@ at the run length ``perfbench/spec.py`` sets, one after the other; the
 side that goes first alternates from pair to pair.  Every end-to-end
 metric and the run's call counts are kept, with the medians and the
 number of pairs the change won per metric, in the direction
-``perfbench/spec.py`` gives it.
+``perfbench/spec.py`` gives it (a tie is a win for neither side).
 
-Minor page faults per unit (replication, or CLI call) are counted apart
-from the timed runs: a fresh process per checkout sets the workload up,
-warms it with one call, and reads ``getrusage`` around ``FAULT_CALLS``
-further calls, so import and set-up faults are left out.  The probe
-process alone runs with glibc's ``MALLOC_TRIM_THRESHOLD_`` pinned at
-``TRIM_THRESHOLD`` bytes: with the default, glibc hands freed heap top
-back to the kernel and faults it in again, and the count then follows
-where the heap top happens to lie rather than the work done.  The timed
-runs keep the default environment.
+Each metric's summary also states two verdicts, with the metric's bound
+from ``perfbench/spec.py``:
+
+- ``gain_rule_met``: at least ``GAIN_PAIRS`` pairs ran, the change won
+  at least ``GAIN_SHARE`` of them, and its median beats the parent
+  median by more than the parent's interquartile range.
+- ``regression``: ``"worse"`` when the change median is worse than the
+  parent median by more than bound x parent median; otherwise
+  ``"unresolved"`` when the parent's interquartile range exceeds that
+  margin and not every change run beats every parent run; otherwise
+  ``"none"``.
 
 ``--traced NAME`` adds one ``--trace 1`` run per checkout of workload
 NAME at the first seed, parent first, and keeps all its metrics, the
@@ -39,42 +41,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import operator
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spec  # noqa: E402
 
 FIRST_SEED = 401
-FAULT_CALLS = 10
-TRIM_THRESHOLD = 256 << 20
-
-FAULT_PROBE = """
-import json, resource, sys
-from pathlib import Path
-sys.path[:0] = ["src", "perfbench"]
-import quality, workloads
-name, seed, calls, workdir = sys.argv[1], int(sys.argv[2]), int(sys.argv[3]), sys.argv[4]
-workload = workloads.WORKLOADS[name](seed, Path(workdir), quality.load_reference())
-workload.setup()
-workload.warm()
-before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-for i in range(calls):
-    workload.call(i)
-after = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-print(json.dumps((after - before) / (calls * workload.units_per_call)))
-"""
-
-
-def single_blas_env() -> dict:
-    env = dict(os.environ)
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-        env[var] = "1"
-    return env
+GAIN_PAIRS = 10
+GAIN_SHARE = 0.9
 
 
 def run_once(root: Path, workload: str, seed: int, trace: int = 0) -> dict:
@@ -95,31 +73,38 @@ def side_record(full: dict) -> dict:
     }
 
 
-def minor_faults(root: Path, workload: str) -> float:
-    with tempfile.TemporaryDirectory() as workdir:
-        done = subprocess.run(
-            [sys.executable, "-c", FAULT_PROBE, workload, str(FIRST_SEED),
-             str(FAULT_CALLS), workdir],
-            cwd=root, check=True, capture_output=True, text=True,
-            env=single_blas_env() | {"MALLOC_TRIM_THRESHOLD_": str(TRIM_THRESHOLD)},
-        )
-    return json.loads(done.stdout.splitlines()[-1])
-
-
 def summary(pairs: list[dict]) -> dict:
     out = {}
-    for name, (_, better, _) in spec.END_TO_END.items():
-        lower = better == "lower"
+    for name, (_, better, bound) in spec.END_TO_END.items():
+        beats = operator.lt if better == "lower" else operator.gt
         parent = [pair["parent"]["metrics"][name] for pair in pairs]
         change = [pair["change"]["metrics"][name] for pair in pairs]
         quartiles = statistics.quantiles(parent, n=4)
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+        iqr = quartiles[2] - quartiles[0]
+        parent_median, change_median = statistics.median(parent), statistics.median(change)
+        gap = abs(change_median - parent_median)
+        margin = bound * parent_median
+        wins = sum(beats(c, p) for p, c in zip(parent, change))
+        if beats(parent_median, change_median) and gap > margin:
+            regression = "worse"
+        elif iqr > margin and not all(beats(c, p) for c in change for p in parent):
+            regression = "unresolved"
+        else:
+            regression = "none"
         out[name] = {
-            "parent_median": statistics.median(parent),
-            "parent_iqr": quartiles[2] - quartiles[0],
-            "change_median": statistics.median(change),
+            "parent_median": parent_median,
+            "parent_iqr": iqr,
+            "change_median": change_median,
             "change_better_pairs": wins,
             "pairs": len(pairs),
+            "bound": bound,
+            "gain_rule_met": (
+                len(pairs) >= GAIN_PAIRS
+                and wins >= GAIN_SHARE * len(pairs)
+                and beats(change_median, parent_median)
+                and gap > iqr
+            ),
+            "regression": regression,
         }
     return out
 
@@ -140,14 +125,7 @@ def compare(args: argparse.Namespace) -> dict:
                 pair[side] = side_record(full)
             pairs.append(pair)
             print(workload, seed, {s: pair[s]["metrics"] for s in sides}, file=sys.stderr)
-        record["workloads"][workload] = {
-            "pairs": pairs,
-            "summary": summary(pairs),
-            "minor_faults_per_unit": {
-                side: minor_faults(root, workload)
-                for side, root in sides.items()
-            },
-        }
+        record["workloads"][workload] = {"pairs": pairs, "summary": summary(pairs)}
     for workload in args.traced:
         traced: dict = {"seed": FIRST_SEED}
         for side, root in sides.items():
