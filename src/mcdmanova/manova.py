@@ -67,7 +67,7 @@ class Hypothesis(Enum):
 
 @dataclass(frozen=True, eq=False)
 class TwoWayLayout:
-    """Balanced two-factor dataset.
+    """Balanced two-factor dataset, its observations in cell order.
 
     Attributes
     ----------
@@ -78,9 +78,8 @@ class TwoWayLayout:
     p : int
         Response dimension.
     observations : array, shape (N, p)
-        Responses, N = r*c*n, in arbitrary row order.
-    row_label, col_label : array, shape (N,)
-        Level indices in 0..r-1 and 0..c-1 for each observation.
+        Responses, N = r*c*n, grouped by cell: the n rows of cell (0, 0),
+        then those of cell (0, 1), and so on, the row level major.
     """
 
     r: int
@@ -88,8 +87,6 @@ class TwoWayLayout:
     n: int
     p: int
     observations: np.ndarray
-    row_label: np.ndarray
-    col_label: np.ndarray
 
     def __post_init__(self):
         if self.r < 2 or self.c < 2:
@@ -98,28 +95,8 @@ class TwoWayLayout:
             )
         if self.n < 2:
             raise DomainError(f"need at least 2 observations per cell, got n={self.n}")
-        N = self.r * self.c * self.n
-        obs = _checked_observations(self.observations, N, self.p)
-        rows = np.array(self.row_label, dtype=np.intp)
-        cols = np.array(self.col_label, dtype=np.intp)
-        if rows.shape != (N,) or cols.shape != (N,):
-            raise DimensionError("label vectors must have one entry per observation")
-        if rows.min() < 0 or rows.max() >= self.r:
-            raise DomainError("row labels out of range")
-        if cols.min() < 0 or cols.max() >= self.c:
-            raise DomainError("column labels out of range")
-        counts = np.bincount(rows * self.c + cols, minlength=self.r * self.c)
-        if not np.all(counts == self.n):
-            bad = int(np.flatnonzero(counts != self.n)[0])
-            raise Unbalanced(
-                f"cell ({bad // self.c}, {bad % self.c}) holds {counts[bad]} "
-                f"observations, expected {self.n}"
-            )
-        for arr in (rows, cols):
-            arr.setflags(write=False)
+        obs = _checked_observations(self.observations, self.size, self.p)
         object.__setattr__(self, "observations", obs)
-        object.__setattr__(self, "row_label", rows)
-        object.__setattr__(self, "col_label", cols)
 
     @property
     def size(self) -> int:
@@ -127,12 +104,12 @@ class TwoWayLayout:
         return self.r * self.c * self.n
 
     def with_observations(self, observations: np.ndarray) -> TwoWayLayout:
-        """This design, with the same label arrays, holding ``observations``.
+        """This design holding ``observations``, in cell order.
 
-        ``p`` is the column count of ``observations``.  The labels were
-        validated when this layout was built and are read-only, so only
-        the observations are checked, with the errors a full
-        construction would raise for them.
+        ``p`` is the column count of ``observations``.  The design was
+        validated when this layout was built, so only the observations
+        are checked, with the errors a full construction would raise for
+        them.
         """
         obs = np.asarray(observations, dtype=np.float64)
         p = obs.shape[1] if obs.ndim == 2 else self.p
@@ -145,12 +122,8 @@ class TwoWayLayout:
         return twin
 
     def cell_array(self) -> np.ndarray:
-        """Observations regrouped by cell, shape (r, c, n, p).
-
-        Within each cell the original observation order is preserved.
-        """
-        order = np.lexsort((np.arange(self.size), self.col_label, self.row_label))
-        return self.observations[order].reshape(self.r, self.c, self.n, self.p)
+        """The observations as a read-only (r, c, n, p) view, one cell each."""
+        return self.observations.reshape(self.r, self.c, self.n, self.p)
 
 
 def _checked_observations(observations, N: int, p: int) -> np.ndarray:
@@ -174,14 +147,20 @@ def _checked_observations(observations, N: int, p: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _design_template(r: int, c: int, n: int) -> TwoWayLayout:
-    """Validated cell-ordered layout of the (r, c, n) design, p = 1.
+    """Validated layout of the (r, c, n) design, p = 1.
 
-    Its labels are shared by every layout built from it; a design that
-    fails validation raises on every call, since errors are not cached.
+    A design that fails validation raises on every call, since errors
+    are not cached.
     """
-    rows = np.repeat(np.arange(r, dtype=np.intp), c * n)
-    cols = np.tile(np.repeat(np.arange(c, dtype=np.intp), n), r)
-    return TwoWayLayout(r, c, n, 1, np.zeros((r * c * n, 1)), rows, cols)
+    return TwoWayLayout(r, c, n, 1, np.zeros((r * c * n, 1)))
+
+
+@lru_cache(maxsize=64)
+def _cell_levels(r: int, c: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row level, column level and cell index of each observation of the
+    (r, c, n) design in cell order, as read-only arrays."""
+    rows, cols, _ = np.indices((r, c, n), dtype=np.intp).reshape(3, -1)
+    return tuple(map(_read_only, (rows, cols, rows * c + cols)))
 
 
 def layout_from_cells(cells: np.ndarray) -> TwoWayLayout:
@@ -199,9 +178,10 @@ def validate_layout(raw_table: Sequence[Sequence]) -> TwoWayLayout:
     Parameters
     ----------
     raw_table : sequence of rows
-        Each row is (row_label, col_label, v_1, ..., v_p).  Labels may
-        be any hashable values; level indices are assigned in order of
-        first appearance.
+        Each row is (row level, column level, v_1, ..., v_p).  Levels
+        may be any hashable values; level indices are assigned in order
+        of first appearance.  The layout groups the rows by cell; each
+        cell keeps its rows in table order.
 
     Raises
     ------
@@ -240,7 +220,17 @@ def validate_layout(raw_table: Sequence[Sequence]) -> TwoWayLayout:
         raise Unbalanced(
             f"{len(rows)} rows cannot split evenly over {r}x{c} cells"
         )
-    return TwoWayLayout(r, c, len(rows) // (r * c), p, values, row_idx, col_idx)
+    n = len(rows) // (r * c)
+    cell = row_idx * c + col_idx
+    # built first, so a cell size below 2 is reported before an unbalanced cell
+    layout = TwoWayLayout(r, c, n, p, values[np.argsort(cell, kind="stable")])
+    counts = np.bincount(cell, minlength=r * c)
+    if not np.all(counts == n):
+        bad = int(np.flatnonzero(counts != n)[0])
+        raise Unbalanced(
+            f"cell ({bad // c}, {bad % c}) holds {counts[bad]} observations, expected {n}"
+        )
+    return layout
 
 
 def _mid_ranks(x: np.ndarray) -> np.ndarray:
@@ -311,9 +301,9 @@ class WeightSet:
     """Zero/one observation weights of ``layout`` with their marginal totals.
 
     ``WeightSet(layout, w)`` copies the 0/1 vector ``w``, one weight per
-    observation of ``layout``, and sums it once per cell, row, column
-    and overall, because every downstream weighted mean divides by those
-    totals.  The layout itself is not kept.
+    observation of ``layout`` in its cell order, and sums it once per
+    cell, row, column and overall, because every downstream weighted
+    mean divides by those totals.  The layout itself is not kept.
     """
 
     layout: InitVar[TwoWayLayout]
@@ -331,9 +321,7 @@ class WeightSet:
             )
         if not np.all((w == 0) | (w == 1)):
             raise DomainError("weights must be 0 or 1")
-        idx = layout.row_label * layout.c + layout.col_label
-        cell = np.bincount(idx, weights=w, minlength=layout.r * layout.c)
-        cell = cell.astype(np.int64).reshape(layout.r, layout.c)
+        cell = w.reshape(layout.r, layout.c, layout.n).sum(axis=2)
         totals = {
             "w": w,
             "cell_totals": cell,
@@ -446,17 +434,16 @@ def weighted_ssp(
     and R_col analogously over columns.
 
     ``layout`` may also be a non-empty sequence of layouts of one design
-    (r, c, n, p) and one labelling: the same label arrays, which every
-    layout built inside the package shares, or equal values.  The one
-    WeightSet weighs every member; all are decomposed in one stacked
-    pass, and the result is one stacked decomposition whose member i
-    equals, bit for bit, the decomposition layout i gives alone.
+    (r, c, n, p).  The one WeightSet weighs every member; all are
+    decomposed in one stacked pass, and the result is one stacked
+    decomposition whose member i equals, bit for bit, the decomposition
+    layout i gives alone.
 
     Raises
     ------
     DimensionError
         ``weights`` is not one WeightSet of the layout's design, the
-        sequence is empty, or its layouts differ in design or labels.
+        sequence is empty, or its layouts differ in design.
     DegenerateWeights
         Fewer than p + 2 observations carry weight one.
     CellWiped
@@ -470,13 +457,7 @@ def weighted_ssp(
         raise DimensionError(f"weights must be one WeightSet, got {type(weights).__name__}")
     Y = _stacked_observations(layouts)
     b, N, p = Y.shape
-    first = layouts[0]
-    r, c, n = first.r, first.c, first.n
-    rows, cols = first.row_label, first.col_label
-    for lay in layouts[1:]:
-        for mine, ours in ((lay.row_label, rows), (lay.col_label, cols)):
-            if mine is not ours and not np.array_equal(mine, ours):
-                raise DimensionError("layouts of one call must share their labels")
+    r, c, n = layouts[0].r, layouts[0].c, layouts[0].n
     if weights.w.shape != (N,):
         raise DimensionError(
             f"weight vector shape {weights.w.shape} does not match N = {N}"
@@ -493,15 +474,14 @@ def weighted_ssp(
         bad = np.argwhere(weights.cell_totals == 0)[0]
         raise CellWiped(f"cell ({bad[0]}, {bad[1]}) has zero weight total")
 
-    idx = rows * c + cols
+    rows, cols, idx = _cell_levels(r, c, n)
     w = weights.w.astype(np.float64)[:, None]
     row_n = weights.row_totals.astype(np.float64)[:, None]
     col_n = weights.col_totals.astype(np.float64)[:, None]
 
-    # Each cell's weighted rows, in observation order, summed one after
-    # another (what np.bincount does): a running sum adds in that order.
-    by_cell = (Y * w).take(np.argsort(idx, kind="stable"), axis=1)
-    running = np.cumsum(by_cell.reshape(b, r * c, n, p), axis=2)
+    # Each cell's weighted rows summed one after another (what
+    # np.bincount does): a running sum adds in that order.
+    running = np.cumsum((Y * w).reshape(b, r * c, n, p), axis=2)
     cell_sums = running[:, :, -1].reshape(b, r, c, p)
     cell_means = cell_sums / weights.cell_totals.astype(np.float64)[:, :, None]
     row_means = cell_sums.sum(axis=2) / row_n
@@ -526,9 +506,8 @@ def classical_ssp(
 ) -> SspDecomposition:
     """SSP decomposition with every observation at weight one.
 
-    A sequence of layouts of one design and one labelling is decomposed
-    in one stacked pass under one unit WeightSet, as by
-    :func:`weighted_ssp`.
+    A sequence of layouts of one design is decomposed in one stacked
+    pass under one unit WeightSet, as by :func:`weighted_ssp`.
     """
     if isinstance(layout, TwoWayLayout):
         return weighted_ssp(layout, unit_weights(layout))
@@ -563,11 +542,11 @@ def robust_weights(
             f"per-cell sample size {layout.n} is too small for p = {layout.p}, "
             f"need at least p + 2"
         )
-    stack = layout.cell_array().reshape(layout.r * layout.c, layout.n, layout.p)
+    stack = layout.observations.reshape(layout.r * layout.c, layout.n, layout.p)
     raws = fast_mcd_batch(stack, config, rng=rng.substream(0))
     rews = reweight_batch(stack, raws)
-    mu0 = np.stack([est.location for est in rews]).reshape(layout.r, layout.c, layout.p)
-    resid = layout.observations - mu0[layout.row_label, layout.col_label]
+    mu0 = np.stack([est.location for est in rews])
+    resid = (stack - mu0[:, None]).reshape(layout.size, layout.p)
     pooled_raw = fast_mcd(resid, config, rng=rng.substream(1))
     c0 = reweight(resid, pooled_raw).scatter
     distances = robust_distances(resid, np.zeros(layout.p), c0)
@@ -594,8 +573,8 @@ def method_ssp(
     calibrated null and the test it serves always share one pipeline.
 
     For "cla" and "rnk", ``layout`` may also be a sequence of layouts of
-    one design and one labelling, decomposed in one stacked pass into one
-    stacked decomposition, as by :func:`classical_ssp`.
+    one design, decomposed in one stacked pass into one stacked
+    decomposition, as by :func:`classical_ssp`.
     """
     if method == "cla":
         return classical_ssp(layout)

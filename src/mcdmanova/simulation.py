@@ -396,13 +396,11 @@ def replicate(
     Attempts run in blocks.  A block's data streams are keyed in one
     pass, and ``gen`` is one generator per call whose Philox is re-keyed
     for every attempt, so ``make_layout`` must not keep it.  Its layouts
-    must share one design and one labelling, as every ``gen_*`` layout
-    shares its design's label arrays.  The "cla" and "rnk" SSP
-    decompositions of a block come from one stacked :func:`method_ssp`
-    call each under one unit weight set, which fails every attempt alike
-    (unit weights degenerate only when N < p + 2) and raises
-    ``DimensionError`` on a second labelling; the "mcd" ones come one
-    attempt at a time and are stacked.  The Wilks' Lambdas come from one
+    must share one design.  The "cla" and "rnk" SSP decompositions of a
+    block come from one stacked :func:`method_ssp` call each under one
+    unit weight set, which fails every attempt alike (unit weights
+    degenerate only when N < p + 2); the "mcd" ones come one attempt at
+    a time and are stacked.  The Wilks' Lambdas come from one
     :func:`wilks_lambda` call per method and pair on the stack of live
     attempts; a stacked call that degenerates is redone one attempt
     (member) at a time.  Lambdas, redraws, attempts and the raised error

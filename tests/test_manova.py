@@ -1,6 +1,7 @@
 """Tests for balanced two-way layouts and Wilks' Lambda tests."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,12 +52,18 @@ def random_layout(rng, r=3, c=2, n=5, p=2, scale=1.0):
     return layout_from_cells(rng.normal(size=(r, c, n, p)) * scale)
 
 
+def cell_levels(layout):
+    """Row and column level of each observation, read off the cell order."""
+    r, c, n = layout.r, layout.c, layout.n
+    return np.repeat(np.arange(r), c * n), np.tile(np.repeat(np.arange(c), n), r)
+
+
 def reference_ssp(layout, w):
     """Loop transliteration of the weighted mean and SSP definitions:
     (W, E, R_row, R_col)."""
     r, c, p = layout.r, layout.c, layout.p
     Y = layout.observations
-    R, C = layout.row_label, layout.col_label
+    R, C = cell_levels(layout)
     kept = w == 1
     cell_mean = np.zeros((r, c, p))
     for i in range(r):
@@ -109,17 +116,20 @@ class TestValidateLayout:
         ]
         lay = validate_layout(rows)
         # "B" appeared first so it gets index 0, same for column "y"
-        assert lay.row_label[0] == 0 and lay.row_label[2] == 1
-        assert lay.col_label[0] == 0 and lay.col_label[1] == 1
+        assert lay.cell_array()[..., 0].tolist() == [[[1.0, 5.0], [2.0, 6.0]],
+                                                     [[3.0, 7.0], [4.0, 8.0]]]
 
     def test_unbalanced_rejected(self):
         rows = self.make_rows()
-        with pytest.raises(Unbalanced):
+        with pytest.raises(Unbalanced, match=r"^7 rows cannot split evenly over 2x2 cells$"):
             validate_layout(rows[:-1])
-        # balanced count but misassigned cells
+        # balanced count but misassigned cells; ("r1", "c1") appears first
         rows[0] = ("r1", "c1", *rows[0][2:])
-        with pytest.raises(Unbalanced):
+        with pytest.raises(Unbalanced, match=r"^cell \(0, 0\) holds 3 observations, expected 2$"):
             validate_layout(rows)
+        # one row per cell on average: the cell size is checked first
+        with pytest.raises(DomainError, match="^need at least 2 observations per cell, got n=1$"):
+            validate_layout([rows[0], *rows[3:6]])
 
     def test_single_level_rejected(self):
         rows = [("a", "x", 1.0), ("a", "y", 2.0), ("a", "x", 3.0), ("a", "y", 4.0)]
@@ -186,11 +196,7 @@ def assert_same_layout(derived, built):
     assert derived.observations.dtype == built.observations.dtype
     assert derived.observations.shape == built.observations.shape
     assert derived.observations.tobytes() == built.observations.tobytes()
-    for name in ("row_label", "col_label"):
-        a, b = getattr(derived, name), getattr(built, name)
-        assert a.dtype == b.dtype and np.array_equal(a, b)
-    for arr in (derived.observations, derived.row_label, derived.col_label):
-        assert not arr.flags.writeable
+    assert not derived.observations.flags.writeable
 
 
 def shuffled_table_layout(seed, r=3, c=2, n=4, p=2):
@@ -203,8 +209,59 @@ def shuffled_table_layout(seed, r=3, c=2, n=4, p=2):
     return validate_layout([rows[k] for k in rng.permutation(len(rows))])
 
 
+def table_rows(cells, sequence):
+    """Table rows (row level, column level, values...) of ``cells``: for
+    each cell index k of ``sequence`` the next row of cell k, so each
+    cell's rows stay in order."""
+    r, c = cells.shape[:2]
+    queues = [iter(cells[i, j]) for i, j in np.ndindex(r, c)]
+    return [(f"r{k // c}", f"c{k % c}", *next(queues[k])) for k in sequence]
+
+
+def report_bits(reports):
+    return [(rep.method, rep.hypothesis, rep.model, rep.lambda_.hex(), rep.p_value.hex(),
+             rep.approx) for rep in reports]
+
+
+class TestCellOrder:
+    """A layout holds its observations grouped by cell, so where a table
+    puts each cell's rows reaches no number."""
+
+    @pytest.mark.parametrize("how", ["whole-cells", "interleaved"])
+    def test_table_order_of_cells_reaches_no_report(self, how):
+        r, c, n = 3, 2, 8
+        rng = np.random.default_rng(90)
+        cells = rng.normal(size=(r, c, n, 2))
+        base = validate_layout(table_rows(cells, np.repeat(np.arange(r * c), n)))
+        assert_same_layout(base, layout_from_cells(cells))
+        entry, config = _Entry(0.02, 4.0), McdConfig(n_starts=40, n_keep=4)
+        source = SimpleNamespace(entry_for=lambda *key: entry)
+        want = {method: report_bits(run_manova(base, Model.WITH_INTERACTIONS, method, config,
+                                               source, RngStream(91)))
+                for method in ("cla", "rnk", "mcd")}
+        moved = 0
+        while moved < 3:
+            if how == "whole-cells":
+                sequence = np.repeat(rng.permutation(r * c), n)
+            else:
+                sequence = rng.permutation(np.repeat(np.arange(r * c), n))
+            # keep each factor's levels in first-appearance order 0, 1, ...
+            row_first = list(dict.fromkeys(sequence // c))
+            col_first = list(dict.fromkeys(sequence % c))
+            if row_first != sorted(row_first) or col_first != sorted(col_first):
+                continue
+            assert np.any(np.diff(sequence) < 0)
+            lay = validate_layout(table_rows(cells, sequence))
+            assert_same_layout(lay, base)
+            for method, bits in want.items():
+                got = run_manova(lay, Model.WITH_INTERACTIONS, method, config, source,
+                                 RngStream(91))
+                assert report_bits(got) == bits
+            moved += 1
+
+
 class TestValidatedOnce:
-    """Layouts derived inside the package reuse their design's labels."""
+    """Layouts derived inside the package reuse their design's validation."""
 
     @pytest.mark.parametrize("cells, error, message", [
         (np.full((2, 2, 3, 2), np.nan), NonNumeric,
@@ -233,18 +290,13 @@ class TestValidatedOnce:
     def test_layout_from_cells_equals_construction(self):
         for r, c, n, p in ((2, 2, 2, 1), (3, 2, 5, 3), (2, 4, 3, 2)):
             cells = np.random.default_rng(r * 100 + p).normal(size=(r, c, n, p))
-            built = TwoWayLayout(
-                r, c, n, p, cells.reshape(-1, p),
-                np.repeat(np.arange(r), c * n),
-                np.tile(np.repeat(np.arange(c), n), r),
-            )
+            built = TwoWayLayout(r, c, n, p, cells.reshape(-1, p))
             assert_same_layout(layout_from_cells(cells), built)
 
     def test_rank_transform_equals_construction(self):
         lay = shuffled_table_layout(61)
         built = TwoWayLayout(
             lay.r, lay.c, lay.n, lay.p, rankdata(lay.observations, axis=0),
-            lay.row_label, lay.col_label,
         )
         assert_same_layout(rank_transform(lay), built)
 
@@ -252,16 +304,14 @@ class TestValidatedOnce:
         lay = shuffled_table_layout(62, p=3)
         parts = np.exp(lay.observations)
         lay = lay.with_observations(parts)
-        built = TwoWayLayout(
-            lay.r, lay.c, lay.n, 2, ilr(parts), lay.row_label, lay.col_label,
-        )
+        built = TwoWayLayout(lay.r, lay.c, lay.n, 2, ilr(parts))
         assert_same_layout(_ilr_layout(lay), built)
 
-    def test_with_observations_keeps_labels_and_takes_p(self):
+    def test_with_observations_keeps_design_and_takes_p(self):
         lay = shuffled_table_layout(63)
         twin = lay.with_observations(np.ones((lay.size, 5)))
         assert twin.p == 5 and lay.p == 2
-        assert twin.row_label is lay.row_label and twin.col_label is lay.col_label
+        assert (twin.r, twin.c, twin.n) == (lay.r, lay.c, lay.n)
 
     def test_with_observations_rejects_row_count_mismatch(self):
         lay = random_layout(np.random.default_rng(64))
@@ -313,8 +363,9 @@ class TestRankTransform:
             ("a", "x", 10.0), ("a", "y", 11.0), ("b", "x", 12.0), ("b", "y", 13.0),
         ]
         ranked = rank_transform(validate_layout(rows))
-        # sorted pool: -2, 0, 3.1, 7, 10, 11, 12, 13
-        assert ranked.observations[:4, 0].tolist() == [3.0, 1.0, 4.0, 2.0]
+        # sorted pool: -2, 0, 3.1, 7, 10, 11, 12, 13; cells (a, x), (a, y),
+        # (b, x), (b, y) in turn, each in table order
+        assert ranked.observations[:, 0].tolist() == [3.0, 5.0, 1.0, 6.0, 4.0, 7.0, 2.0, 8.0]
 
     def test_ties_get_midranks(self):
         rows = [
@@ -322,17 +373,15 @@ class TestRankTransform:
             ("a", "x", 3.0), ("a", "y", 4.0), ("b", "x", 6.0), ("b", "y", 7.0),
         ]
         ranked = rank_transform(validate_layout(rows))
-        # the tied 5.0s occupy sorted positions 5 and 6
+        # the tied 5.0s, first in cells (a, x) and (a, y), occupy sorted
+        # positions 5 and 6
         assert ranked.observations[0, 0] == 5.5
-        assert ranked.observations[1, 0] == 5.5
+        assert ranked.observations[2, 0] == 5.5
 
     def test_invariant_to_increasing_transform(self):
         rng = np.random.default_rng(4)
         lay = random_layout(rng)
-        warped = TwoWayLayout(
-            lay.r, lay.c, lay.n, lay.p,
-            np.exp(lay.observations), lay.row_label, lay.col_label,
-        )
+        warped = TwoWayLayout(lay.r, lay.c, lay.n, lay.p, np.exp(lay.observations))
         assert np.array_equal(
             rank_transform(lay).observations, rank_transform(warped).observations
         )
@@ -447,14 +496,12 @@ class TestWeightSet:
         assert np.array_equal(ws.cell_totals.sum(axis=1), ws.row_totals)
         assert np.array_equal(ws.cell_totals.sum(axis=0), ws.col_totals)
 
-    def test_totals_are_per_cell_sums_on_shuffled_labels(self):
+    def test_totals_are_per_cell_sums_on_shuffled_table(self):
         lay = shuffled_table_layout(10, r=3, c=2, n=5)
         w = np.random.default_rng(11).integers(0, 2, size=lay.size)
         ws = WeightSet(lay, w)
-        cell = np.array([
-            [w[(lay.row_label == i) & (lay.col_label == j)].sum() for j in range(2)]
-            for i in range(3)
-        ])
+        R, C = cell_levels(lay)
+        cell = np.array([[w[(R == i) & (C == j)].sum() for j in range(2)] for i in range(3)])
         assert ws.cell_totals.dtype == np.int64
         assert ws.cell_totals.tolist() == cell.tolist()
         assert ws.row_totals.tolist() == cell.sum(axis=1).tolist()
@@ -483,14 +530,10 @@ class TestCallerArraysUntouched:
 
     def test_layout_construction(self):
         obs = np.arange(8.0).reshape(8, 1)
-        rows = np.repeat(np.arange(2), 4)
-        cols = np.tile(np.repeat(np.arange(2), 2), 2)
-        lay = TwoWayLayout(2, 2, 2, 1, obs, rows, cols)
-        for arr in (obs, rows, cols):
-            assert arr.flags.writeable
-        obs[0, 0], rows[0], cols[0] = 99.0, 1, 1
+        lay = TwoWayLayout(2, 2, 2, 1, obs)
+        assert obs.flags.writeable
+        obs[0, 0] = 99.0
         assert lay.observations[0, 0] == 0.0
-        assert lay.row_label[0] == 0 and lay.col_label[0] == 0
 
     def test_with_observations(self):
         lay = random_layout(np.random.default_rng(80))
@@ -557,7 +600,8 @@ def frozen_weighted_ssp(layout, weights):
     r, c, p = layout.r, layout.c, layout.p
     Y = layout.observations
     w = weights.w.astype(np.float64)
-    idx = layout.row_label * c + layout.col_label
+    R, C = cell_levels(layout)
+    idx = R * c + C
     wY = Y * w[:, None]
     cell_sums = np.column_stack(
         [np.bincount(idx, weights=wY[:, j], minlength=r * c) for j in range(p)]
@@ -570,14 +614,9 @@ def frozen_weighted_ssp(layout, weights):
     col_means = cell_sums.sum(axis=0) / col_n[:, None]
     grand_mean = cell_sums.sum(axis=(0, 1)) / float(weights.grand_total)
 
-    resid_w = Y - cell_means[layout.row_label, layout.col_label]
+    resid_w = Y - cell_means[R, C]
     W = (resid_w * w[:, None]).T @ resid_w
-    resid_e = (
-        Y
-        - row_means[layout.row_label]
-        - col_means[layout.col_label]
-        + grand_mean
-    )
+    resid_e = Y - row_means[R] - col_means[C] + grand_mean
     E = (resid_e * w[:, None]).T @ resid_e
     dev_row = row_means - grand_mean
     R_row = (dev_row * row_n[:, None]).T @ dev_row
@@ -612,11 +651,12 @@ def oracle_case(case, p, design, seed, b=4):
             )
         elif case.startswith("scaled"):
             cells = cells * float(case.removeprefix("scaled"))
-        lay = layout_from_cells(cells)
         if case == "shuffled":
-            order = rng.permutation(lay.size)
-            lay = TwoWayLayout(r, c, n, p, lay.observations[order],
-                               lay.row_label[order], lay.col_label[order])
+            # a table in random row order, grouped into cells by validate_layout
+            table = [(i, j, *y) for (i, j, _), y in zip(np.ndindex(r, c, n), cells.reshape(-1, p))]
+            lay = validate_layout([table[k] for k in rng.permutation(len(table))])
+        else:
+            lay = layout_from_cells(cells)
         w = np.ones(lay.size, dtype=np.int64)
         if case == "zero_weights":
             # each cell keeps its first two rows, so nothing degenerates
@@ -625,11 +665,6 @@ def oracle_case(case, p, design, seed, b=4):
         layouts.append(lay)
         weights.append(WeightSet(lay, w))
     return layouts, weights
-
-
-def shared_stack(layouts):
-    """The observations of ``layouts`` on the first one's label arrays."""
-    return [layouts[0].with_observations(lay.observations) for lay in layouts]
 
 
 class TestStackedKernelsMatchFrozen:
@@ -646,12 +681,11 @@ class TestStackedKernelsMatchFrozen:
     def test_weighted_ssp(self, case, p):
         for seed, design in enumerate(self.DESIGNS):
             layouts, weights = oracle_case(case, p, design, seed)
-            # each layout alone, with its own labels and weights, and the
-            # stack of all observations on one labelling and weight set
+            # each layout alone with its own weights, and the stack of all
+            # layouts under one weight set
             pairs = [(lay, ws, weighted_ssp(lay, ws)) for lay, ws in zip(layouts, weights)]
-            shared = shared_stack(layouts)
-            stacked = weighted_ssp(shared, weights[0])
-            pairs += [(lay, weights[0], got) for lay, got in zip(shared, stacked)]
+            stacked = weighted_ssp(layouts, weights[0])
+            pairs += [(lay, weights[0], got) for lay, got in zip(layouts, stacked)]
             for lay, ws, got in pairs:
                 want = frozen_weighted_ssp(lay, ws)
                 for a, b in zip(ssp_fields(got), want, strict=True):
@@ -666,7 +700,7 @@ class TestStackedKernelsMatchFrozen:
                 want = frozen_mid_ranks(lay.observations).tobytes()
                 assert got.observations.tobytes() == want
                 assert rank_transform(lay).observations.tobytes() == want
-                assert got.row_label is lay.row_label
+                assert (got.r, got.c, got.n, got.p) == (lay.r, lay.c, lay.n, lay.p)
 
     def test_all_negative_zero_cells_match_frozen(self):
         # bincount adds from +0.0; a running sum of -0.0 values stays -0.0
@@ -712,7 +746,7 @@ class TestStackedCalls:
         lay = random_layout(rng, r=2, c=2, n=4)
         stack = [lay, lay.with_observations(rng.normal(size=(lay.size, 2)))]
         wiped = np.ones(lay.size, dtype=np.int64)
-        wiped[(lay.row_label == 1) & (lay.col_label == 0)] = 0
+        wiped.reshape(2, 2, 4)[1, 0] = 0
         few = np.zeros(lay.size, dtype=np.int64)
         few[:3] = 1  # three kept rows, all in cell (0, 0)
         short = random_layout(rng, r=2, c=2, n=3)
@@ -736,27 +770,6 @@ class TestStackedCalls:
             rank_transform([a, b])
         with pytest.raises(DimensionError):
             weighted_ssp([a, b], unit_weights(a))
-
-    def test_different_labels_rejected(self):
-        lay = shuffled_table_layout(22)
-        relabelled = layout_from_cells(lay.cell_array())  # same design, cell order
-        for stack in ([lay, relabelled], [relabelled, lay, lay]):
-            with pytest.raises(DimensionError, match="must share their labels"):
-                weighted_ssp(stack, unit_weights(lay))
-            for method in ("cla", "rnk"):
-                with pytest.raises(DimensionError, match="must share their labels"):
-                    manova.method_ssp(stack, method)
-
-    def test_equal_labels_in_distinct_arrays_accepted(self):
-        lay = shuffled_table_layout(23, p=3)
-        twin = TwoWayLayout(lay.r, lay.c, lay.n, lay.p, lay.observations[::-1],
-                            lay.row_label.copy(), lay.col_label.copy())
-        assert twin.row_label is not lay.row_label
-        weights = WeightSet(lay, np.ones(lay.size, dtype=np.int64))
-        stacked = weighted_ssp([lay, twin], weights)
-        shared = weighted_ssp(shared_stack([lay, twin]), weights)
-        for got, want in zip(ssp_fields(stacked), ssp_fields(shared)):
-            assert got.tobytes() == want.tobytes()
 
     def test_one_weight_set_per_call(self):
         # a sequence of weight sets is refused with the package's error
@@ -782,10 +795,8 @@ class TestStackedDecomposition:
     def test_members_equal_single_layouts(self, case, p):
         for seed, design in enumerate(TestStackedKernelsMatchFrozen.DESIGNS):
             layouts, weights = oracle_case(case, p, design, seed)
-            # one labelling (a shuffled one in the shuffled case)
-            shared = shared_stack(layouts)
-            calls = [(weighted_ssp, (shared, weights[0]), [(lay, weights[0]) for lay in shared])]
-            calls += [(manova.method_ssp, (shared, method), [(lay, method) for lay in shared])
+            calls = [(weighted_ssp, (layouts, weights[0]), [(lay, weights[0]) for lay in layouts])]
+            calls += [(manova.method_ssp, (layouts, method), [(lay, method) for lay in layouts])
                       for method in ("cla", "rnk")]
             for func, stack_args, single_args in calls:
                 stacked = func(*stack_args)
@@ -891,7 +902,7 @@ class TestWeightedSsp:
     def test_wiped_cell_raises(self):
         lay = random_layout(np.random.default_rng(15), r=2, c=2, n=4)
         w = np.ones(lay.size, dtype=np.int64)
-        w[(lay.row_label == 0) & (lay.col_label == 0)] = 0
+        w.reshape(2, 2, 4)[0, 0] = 0
         with pytest.raises(CellWiped):
             weighted_ssp(lay, WeightSet(lay, w))
 
@@ -959,10 +970,7 @@ class TestWilksLambda:
         lay = random_layout(rng, r=3, c=2, n=6, p=2)
         A = np.array([[1.5, -0.4], [0.3, 0.9]])
         b = np.array([2.0, -7.0])
-        lay_t = TwoWayLayout(
-            lay.r, lay.c, lay.n, lay.p,
-            lay.observations @ A.T + b, lay.row_label, lay.col_label,
-        )
+        lay_t = TwoWayLayout(lay.r, lay.c, lay.n, lay.p, lay.observations @ A.T + b)
         d0, d1 = classical_ssp(lay), classical_ssp(lay_t)
         for model in Model:
             for hyp in hypotheses_for(model):
@@ -971,12 +979,13 @@ class TestWilksLambda:
                 )
 
     def test_permutation_invariance(self):
+        # the same observations, each cell's rows in another order
         rng = np.random.default_rng(22)
         lay = random_layout(rng)
-        perm = rng.permutation(lay.size)
-        lay_p = TwoWayLayout(
-            lay.r, lay.c, lay.n, lay.p,
-            lay.observations[perm], lay.row_label[perm], lay.col_label[perm],
+        cells = lay.cell_array().reshape(-1, lay.n, lay.p)
+        lay_p = layout_from_cells(
+            np.array([cell[rng.permutation(lay.n)] for cell in cells]).reshape(
+                lay.r, lay.c, lay.n, lay.p)
         )
         d0, d1 = classical_ssp(lay), classical_ssp(lay_p)
         for hyp in hypotheses_for(Model.WITH_INTERACTIONS):
@@ -1238,9 +1247,7 @@ class TestRobustWeights:
         )
         lay = layout_from_cells(cells)
         ws = robust_weights(lay, McdConfig(), rng.substream(1))
-        planted = (lay.row_label == 2) & (lay.col_label == 1)
-        planted_idx = np.flatnonzero(planted)[:3]
-        assert np.all(ws.w[planted_idx] == 0)
+        assert np.all(ws.w.reshape(3, 2, 30)[2, 1, :3] == 0)
 
     def test_cell_too_small_raises(self):
         lay = random_layout(np.random.default_rng(24), r=2, c=2, n=3, p=2)
@@ -1283,10 +1290,7 @@ class TestRunManova:
     def test_rank_method_invariant_to_monotone_warp(self):
         rng = np.random.default_rng(28)
         lay = random_layout(rng, r=2, c=2, n=8, p=2)
-        warped = TwoWayLayout(
-            lay.r, lay.c, lay.n, lay.p,
-            np.exp(lay.observations), lay.row_label, lay.col_label,
-        )
+        warped = TwoWayLayout(lay.r, lay.c, lay.n, lay.p, np.exp(lay.observations))
         rep0 = run_manova(lay, Model.WITH_INTERACTIONS, "rnk")
         rep1 = run_manova(warped, Model.WITH_INTERACTIONS, "rnk")
         for a, b in zip(rep0, rep1):
