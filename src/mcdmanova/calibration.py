@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import fcntl
 import logging
+import math
 import os
 import uuid
 from dataclasses import asdict, dataclass, fields
@@ -143,6 +144,8 @@ class CalibrationEntry:
     var_L: float
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.delta, self.q, self.ave_L, self.var_L))):
+            raise DomainError("delta, q, ave_L and var_L must all be finite")
         if not (self.delta > 0 and self.q > 0 and self.var_L > 0):
             raise DomainError("delta, q and var_L must all be positive")
         if abs(self.delta * self.q - self.ave_L) > _INVARIANT_TOL:
@@ -326,7 +329,11 @@ def read_cache(path: str | Path) -> dict[CalibrationKey, CalibrationEntry]:
     path = Path(path)
     if not path.exists():
         return {}
-    lines = path.read_text(encoding="ascii").splitlines()
+    # a byte above 0x7f decodes to a lone surrogate, found by the line check
+    lines = path.read_bytes().decode("ascii", "surrogateescape").splitlines()
+    for lineno, line in enumerate(lines, start=1):
+        if not line.isascii():
+            raise CorruptCache(f"cache line {lineno}: not ASCII")
     split = {CACHE_HEADER: _v2_fields, _V1_HEADER: _v1_fields}.get(lines[0] if lines else None)
     if split is None:
         raise CorruptCache(f"cache line 1: expected header {CACHE_HEADER!r}")

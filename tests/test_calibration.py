@@ -430,6 +430,9 @@ class TestCache:
          "line 2: n_keep must lie in"),
         (lambda fields: [f.replace("pipeline=1", "pipeline=0") for f in fields],
          "line 2: pipeline must be at least 1"),
+        # an infinite fit meets delta*q = ave_L and 2*delta^2*q = var_L as NaN > tol
+        (lambda fields: fields[:-4] + ["delta=inf", "q=1", "ave_L=inf", "var_L=inf"],
+         "line 2: delta, q, ave_L and var_L must all be finite$"),
     ])
     def test_corrupt_v2_record_names_its_line(self, tmp_path, edit, message):
         path = tmp_path / "cal.txt"
@@ -437,6 +440,17 @@ class TestCache:
         header, record = path.read_text().splitlines()
         path.write_text(f"{header}\n{' '.join(edit(record.split()))}\n")
         with pytest.raises(CorruptCache, match=message):
+            read_cache(path)
+
+    @pytest.mark.parametrize("edit, lineno", [
+        (lambda data: data.replace(b" q=", " note=caf\u00e9 q=".encode(), 1), 2),
+        (lambda data: b"\xef\xbb\xbf" + data, 1),
+    ], ids=["utf8-record", "byte-order-mark"])
+    def test_non_ascii_line_named(self, tmp_path, edit, lineno):
+        path = tmp_path / "cal.txt"
+        merge_cache(path, [synthetic_entry(), synthetic_entry(small_key(seed=7))])
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(CorruptCache, match=f"^cache line {lineno}: not ASCII$"):
             read_cache(path)
 
     @pytest.mark.parametrize("version", ["v1", "v2"])
