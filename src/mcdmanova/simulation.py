@@ -562,6 +562,9 @@ def run_experiment(
     elif not settings:
         raise DomainError("settings grid is empty")
 
+    # every setting's mean layout or contamination spec is checked before
+    # a calibration lookup, which may calibrate and write the cache
+    makers = [_layout_maker(kind, design, setting, epsilon) for setting in settings]
     entries = {}
     if "mcd" in methods:
         if calibration_source is None:
@@ -578,10 +581,9 @@ def run_experiment(
     # One lambda and one p-value block per call: report order is
     # setting, method, pair.
     lams = np.empty((len(settings), len(methods), len(pairs), m))
-    for si, setting in enumerate(settings):
+    for si, (setting, make_layout) in enumerate(zip(settings, makers)):
         lambdas, redraws, attempts = replicate(
-            _layout_maker(kind, design, setting, epsilon),
-            root.substream(si), methods, pairs, m, mcd_config,
+            make_layout, root.substream(si), methods, pairs, m, mcd_config,
         )
         if redraws:
             logger.warning(

@@ -30,6 +30,7 @@ from mcdmanova.calibration import (
 from mcdmanova import cli
 from mcdmanova.cli import build_parser, main, parse_table
 from mcdmanova.errors import (
+    CorruptCache,
     DimensionError,
     DomainError,
     EmptyTable,
@@ -405,6 +406,24 @@ class TestTestSubcommand:
         assert code == 0
         assert "note: calibration used only 50 trials;" in err
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda data: b"\xef\xbb\xbf" + data, "cache line 1: not ASCII"),
+        (lambda data: data.replace(b" q=", " note=caf\u00e9 q=".encode(), 1),
+         "cache line 2: not ASCII"),
+        (lambda data: re.sub(rb"delta=.*", b"delta=inf q=1 ave_L=inf var_L=inf", data, 1),
+         "cache line 2: delta, q, ave_L and var_L must all be finite"),
+    ], ids=["byte-order-mark", "utf8-record", "infinite-record"])
+    def test_unreadable_cache_exits_corrupt(self, tmp_path, capsys, edit, message):
+        data = write_balanced_csv(tmp_path / "d.csv")
+        cache = tmp_path / "cal.txt"
+        self.write_small_cache(cache, lambda model, hyp: 100)
+        cache.write_bytes(edit(cache.read_bytes()))
+        code, table, err = run_cli(
+            ["test", "--input", str(data), *BASE, "--ilr", "--method", "mcd",
+             "--cache", str(cache), "--seed", "1"], capsys)
+        assert code == CorruptCache.exit_code == 15 and table == ""
+        assert err == f"mcdmanova: error: {message}\n"
+
     def test_only_the_printed_hypotheses_need_entries(self, tmp_path, capsys):
         data = write_balanced_csv(tmp_path / "d.csv")
         cache = tmp_path / "cal.txt"
@@ -664,6 +683,18 @@ class TestSimulateSubcommand:
             ["simulate", "--input", str(spec), "--alpha", "0.9"], capsys
         )
         assert "alpha=0.9" in strict
+
+    def test_bad_epsilon_fails_before_calibrating(self, tmp_path, capsys):
+        spec, cache = tmp_path / "exp.txt", tmp_path / "cal.txt"
+        spec.write_text(
+            "kind = robustness\nr = 2\nc = 2\np = 2\nn = 6\nmethods = cla, mcd\n"
+            "settings = 1\nm = 4\nepsilon = 0.6\n", encoding="utf-8")
+        code, out, err = run_cli(
+            ["simulate", "--input", str(spec), "--cache", str(cache),
+             "--calibrate-on-the-fly", "20"], capsys)
+        assert code == DomainError.exit_code == 3 and out == ""
+        assert err == "mcdmanova: error: epsilon must lie in [0, 0.5), got 0.6\n"
+        assert not cache.exists()
 
     def test_bad_spec_file_is_domain_error(self, tmp_path, capsys):
         bad = tmp_path / "exp.txt"

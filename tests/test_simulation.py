@@ -269,6 +269,20 @@ class TestRunExperiment:
         for rj, ra in zip(joint_cla, alone):
             assert np.array_equal(rj.p_values, ra.p_values)
 
+    @pytest.mark.parametrize("settings, epsilon, message", [
+        ((1.0,), 0.6, "epsilon must lie in"),
+        ((1.0, -2.0), 0.1, "nu must be non-negative"),
+    ], ids=["epsilon", "nu"])
+    def test_bad_setting_fails_before_any_lookup(self, settings, epsilon, message):
+        # a lookup may calibrate and write a cache, so it waits for the settings
+        class NoLookups:
+            def entry_for(self, *args):
+                raise AssertionError("looked up a calibration entry")
+
+        with pytest.raises(DomainError, match=message):
+            run_experiment("robustness", Design(2, 2, 6, 2), settings, ("cla", "mcd"), 4,
+                           calibration_source=NoLookups(), epsilon=epsilon)
+
     def test_power_increases_with_effect(self):
         design = Design(2, 2, 10, 1)
         reports = run_experiment(
