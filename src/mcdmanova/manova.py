@@ -79,7 +79,10 @@ class TwoWayLayout:
         Response dimension.
     observations : array, shape (N, p)
         Responses, N = r*c*n, grouped by cell: the n rows of cell (0, 0),
-        then those of cell (0, 1), and so on, the row level major.
+        then those of cell (0, 1), and so on, the row level major.  Inside
+        :func:`~mcdmanova.simulation.replicate` it may be a (b, N, p) block
+        of b replications, built by ``_holding`` only: the SSP and rank
+        kernels take a block in one pass.  The constructor takes (N, p).
     """
 
     r: int
@@ -116,9 +119,9 @@ class TwoWayLayout:
         return self._holding(_checked_observations(obs, self.size, p))
 
     def _holding(self, obs: np.ndarray) -> TwoWayLayout:
-        # This design holding ``obs``, a checked read-only (N, p) array.
+        """This design holding ``obs``, a checked read-only (N, p) or (b, N, p) array."""
         twin = object.__new__(TwoWayLayout)
-        twin.__dict__.update(self.__dict__, p=obs.shape[1], observations=obs)
+        twin.__dict__.update(self.__dict__, p=obs.shape[-1], observations=obs)
         return twin
 
     def cell_array(self) -> np.ndarray:
@@ -262,16 +265,7 @@ def _mid_ranks(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(ranks.reshape(columns.shape), -1, -2)
 
 
-def _stacked_observations(layouts: list[TwoWayLayout]) -> np.ndarray:
-    """The observations of one design's layouts as a (b, N, p) stack."""
-    if len({(lay.r, lay.c, lay.n, lay.p) for lay in layouts}) > 1:
-        raise DimensionError("layouts of one call must share their design (r, c, n, p)")
-    return np.array([lay.observations for lay in layouts])
-
-
-def rank_transform(
-    layout: TwoWayLayout | Sequence[TwoWayLayout],
-) -> TwoWayLayout | list[TwoWayLayout]:
+def rank_transform(layout: TwoWayLayout) -> TwoWayLayout:
     """Replace each response coordinate by its rank among all N values.
 
     Ties receive mid-ranks, computed with NumPy and equal to SciPy's
@@ -280,20 +274,13 @@ def rank_transform(
     for MANOVA; the classical statistics applied to the ranked layout
     give the rank test.
 
-    ``layout`` may also be a sequence of layouts of one design, ranked
-    together in one stacked pass; the result is then a list holding, bit
-    for bit, the layout each one gives alone.  Their observations are the
-    rows of one read-only rank array, taken as they are: ranks of finite
-    data are finite.  A single layout is ranked as a stack of one.
+    A block layout is ranked one replication at a time in one pass.  The
+    result holds its ranks as one read-only array, taken as it is: ranks
+    of finite data are finite.
     """
-    if isinstance(layout, TwoWayLayout):
-        return rank_transform([layout])[0]
-    layouts = list(layout)
-    if not layouts:
-        return []
-    ranks = np.ascontiguousarray(_mid_ranks(_stacked_observations(layouts)))
+    ranks = np.ascontiguousarray(_mid_ranks(layout.observations))
     ranks.setflags(write=False)
-    return [lay._holding(rk) for lay, rk in zip(layouts, ranks)]
+    return layout._holding(ranks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,8 +343,8 @@ def _read_only(mat: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class SspDecomposition:
-    """Weighted sums-of-squares-and-products matrices of a layout, or of a
-    stack of layouts.
+    """Weighted sums-of-squares-and-products matrices of a layout, or of
+    each replication of a block layout.
 
     W is the within-cell matrix, E the additive-model residual matrix,
     R_row and R_col the row- and column-effect matrices.  Each is one
@@ -418,9 +405,7 @@ class SspDecomposition:
         return part
 
 
-def weighted_ssp(
-    layout: TwoWayLayout | Sequence[TwoWayLayout], weights: WeightSet
-) -> SspDecomposition:
+def weighted_ssp(layout: TwoWayLayout, weights: WeightSet) -> SspDecomposition:
     """Weighted SSP matrices of a balanced two-way layout.
 
     The residuals are taken from weighted means, which divide by the
@@ -433,31 +418,24 @@ def weighted_ssp(
 
     and R_col analogously over columns.
 
-    ``layout`` may also be a non-empty sequence of layouts of one design
-    (r, c, n, p).  The one WeightSet weighs every member; all are
-    decomposed in one stacked pass, and the result is one stacked
-    decomposition whose member i equals, bit for bit, the decomposition
-    layout i gives alone.
+    A block layout gives a stacked decomposition in one pass, the one
+    WeightSet weighing every replication; its member i equals, bit for
+    bit, the decomposition replication i gives alone.
 
     Raises
     ------
     DimensionError
-        ``weights`` is not one WeightSet of the layout's design, the
-        sequence is empty, or its layouts differ in design.
+        ``weights`` is not one WeightSet of the layout's design.
     DegenerateWeights
         Fewer than p + 2 observations carry weight one.
     CellWiped
         Some cell has weight total zero, so its mean is undefined.
     """
-    single = isinstance(layout, TwoWayLayout)
-    layouts = [layout] if single else list(layout)
-    if not layouts:
-        raise DimensionError("an empty sequence of layouts has no design")
     if not isinstance(weights, WeightSet):
         raise DimensionError(f"weights must be one WeightSet, got {type(weights).__name__}")
-    Y = _stacked_observations(layouts)
-    b, N, p = Y.shape
-    r, c, n = layouts[0].r, layouts[0].c, layouts[0].n
+    r, c, n, p, N = layout.r, layout.c, layout.n, layout.p, layout.size
+    Y = layout.observations.reshape(-1, N, p)
+    b = len(Y)
     if weights.w.shape != (N,):
         raise DimensionError(
             f"weight vector shape {weights.w.shape} does not match N = {N}"
@@ -498,23 +476,13 @@ def weighted_ssp(
     R_row = weighted_cross(row_means - grand_mean, row_n)
     R_col = weighted_cross(col_means - grand_mean, col_n)
     decomp = SspDecomposition(*map(_read_only, (W, E, R_row, R_col)))
-    return decomp[0] if single else decomp
+    return decomp if layout.observations.ndim == 3 else decomp[0]
 
 
-def classical_ssp(
-    layout: TwoWayLayout | Sequence[TwoWayLayout],
-) -> SspDecomposition:
-    """SSP decomposition with every observation at weight one.
-
-    A sequence of layouts of one design is decomposed in one stacked
-    pass under one unit WeightSet, as by :func:`weighted_ssp`.
-    """
-    if isinstance(layout, TwoWayLayout):
-        return weighted_ssp(layout, unit_weights(layout))
-    layouts = list(layout)
-    if not layouts:
-        raise DimensionError("an empty sequence of layouts has no design")
-    return weighted_ssp(layouts, unit_weights(layouts[0]))
+def classical_ssp(layout: TwoWayLayout) -> SspDecomposition:
+    """SSP decomposition with every observation at weight one; a block
+    layout gives a stacked one, as by :func:`weighted_ssp`."""
+    return weighted_ssp(layout, unit_weights(layout))
 
 
 def robust_weights(
@@ -560,7 +528,7 @@ def robust_weights(
 
 
 def method_ssp(
-    layout: TwoWayLayout | Sequence[TwoWayLayout],
+    layout: TwoWayLayout,
     method: str,
     config: McdConfig = McdConfig(),
     rng: RngStream = RngStream(0),
@@ -572,17 +540,14 @@ def method_ssp(
     This is the single place the three pipelines are told apart, so a
     calibrated null and the test it serves always share one pipeline.
 
-    For "cla" and "rnk", ``layout`` may also be a sequence of layouts of
-    one design, decomposed in one stacked pass into one stacked
-    decomposition, as by :func:`classical_ssp`.
+    For "cla" and "rnk", a block layout gives a stacked decomposition,
+    as by :func:`classical_ssp`.
     """
     if method == "cla":
         return classical_ssp(layout)
     if method == "rnk":
         return classical_ssp(rank_transform(layout))
     if method == "mcd":
-        if not isinstance(layout, TwoWayLayout):
-            raise DomainError('"mcd" takes one layout, not a sequence')
         return weighted_ssp(layout, robust_weights(layout, config, rng))
     raise DomainError(f"unknown method {method!r}, expected one of {METHODS}")
 

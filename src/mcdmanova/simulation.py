@@ -153,8 +153,8 @@ class ContaminationSpec:
             raise DomainError(
                 f"epsilon must lie in [0, 0.5), got {self.epsilon}"
             )
-        if self.nu < 0.0:
-            raise DomainError(f"nu must be non-negative, got {self.nu}")
+        if not 0.0 <= self.nu < math.inf:
+            raise DomainError(f"nu must be non-negative and finite, got {self.nu}")
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -395,16 +395,19 @@ def replicate(
 
     Attempts run in blocks.  A block's data streams are keyed in one
     pass, and ``gen`` is one generator per call whose Philox is re-keyed
-    for every attempt, so ``make_layout`` must not keep it.  Its layouts
-    must share one design.  The "cla" and "rnk" SSP decompositions of a
-    block come from one stacked :func:`method_ssp` call each under one
-    unit weight set, which fails every attempt alike (unit weights
-    degenerate only when N < p + 2); the "mcd" ones come one attempt at
-    a time and are stacked.  The Wilks' Lambdas come from one
-    :func:`wilks_lambda` call per method and pair on the stack of live
-    attempts; a stacked call that degenerates is redone one attempt
-    (member) at a time.  Lambdas, redraws, attempts and the raised error
-    equal those of evaluating one attempt at a time.
+    for every attempt, so ``make_layout`` must not keep it.  The "cla"
+    and "rnk" SSP decompositions of a block come from one stacked
+    :func:`method_ssp` call each, on one layout holding the live
+    attempts' observations as a (b, N, p) block, under one unit weight
+    set, which fails every attempt alike (unit weights degenerate only
+    when N < p + 2); so with either method the layouts of a block must
+    share one design (r, c, n, p), else ``DimensionError`` is raised.
+    The "mcd" ones come one attempt at a time and are stacked.  The
+    Wilks' Lambdas come from one :func:`wilks_lambda` call per method
+    and pair on the stack of live attempts; a stacked call that
+    degenerates is redone one attempt (member) at a time.  Lambdas,
+    redraws, attempts and the raised error equal those of evaluating one
+    attempt at a time.
 
     From ``_MIN_PARALLEL_ATTEMPTS`` replications on, with "mcd" among
     the methods and more than one usable core, the per-attempt "mcd"
@@ -447,8 +450,15 @@ def replicate(
                 if not alive:
                     break
                 if method != "mcd":
+                    live = [layouts[i] for i in alive]
+                    if len({(lay.r, lay.c, lay.n, lay.p) for lay in live}) > 1:
+                        raise DimensionError(
+                            "layouts of one call must share their design (r, c, n, p)"
+                        )
+                    obs = np.stack([lay.observations for lay in live])
+                    obs.setflags(write=False)
                     try:
-                        stack = method_ssp([layouts[i] for i in alive], method)
+                        stack = method_ssp(live[0]._holding(obs), method)
                     except _DEGENERATE as exc:
                         failed.update(dict.fromkeys(alive, exc))
                         alive = []

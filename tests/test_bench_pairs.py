@@ -141,3 +141,12 @@ def test_fewer_than_two_pairs_refused(capsys):
         tool.parse_args(["a", "b", "out.json", "--workload", "cli-test-ilr", "2"]),
         argparse.Namespace,
     )
+
+
+def test_unknown_workload_refused(capsys):
+    # refused before any run, like a bad --traced name
+    with pytest.raises(SystemExit) as exit_info:
+        tool.parse_args(["a", "b", "out.json", "--workload", "cli-test-ilr", "2",
+                         "--workload", "calibrate-3x2-p3", "2"])
+    assert exit_info.value.code == 2
+    assert "unknown workload 'calibrate-3x2-p3'" in capsys.readouterr().err

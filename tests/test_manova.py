@@ -636,6 +636,14 @@ def frozen_mid_ranks(x):
     return (ranks + 1) / 2
 
 
+def block_of(layouts):
+    """One layout holding ``layouts``, all of one design, as a (b, N, p)
+    block, as ``simulation.replicate`` builds it."""
+    obs = np.stack([lay.observations for lay in layouts])
+    obs.setflags(write=False)
+    return layouts[0]._holding(obs)
+
+
 def oracle_case(case, p, design, seed, b=4):
     """``b`` layouts of one (r, c, n) design with one WeightSet each."""
     r, c, n = design
@@ -668,8 +676,8 @@ def oracle_case(case, p, design, seed, b=4):
 
 
 class TestStackedKernelsMatchFrozen:
-    """The stacked SSP and rank kernels, on a stack and on one layout,
-    equal the bodies they replaced bit for bit."""
+    """The stacked SSP and rank kernels, on a block layout and on one
+    layout, equal the bodies they replaced bit for bit."""
 
     CASES = ("shuffled", "ties", "zero_weights", "scaled1e-3", "scaled1e3")
     # the (r, c, n) designs: c = 9 and r = 9 sum more than 8 cells into a
@@ -681,10 +689,10 @@ class TestStackedKernelsMatchFrozen:
     def test_weighted_ssp(self, case, p):
         for seed, design in enumerate(self.DESIGNS):
             layouts, weights = oracle_case(case, p, design, seed)
-            # each layout alone with its own weights, and the stack of all
+            # each layout alone with its own weights, and the block of all
             # layouts under one weight set
             pairs = [(lay, ws, weighted_ssp(lay, ws)) for lay, ws in zip(layouts, weights)]
-            stacked = weighted_ssp(layouts, weights[0])
+            stacked = weighted_ssp(block_of(layouts), weights[0])
             pairs += [(lay, weights[0], got) for lay, got in zip(layouts, stacked)]
             for lay, ws, got in pairs:
                 want = frozen_weighted_ssp(lay, ws)
@@ -696,55 +704,37 @@ class TestStackedKernelsMatchFrozen:
     def test_rank_transform(self, case, p):
         for seed, design in enumerate(self.DESIGNS):
             layouts, _ = oracle_case(case, p, design, seed)
-            for lay, got in zip(layouts, rank_transform(layouts)):
+            ranked = rank_transform(block_of(layouts))
+            assert (ranked.r, ranked.c, ranked.n, ranked.p) == design + (p,)
+            assert ranked.observations.shape == (len(layouts), layouts[0].size, p)
+            assert not ranked.observations.flags.writeable
+            for lay, got in zip(layouts, ranked.observations):
                 want = frozen_mid_ranks(lay.observations).tobytes()
-                assert got.observations.tobytes() == want
+                assert got.tobytes() == want
                 assert rank_transform(lay).observations.tobytes() == want
-                assert (got.r, got.c, got.n, got.p) == (lay.r, lay.c, lay.n, lay.p)
 
     def test_all_negative_zero_cells_match_frozen(self):
         # bincount adds from +0.0; a running sum of -0.0 values stays -0.0
         cells = np.full((2, 2, 3, 1), -0.0)
         cells[1, 1] = [[1.0], [2.0], [4.0]]
         lay = layout_from_cells(cells)
-        got = classical_ssp([lay, lay])[1]
+        got = classical_ssp(block_of([lay, lay]))[1]
         want = frozen_weighted_ssp(lay, unit_weights(lay))
         for a, b in zip(ssp_fields(got), want, strict=True):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestStackedCalls:
-    def test_empty_sequences(self):
-        # an empty stack has no design to decompose
-        lay = random_layout(np.random.default_rng(17), r=2, c=2, n=4)
-        for call in (lambda: weighted_ssp([], unit_weights(lay)),
-                     lambda: classical_ssp([]),
-                     lambda: manova.method_ssp([], "rnk")):
-            with pytest.raises(DimensionError):
-                call()
-        assert rank_transform([]) == []
-
     def test_empty_stack_of_decompositions(self):
         with pytest.raises(DimensionError, match="empty sequence of decompositions"):
             SspDecomposition.stack([])
-
-    def test_mcd_takes_one_layout(self, monkeypatch):
-        def unreachable(*args):
-            raise AssertionError("fitted a sequence of layouts")
-
-        monkeypatch.setattr(manova, "robust_weights", unreachable)
-        rng = np.random.default_rng(21)
-        layouts = [random_layout(rng, r=2, c=2, n=6) for _ in range(2)]
-        for sequence in (layouts, tuple(layouts), layouts[:1], []):
-            with pytest.raises(DomainError, match='"mcd" takes one layout'):
-                manova.method_ssp(sequence, "mcd")
 
     def test_stack_weight_checks_raise_as_for_one_layout(self):
         # shape first, then too few weights, then a wiped cell, each with
         # the message a single layout gets
         rng = np.random.default_rng(18)
         lay = random_layout(rng, r=2, c=2, n=4)
-        stack = [lay, lay.with_observations(rng.normal(size=(lay.size, 2)))]
+        stack = block_of([lay, lay.with_observations(rng.normal(size=(lay.size, 2)))])
         wiped = np.ones(lay.size, dtype=np.int64)
         wiped.reshape(2, 2, 4)[1, 0] = 0
         few = np.zeros(lay.size, dtype=np.int64)
@@ -760,23 +750,13 @@ class TestStackedCalls:
                 with pytest.raises(error, match=message):
                     weighted_ssp(layout, weights)
 
-    def test_mismatched_members_rejected(self):
-        rng = np.random.default_rng(20)
-        a = random_layout(rng, r=2, c=4, n=2)
-        b = random_layout(rng, r=4, c=2, n=2)  # same N and p, another design
-        with pytest.raises(DimensionError):
-            classical_ssp([a, b])
-        with pytest.raises(DimensionError):
-            rank_transform([a, b])
-        with pytest.raises(DimensionError):
-            weighted_ssp([a, b], unit_weights(a))
-
     def test_one_weight_set_per_call(self):
         # a sequence of weight sets is refused with the package's error
         lay = random_layout(np.random.default_rng(24), r=2, c=2, n=4)
         weights = unit_weights(lay)
-        for layout, given in ((lay, [weights]), ([lay, lay], [weights, weights]),
-                              ([lay, lay], (weights,))):
+        block = block_of([lay, lay])
+        for layout, given in ((lay, [weights]), (block, [weights, weights]),
+                              (block, (weights,))):
             with pytest.raises(DimensionError, match="one WeightSet, got"):
                 weighted_ssp(layout, given)
 
@@ -787,7 +767,7 @@ def ssp_fields(d):
 
 
 class TestStackedDecomposition:
-    """A sequence call gives one stacked decomposition; its members equal
+    """A block layout gives one stacked decomposition; its members equal
     the single-layout decompositions bit for bit."""
 
     @pytest.mark.parametrize("case", TestStackedKernelsMatchFrozen.CASES)
@@ -795,8 +775,9 @@ class TestStackedDecomposition:
     def test_members_equal_single_layouts(self, case, p):
         for seed, design in enumerate(TestStackedKernelsMatchFrozen.DESIGNS):
             layouts, weights = oracle_case(case, p, design, seed)
-            calls = [(weighted_ssp, (layouts, weights[0]), [(lay, weights[0]) for lay in layouts])]
-            calls += [(manova.method_ssp, (layouts, method), [(lay, method) for lay in layouts])
+            block = block_of(layouts)
+            calls = [(weighted_ssp, (block, weights[0]), [(lay, weights[0]) for lay in layouts])]
+            calls += [(manova.method_ssp, (block, method), [(lay, method) for lay in layouts])
                       for method in ("cla", "rnk")]
             for func, stack_args, single_args in calls:
                 stacked = func(*stack_args)
@@ -812,7 +793,7 @@ class TestStackedDecomposition:
 
     def test_members_are_read_only_views(self):
         rng = np.random.default_rng(21)
-        stacked = classical_ssp([random_layout(rng) for _ in range(3)])
+        stacked = classical_ssp(block_of([random_layout(rng) for _ in range(3)]))
         member = stacked[1]
         for mat, whole in zip(ssp_fields(member), ssp_fields(stacked)):
             assert np.shares_memory(mat, whole)
@@ -917,7 +898,7 @@ class TestWeightedSsp:
         rng = np.random.default_rng(25)
         a = random_layout(rng, r=2, c=4, n=2)
         b = random_layout(rng, r=4, c=2, n=2)  # same N = 16, another design
-        for layout in (a, [a, a]):
+        for layout in (a, block_of([a, a])):
             with pytest.raises(DimensionError, match=r"4x2 design do not match the 2x4"):
                 weighted_ssp(layout, unit_weights(b))
 
@@ -1079,7 +1060,7 @@ class TestWilksMemo:
         for model in Model:
             for hyp in hypotheses_for(model):
                 # fresh decompositions on both sides, so no memo is shared
-                stacked = wilks_lambda(classical_ssp(layouts), hyp, model)
+                stacked = wilks_lambda(classical_ssp(block_of(layouts)), hyp, model)
                 lone = [wilks_lambda(classical_ssp(lay), hyp, model) for lay in layouts]
                 assert isinstance(stacked, np.ndarray) and stacked.dtype == np.float64
                 assert stacked.tobytes() == np.array(lone).tobytes()
@@ -1091,14 +1072,14 @@ class TestWilksMemo:
     )
     def test_sequence_factored_in_one_call(self, calls, model, expected):
         rng = np.random.default_rng(50)
-        ds = classical_ssp([random_layout(rng, p=3) for _ in range(5)])
+        ds = classical_ssp(block_of([random_layout(rng, p=3) for _ in range(5)]))
         for hyp in hypotheses_for(model):
             assert wilks_lambda(ds, hyp, model).shape == (5,)
         assert calls == expected
 
     def test_members_and_sub_stacks_reuse_the_memo(self, calls):
         rng = np.random.default_rng(52)
-        ds = classical_ssp([random_layout(rng) for _ in range(4)])
+        ds = classical_ssp(block_of([random_layout(rng) for _ in range(4)]))
         model = Model.WITH_INTERACTIONS
         lams = wilks_lambda(ds, Hypothesis.ROW_EFFECTS, model)
         assert wilks_lambda(ds[2], Hypothesis.ROW_EFFECTS, model) == lams[2]
@@ -1115,7 +1096,7 @@ class TestWilksMemo:
         ratios, got = [], []
         for p in (1, 2, 3):
             members = [lay for lay in layouts if lay.p == p]
-            stacked = classical_ssp(members)
+            stacked = classical_ssp(block_of(members))
             for model in Model:
                 for hyp in hypotheses_for(model):
                     got += wilks_lambda(stacked, hyp, model).tolist()

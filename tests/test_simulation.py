@@ -75,8 +75,9 @@ class TestDesignAndSpecs:
             ContaminationSpec(0.5, 1.0)
         with pytest.raises(DomainError):
             ContaminationSpec(-0.1, 1.0)
-        with pytest.raises(DomainError):
-            ContaminationSpec(0.1, -1.0)
+        for nu in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(DomainError, match="nu must be non-negative and finite"):
+                ContaminationSpec(0.1, nu)
 
     def test_mean_layout_shape_checked(self):
         with pytest.raises(DimensionError):
@@ -754,6 +755,18 @@ class TestBlockReplicate:
             drawn.append(attempts)
         assert errors[0] == errors[1]
         assert drawn[0] == drawn[1] == list(data_attempts(RngStream(65), 1030))
+
+    @pytest.mark.parametrize("method", ["cla", "rnk"])
+    def test_layouts_of_a_block_share_one_design(self, method):
+        # 2x4 and 4x2 at n = 2 hold the same N = 16 and p = 2 in another design
+        designs, drawn = (Design(2, 4, 2, 2), Design(4, 2, 2, 2)), []
+
+        def make(gen):
+            drawn.append(stream_key(gen))
+            return gen_null(designs[len(drawn) % 2], gen)
+
+        with pytest.raises(DimensionError, match=r"must share their design \(r, c, n, p\)"):
+            sim.replicate(make, RngStream(70), (method,), sim.experiment_pairs("size"), 4)
 
     def test_exhaustion_in_wilks_step(self):
         design = Design(2, 2, 6, 2)

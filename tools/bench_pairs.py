@@ -147,6 +147,10 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     args.workload = [(name, int(pairs)) for name, pairs in args.workload]
     if any(pairs < 2 for _, pairs in args.workload):
         parser.error("each workload needs at least 2 pairs")
+    for name, _ in args.workload:
+        if name not in spec.WORKLOADS:
+            known = ", ".join(sorted(spec.WORKLOADS))
+            parser.error(f"unknown workload {name!r} (choose from {known})")
     return args
 
 
