@@ -453,7 +453,7 @@ def replicate(
                     live = [layouts[i] for i in alive]
                     if len({(lay.r, lay.c, lay.n, lay.p) for lay in live}) > 1:
                         raise DimensionError(
-                            "layouts of one call must share their design (r, c, n, p)"
+                            "layouts of one block must share their design (r, c, n, p)"
                         )
                     obs = np.stack([lay.observations for lay in live])
                     obs.setflags(write=False)
