@@ -59,7 +59,7 @@ from .manova import (
     validate_layout,
 )
 from .mcd import McdConfig
-from .simulation import format_report_table, read_experiment_file
+from .simulation import _read_utf8, format_report_table, read_experiment_file
 
 __all__ = ["parse_table", "build_parser", "main"]
 
@@ -89,8 +89,9 @@ def parse_table(
     Raises
     ------
     DomainError
-        A column is named twice among the factor and response columns,
-        or a requested column appears more than once in the header.
+        The file is not UTF-8, a column is named twice among the factor
+        and response columns, or a requested column appears more than
+        once in the header.
     EmptyTable
         No lines at all, or a header without data rows.
     MissingColumn
@@ -109,10 +110,7 @@ def _read_table(
     response_cols: tuple[str, ...] | list[str],
 ) -> tuple[list[tuple], str]:
     # parse_table's rows, and the field separator it detected
-    lines = [
-        line for line in Path(path).read_text(encoding="utf-8-sig").splitlines()
-        if line.strip()
-    ]
+    lines = [line for line in _read_utf8(path).splitlines() if line.strip()]
     if not lines:
         raise EmptyTable(f"{path}: no header line")
     delim = max(_DELIMITERS, key=lines[0].count)
@@ -178,7 +176,8 @@ def _ilr_rows(values: np.ndarray) -> np.ndarray:
 
 def _ilr_layout(layout: TwoWayLayout) -> TwoWayLayout:
     """Replace each observation by its ilr coordinates."""
-    return layout.with_observations(_ilr_rows(layout.observations))
+    coords = _ilr_rows(layout.observations)
+    return TwoWayLayout(layout.r, layout.c, layout.n, coords.shape[1], coords)
 
 
 def _hypothesis_label(hypothesis: Hypothesis, factors: list[str]) -> str:

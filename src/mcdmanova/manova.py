@@ -82,7 +82,8 @@ class TwoWayLayout:
         then those of cell (0, 1), and so on, the row level major.  Inside
         :func:`~mcdmanova.simulation.replicate` it may be a (b, N, p) block
         of b replications, built by ``_holding`` only: the SSP and rank
-        kernels take a block in one pass.  The constructor takes (N, p).
+        kernels take a block in one pass.  The constructor takes (N, p)
+        and keeps a read-only copy.
     """
 
     r: int
@@ -98,25 +99,23 @@ class TwoWayLayout:
             )
         if self.n < 2:
             raise DomainError(f"need at least 2 observations per cell, got n={self.n}")
-        obs = _checked_observations(self.observations, self.size, self.p)
+        N, p = self.size, self.p
+        if p < 1:
+            raise DimensionError(f"response dimension must be positive, got p={p}")
+        obs = np.array(self.observations, dtype=np.float64, order="C")
+        if obs.shape != (N, p):
+            raise DimensionError(
+                f"observations shape {obs.shape} does not match (r*c*n, p) = {(N, p)}"
+            )
+        if not np.all(np.isfinite(obs)):
+            raise NonNumeric("observations contain non-finite values")
+        obs.setflags(write=False)
         object.__setattr__(self, "observations", obs)
 
     @property
     def size(self) -> int:
         """Total observation count N = r*c*n."""
         return self.r * self.c * self.n
-
-    def with_observations(self, observations: np.ndarray) -> TwoWayLayout:
-        """This design holding ``observations``, in cell order.
-
-        ``p`` is the column count of ``observations``.  The design was
-        validated when this layout was built, so only the observations
-        are checked, with the errors a full construction would raise for
-        them.
-        """
-        obs = np.asarray(observations, dtype=np.float64)
-        p = obs.shape[1] if obs.ndim == 2 else self.p
-        return self._holding(_checked_observations(obs, self.size, p))
 
     def _holding(self, obs: np.ndarray) -> TwoWayLayout:
         """This design holding ``obs``, a checked read-only (N, p) or (b, N, p) array."""
@@ -127,25 +126,6 @@ class TwoWayLayout:
     def cell_array(self) -> np.ndarray:
         """The observations as a read-only (r, c, n, p) view, one cell each."""
         return self.observations.reshape(self.r, self.c, self.n, self.p)
-
-
-def _checked_observations(observations, N: int, p: int) -> np.ndarray:
-    """A read-only contiguous (N, p) float copy of ``observations``.
-
-    Raises what a layout construction raises for a bad ``p``, a wrong
-    shape or a non-finite value, in that order.
-    """
-    if p < 1:
-        raise DimensionError(f"response dimension must be positive, got p={p}")
-    obs = np.array(observations, dtype=np.float64, order="C")
-    if obs.shape != (N, p):
-        raise DimensionError(
-            f"observations shape {obs.shape} does not match (r*c*n, p) = {(N, p)}"
-        )
-    if not np.all(np.isfinite(obs)):
-        raise NonNumeric("observations contain non-finite values")
-    obs.setflags(write=False)
-    return obs
 
 
 @lru_cache(maxsize=64)
@@ -172,7 +152,7 @@ def layout_from_cells(cells: np.ndarray) -> TwoWayLayout:
     if cells.ndim != 4:
         raise DimensionError(f"cells must be four-dimensional, got shape {cells.shape}")
     r, c, n, p = cells.shape
-    return _design_template(r, c, n).with_observations(cells.reshape(r * c * n, p))
+    return TwoWayLayout(r, c, n, p, cells.reshape(r * c * n, p))
 
 
 def validate_layout(raw_table: Sequence[Sequence]) -> TwoWayLayout:
@@ -354,7 +334,8 @@ class SspDecomposition:
     one array per matrix name.
 
     A stack has a length, and indexing it gives a member (read-only
-    views) or, for a slice or an index array, a smaller stack.
+    views) or, for a slice or an index array, a smaller stack; either
+    starts with an empty memo.
     """
 
     W: np.ndarray
@@ -378,16 +359,6 @@ class SspDecomposition:
         # is read-only again and starts with an empty log-det memo.
         return type(self), (self.W, self.E, self.R_row, self.R_col)
 
-    @classmethod
-    def stack(cls, members: Sequence[SspDecomposition]) -> SspDecomposition:
-        """One stacked decomposition of single ``members``, in order."""
-        if not members:
-            raise DimensionError("an empty sequence of decompositions has no shape")
-        return cls(
-            *(_read_only(np.stack([getattr(d, name) for d in members]))
-              for name in ("W", "E", "R_row", "R_col"))
-        )
-
     def __len__(self) -> int:
         if self.W.ndim == 2:
             raise TypeError("a single decomposition has no members")
@@ -396,13 +367,9 @@ class SspDecomposition:
     def __getitem__(self, index) -> SspDecomposition:
         if self.W.ndim == 2:
             raise TypeError("a single decomposition has no members")
-        part = SspDecomposition(
+        return SspDecomposition(
             self.W[index], self.E[index], self.R_row[index], self.R_col[index]
         )
-        part._log_det_memo.update(
-            (name, values[index]) for name, values in self._log_det_memo.items()
-        )
-        return part
 
 
 def weighted_ssp(layout: TwoWayLayout, weights: WeightSet) -> SspDecomposition:

@@ -36,7 +36,6 @@ from .manova import (
     METHODS,
     Hypothesis,
     Model,
-    SspDecomposition,
     TwoWayLayout,
     _design_template,
     bartlett_dfs,
@@ -88,7 +87,7 @@ _DEGENERATE = (SingularSubset, DegenerateWeights, CellWiped, NotPositiveDefinite
 # Attempts evaluated together by `replicate`; it bounds memory only.
 _BLOCK = 64
 
-# Fewest replications for which `replicate` sends its "mcd" SSPs to a
+# Fewest replications for which `replicate` sends its "mcd" attempts to a
 # process pool.  On a 2-core VM a 2-worker fork pool starts and stops in
 # 12-21 ms, and one 3x2 n=30 p=2 attempt takes ~14-16 ms, so the pool
 # breaks even near m = 4; `calibrate_design` on that design ran 1.07x /
@@ -343,8 +342,8 @@ def _usable_cores() -> int:
 
 
 def _open_pool(methods: tuple[str, ...], m: int):
-    """A fork process pool for the "mcd" SSPs of one `replicate` call,
-    and its worker count.
+    """A fork process pool for the "mcd" attempts of one `replicate`
+    call, and its worker count.
 
     The pool is None, so the call stays serial, without "mcd", below
     ``_MIN_PARALLEL_ATTEMPTS`` replications, on one usable core, inside
@@ -365,12 +364,13 @@ def _open_pool(methods: tuple[str, ...], m: int):
     return ProcessPoolExecutor(workers, multiprocessing.get_context("fork")), workers
 
 
-def _ssp_or_error(
-    layout: TwoWayLayout, mcd_config: McdConfig, rng: RngStream
-) -> SspDecomposition | Exception:
-    """One attempt's "mcd" :func:`method_ssp`, or the degeneracy it raised."""
+def _robust_lambdas(
+    layout: TwoWayLayout, pairs: tuple, mcd_config: McdConfig, rng: RngStream
+) -> list[float] | Exception:
+    """One attempt's "mcd" lambdas, one per pair, or the first degeneracy raised."""
     try:
-        return method_ssp(layout, "mcd", mcd_config, rng)
+        decomp = method_ssp(layout, "mcd", mcd_config, rng)
+        return [wilks_lambda(decomp, hypothesis, model) for model, hypothesis in pairs]
     except _DEGENERATE as exc:
         return exc
 
@@ -402,18 +402,19 @@ def replicate(
     set, which fails every attempt alike (unit weights degenerate only
     when N < p + 2); so with either method the layouts of a block must
     share one design (r, c, n, p), else ``DimensionError`` is raised.
-    The "mcd" ones come one attempt at a time and are stacked.  The
-    Wilks' Lambdas come from one :func:`wilks_lambda` call per method
-    and pair on the stack of live attempts; a stacked call that
-    degenerates is redone one attempt (member) at a time.  Lambdas,
-    redraws, attempts and the raised error equal those of evaluating one
-    attempt at a time.
+    Their Wilks' Lambdas come from one :func:`wilks_lambda` call per
+    method and pair on the block's stack; a stacked call that
+    degenerates is redone one attempt (member) at a time.  An "mcd"
+    attempt is one task, the pipeline a test runs on one table: robust
+    weights, SSP decomposition, then one Wilks' Lambda per pair.
+    Lambdas, redraws, attempts and the raised error equal those of
+    evaluating one attempt at a time.
 
     From ``_MIN_PARALLEL_ATTEMPTS`` replications on, with "mcd" among
-    the methods and more than one usable core, the per-attempt "mcd"
-    calls run on a fork process pool of ``min(cores, m)`` workers, which
-    lives until this call returns or raises.  Their outcomes merge by
-    attempt index, so every output stays the same.  Inside a
+    the methods and more than one usable core, the "mcd" tasks run on a
+    fork process pool of ``min(cores, m)`` workers, which lives until
+    this call returns or raises.  The workers return lambdas, which
+    merge by attempt index, so every output stays the same.  Inside a
     multiprocessing child, or while other threads run, the call stays
     serial.
 
@@ -449,41 +450,37 @@ def replicate(
             for method in methods:
                 if not alive:
                     break
-                if method != "mcd":
-                    live = [layouts[i] for i in alive]
-                    if len({(lay.r, lay.c, lay.n, lay.p) for lay in live}) > 1:
-                        raise DimensionError(
-                            "layouts of one block must share their design (r, c, n, p)"
-                        )
-                    obs = np.stack([lay.observations for lay in live])
-                    obs.setflags(write=False)
-                    try:
-                        stack = method_ssp(live[0]._holding(obs), method)
-                    except _DEGENERATE as exc:
-                        failed.update(dict.fromkeys(alive, exc))
-                        alive = []
-                        break
-                else:
+                if method == "mcd":
                     args = (
-                        [layouts[i] for i in alive], repeat(mcd_config),
+                        [layouts[i] for i in alive], repeat(pairs), repeat(mcd_config),
                         [base.substream(first + i, 1) for i in alive],
                     )
                     if pool is not None:
                         # one task per worker: the attempts cost about the same
                         chunk = -(-len(alive) // workers)
-                        outcomes = pool.map(_ssp_or_error, *args, chunksize=chunk)
+                        outcomes = pool.map(_robust_lambdas, *args, chunksize=chunk)
                     else:
-                        outcomes = map(_ssp_or_error, *args)
-                    singles = {}
-                    for i, outcome in zip(alive, outcomes):
-                        if isinstance(outcome, Exception):
-                            failed[i] = outcome
-                        else:
-                            singles[i] = outcome
-                    alive = list(singles)
-                    if not alive:
-                        break
-                    stack = SspDecomposition.stack(list(singles.values()))
+                        outcomes = map(_robust_lambdas, *args)
+                    results = dict(zip(alive, outcomes))
+                    failed.update(
+                        (i, r) for i, r in results.items() if isinstance(r, Exception))
+                    alive = [i for i in alive if i not in failed]
+                    for j, pair in enumerate(pairs):
+                        block[method, pair][alive] = [results[i][j] for i in alive]
+                    continue
+                live = [layouts[i] for i in alive]
+                if len({(lay.r, lay.c, lay.n, lay.p) for lay in live}) > 1:
+                    raise DimensionError(
+                        "layouts of one block must share their design (r, c, n, p)"
+                    )
+                obs = np.stack([lay.observations for lay in live])
+                obs.setflags(write=False)
+                try:
+                    stack = method_ssp(live[0]._holding(obs), method)
+                except _DEGENERATE as exc:
+                    failed.update(dict.fromkeys(alive, exc))
+                    alive = []
+                    break
                 for model, hypothesis in pairs:
                     try:
                         lams = wilks_lambda(stack, hypothesis, model)
@@ -708,17 +705,29 @@ _REQUIRED_SPEC_KEYS = ("kind", "r", "c", "p", "n", "methods", "settings", "m")
 _OPTIONAL_SPEC_KEYS = {"alpha": float, "seed": int, "epsilon": float}
 
 
+def _read_utf8(path: str | Path) -> str:
+    """The text of the UTF-8 file ``path`` (an experiment file or a CLI
+    table) less a leading byte-order mark; a byte that is not UTF-8
+    raises DomainError naming its line, as ``str.splitlines`` counts."""
+    try:
+        return Path(path).read_bytes().decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the file less its byte-order mark
+        line = len((exc.object[: exc.start].decode("utf-8") + "x").splitlines())
+        raise DomainError(
+            f"{path} line {line}: byte 0x{exc.object[exc.start]:02x} is not UTF-8"
+        ) from None
+
+
 def read_experiment_file(path: str | Path) -> ExperimentSpec:
     """Parse a key = value experiment description.
 
     Blank lines and lines starting with # are ignored.  Required keys:
     kind, r, c, p, n, methods (comma separated), settings (comma
-    separated), m.  Optional: alpha, seed, epsilon.
+    separated), m.  Optional: alpha, seed, epsilon.  The file is UTF-8.
     """
     values: dict[str, str] = {}
-    for lineno, raw in enumerate(
-        Path(path).read_text(encoding="utf-8-sig").splitlines(), start=1
-    ):
+    for lineno, raw in enumerate(_read_utf8(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

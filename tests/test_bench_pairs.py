@@ -150,3 +150,12 @@ def test_unknown_workload_refused(capsys):
                          "--workload", "calibrate-3x2-p3", "2"])
     assert exit_info.value.code == 2
     assert "unknown workload 'calibrate-3x2-p3'" in capsys.readouterr().err
+
+
+def test_non_integer_pair_count_refused(capsys):
+    # refused before any run, like a count below 2
+    with pytest.raises(SystemExit) as exit_info:
+        tool.parse_args(["a", "b", "out.json", "--workload", "calibrate-3x2-p2", "two"])
+    assert exit_info.value.code == 2
+    assert "workload 'calibrate-3x2-p2': PAIRS must be an integer, got 'two'" in (
+        capsys.readouterr().err)

@@ -808,6 +808,27 @@ class TestExitCodes:
         assert (out, err) == (
             "", f"mcdmanova: error: column {twice!r} appears more than once in the header\n")
 
+    @pytest.mark.parametrize("sub", ["test", "ilr"])
+    @pytest.mark.parametrize("mark", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+    def test_table_not_utf8(self, sub, mark, tmp_path, capsys):
+        # a Latin-1 label on line 3; a byte-order mark does not shift the count
+        data = write_balanced_csv(tmp_path / "d.csv")
+        lines = data.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b"XY", b"M\xfcnchen")
+        data.write_bytes(mark + b"\r\n".join(lines))
+        code, out, err = run_cli([sub, "--input", str(data), *BASE], capsys)
+        assert code == DomainError.exit_code == 3
+        assert (out, err) == (
+            "", f"mcdmanova: error: {data} line 3: byte 0xfc is not UTF-8\n")
+
+    def test_experiment_file_not_utf8(self, tmp_path, capsys):
+        spec = tmp_path / "exp.txt"
+        spec.write_bytes(b"kind = size\n# caf\xe9 trial\nr = 2\n")
+        code, out, err = run_cli(["simulate", "--input", str(spec)], capsys)
+        assert code == DomainError.exit_code == 3
+        assert (out, err) == (
+            "", f"mcdmanova: error: {spec} line 2: byte 0xe9 is not UTF-8\n")
+
     def test_missing_calibration(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("CAL_CACHE", raising=False)
         data = write_balanced_csv(tmp_path / "d.csv")

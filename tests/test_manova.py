@@ -261,7 +261,8 @@ class TestCellOrder:
 
 
 class TestValidatedOnce:
-    """Layouts derived inside the package reuse their design's validation."""
+    """Layouts derived inside the package equal constructed ones; the
+    generated and ranked ones reuse their design's validation."""
 
     @pytest.mark.parametrize("cells, error, message", [
         (np.full((2, 2, 3, 2), np.nan), NonNumeric,
@@ -303,30 +304,30 @@ class TestValidatedOnce:
     def test_ilr_layout_equals_construction(self):
         lay = shuffled_table_layout(62, p=3)
         parts = np.exp(lay.observations)
-        lay = lay.with_observations(parts)
+        lay = TwoWayLayout(lay.r, lay.c, lay.n, lay.p, parts)
         built = TwoWayLayout(lay.r, lay.c, lay.n, 2, ilr(parts))
         assert_same_layout(_ilr_layout(lay), built)
 
-    def test_with_observations_keeps_design_and_takes_p(self):
+    def test_design_rebuilt_with_another_p(self):
         lay = shuffled_table_layout(63)
-        twin = lay.with_observations(np.ones((lay.size, 5)))
+        twin = TwoWayLayout(lay.r, lay.c, lay.n, 5, np.ones((lay.size, 5)))
         assert twin.p == 5 and lay.p == 2
         assert (twin.r, twin.c, twin.n) == (lay.r, lay.c, lay.n)
 
-    def test_with_observations_rejects_row_count_mismatch(self):
+    def test_constructor_rejects_row_count_mismatch(self):
         lay = random_layout(np.random.default_rng(64))
         with pytest.raises(DimensionError, match=r"\(29, 2\) does not match"):
-            lay.with_observations(np.zeros((lay.size - 1, 2)))
+            TwoWayLayout(lay.r, lay.c, lay.n, 2, np.zeros((lay.size - 1, 2)))
         with pytest.raises(DimensionError, match="must be positive, got p=0"):
-            lay.with_observations(np.zeros((lay.size, 0)))
+            TwoWayLayout(lay.r, lay.c, lay.n, 0, np.zeros((lay.size, 0)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_with_observations_rejects_non_finite(self, bad):
+    def test_constructor_rejects_non_finite(self, bad):
         lay = random_layout(np.random.default_rng(65))
         obs = np.zeros((lay.size, 2))
         obs[7, 1] = bad
         with pytest.raises(NonNumeric, match="non-finite"):
-            lay.with_observations(obs)
+            TwoWayLayout(lay.r, lay.c, lay.n, 2, obs)
 
     def test_power_experiment_validates_each_design_once(self, monkeypatch):
         manova._design_template.cache_clear()
@@ -535,10 +536,10 @@ class TestCallerArraysUntouched:
         obs[0, 0] = 99.0
         assert lay.observations[0, 0] == 0.0
 
-    def test_with_observations(self):
+    def test_design_rebuilt(self):
         lay = random_layout(np.random.default_rng(80))
         obs = np.ones((lay.size, 2))
-        twin = lay.with_observations(obs)
+        twin = TwoWayLayout(lay.r, lay.c, lay.n, 2, obs)
         assert obs.flags.writeable
         obs[0, 0] = 99.0
         assert twin.observations[0, 0] == 1.0
@@ -725,16 +726,13 @@ class TestStackedKernelsMatchFrozen:
 
 
 class TestStackedCalls:
-    def test_empty_stack_of_decompositions(self):
-        with pytest.raises(DimensionError, match="empty sequence of decompositions"):
-            SspDecomposition.stack([])
-
     def test_stack_weight_checks_raise_as_for_one_layout(self):
         # shape first, then too few weights, then a wiped cell, each with
         # the message a single layout gets
         rng = np.random.default_rng(18)
         lay = random_layout(rng, r=2, c=2, n=4)
-        stack = block_of([lay, lay.with_observations(rng.normal(size=(lay.size, 2)))])
+        other = TwoWayLayout(lay.r, lay.c, lay.n, 2, rng.normal(size=(lay.size, 2)))
+        stack = block_of([lay, other])
         wiped = np.ones(lay.size, dtype=np.int64)
         wiped.reshape(2, 2, 4)[1, 0] = 0
         few = np.zeros(lay.size, dtype=np.int64)
@@ -766,6 +764,11 @@ def ssp_fields(d):
     return [getattr(d, name) for name in ("W", "E", "R_row", "R_col")]
 
 
+def stack_of(decomps):
+    """One stacked decomposition of single ``decomps``, in order."""
+    return SspDecomposition(*(np.stack(mats) for mats in zip(*map(ssp_fields, decomps))))
+
+
 class TestStackedDecomposition:
     """A block layout gives one stacked decomposition; its members equal
     the single-layout decompositions bit for bit."""
@@ -787,7 +790,7 @@ class TestStackedDecomposition:
                 for i, single in enumerate(singles):
                     for got, want in zip(ssp_fields(stacked[i]), ssp_fields(single)):
                         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-                restacked = SspDecomposition.stack(singles)
+                restacked = stack_of(singles)
                 for got, want in zip(ssp_fields(restacked), ssp_fields(stacked)):
                     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -1077,7 +1080,9 @@ class TestWilksMemo:
             assert wilks_lambda(ds, hyp, model).shape == (5,)
         assert calls == expected
 
-    def test_members_and_sub_stacks_reuse_the_memo(self, calls):
+    def test_members_and_sub_stacks_refactor_to_the_same_bits(self, calls):
+        # a member and a sub-stack start with an empty memo: each factors
+        # its own matrices once, the stack's memo serves the stack alone
         rng = np.random.default_rng(52)
         ds = classical_ssp(block_of([random_layout(rng) for _ in range(4)]))
         model = Model.WITH_INTERACTIONS
@@ -1085,7 +1090,7 @@ class TestWilksMemo:
         assert wilks_lambda(ds[2], Hypothesis.ROW_EFFECTS, model) == lams[2]
         sub = wilks_lambda(ds[[3, 1]], Hypothesis.COL_EFFECTS, model)
         assert sub.tolist() == wilks_lambda(ds, Hypothesis.COL_EFFECTS, model)[[3, 1]].tolist()
-        assert calls == [(16, 2, 2)]
+        assert calls == [(16, 2, 2), (4, 2, 2), (8, 2, 2)]
 
     def test_stack_takes_math_exp_of_each_log_ratio(self):
         # np.exp may differ from math.exp in the last bit (it does on
@@ -1127,14 +1132,14 @@ class TestWilksMemo:
         good = classical_ssp(random_layout(rng))
         sibling = SspDecomposition(W, W + R_row, R_row, np.diag([1e20, 0.0]))
         model = Model.WITH_INTERACTIONS
-        lams = wilks_lambda(SspDecomposition.stack([good, sibling]),
+        lams = wilks_lambda(stack_of([good, sibling]),
                             Hypothesis.ROW_EFFECTS, model)
         assert lams.tolist() == [
             min(lone_lambda(good.W, good.W + good.R_row), 1.0), lone_lambda(W, W + R_row)
         ]
         singular = SspDecomposition(np.zeros((2, 2)), W, R_row, R_row)
         with pytest.raises(NotPositiveDefinite) as stacked:
-            wilks_lambda(SspDecomposition.stack([good, singular, sibling]),
+            wilks_lambda(stack_of([good, singular, sibling]),
                          Hypothesis.ROW_EFFECTS, model)
         with pytest.raises(NotPositiveDefinite) as alone:
             wilks_lambda(singular, Hypothesis.ROW_EFFECTS, model)

@@ -6,6 +6,8 @@ import multiprocessing
 import pickle
 import sys
 import threading
+from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from mcdmanova.errors import (
     NotPositiveDefinite,
     SingularSubset,
 )
-from mcdmanova.manova import Hypothesis, Model, SspDecomposition
+from mcdmanova.manova import Hypothesis, Model, SspDecomposition, TwoWayLayout
 from mcdmanova.mcd import McdConfig
 from mcdmanova.simulation import (
     GRID_MAX,
@@ -649,7 +651,7 @@ def degenerate_layouts(design, bad, base):
             return layout
         x = layout.observations[:, :1]
         extra = x if how == "dup" else np.exp(x)
-        return layout.with_observations(np.hstack([x, extra]))
+        return TwoWayLayout(layout.r, layout.c, layout.n, 2, np.hstack([x, extra]))
 
     return make
 
@@ -818,7 +820,8 @@ class TestParallelReplicate:
     def test_results_survive_pickling(self):
         layout = gen_null(Design(2, 2, 8, 2), RngStream(66))
         single = manova.method_ssp(layout, "mcd", TINY, RngStream(67))
-        stacked = SspDecomposition.stack([single, single])
+        stacked = SspDecomposition(*(np.stack([mat, mat]) for mat in (
+            single.W, single.E, single.R_row, single.R_col)))
         for decomp in (single, stacked):
             manova.wilks_lambda(decomp, Hypothesis.ROW_EFFECTS, Model.ADDITIVE_ONLY)
             assert decomp._log_det_memo
@@ -889,6 +892,38 @@ class TestParallelReplicate:
             monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
             nested = outer.submit(mcd_replicate, design, 3).result(timeout=60)
         assert_same_run(nested, loop_replicate(*mcd_run(design, 3)))
+
+
+class StubSource:
+    """A calibration source whose every entry is delta = 1, q = 2."""
+
+    def entry_for(self, *args):
+        return SimpleNamespace(delta=1.0, q=2.0)
+
+
+class TestSharedPipeline:
+    """A robust null replication runs the test's own pipeline: its lambda
+    is, bit for bit, the one ``run_manova`` reports on the same data with
+    the same weight stream."""
+
+    @pytest.mark.parametrize("pooled", [False, True], ids=["serial", "pool"])
+    def test_calibration_lambda_is_the_test_lambda(self, request, pooled):
+        opened = request.getfixturevalue("pools") if pooled else []
+        design, seed, pairs = Design(3, 2, 10, 2), 71, sim.experiment_pairs("size")
+        lambdas, redraws, attempts = sim.replicate(
+            partial(gen_null, design), RngStream(seed), ("mcd",), pairs, 4, FAST
+        )
+        assert (redraws, attempts) == (0, 4)
+        assert opened == ([2] if pooled else [])
+        for k in range(4):
+            layout = gen_null(design, RngStream(seed).substream(k, 0))
+            for model, hypothesis in pairs:
+                (report,) = manova.run_manova(
+                    layout, model, "mcd", FAST, StubSource(),
+                    RngStream(seed).substream(k, 1), [hypothesis],
+                )
+                got = lambdas["mcd", (model, hypothesis)][k]
+                assert np.float64(report.lambda_).tobytes() == got.tobytes()
 
 
 class TestEdfEmitters:

@@ -144,7 +144,13 @@ def parse_args(argv: list[str] | None) -> argparse.Namespace:
     parser.add_argument("--traced", action="append", default=[], metavar="NAME",
                         choices=sorted(spec.WORKLOADS))
     args = parser.parse_args(argv)
-    args.workload = [(name, int(pairs)) for name, pairs in args.workload]
+    counts = []
+    for name, pairs in args.workload:
+        try:
+            counts.append((name, int(pairs)))
+        except ValueError:
+            parser.error(f"workload {name!r}: PAIRS must be an integer, got {pairs!r}")
+    args.workload = counts
     if any(pairs < 2 for _, pairs in args.workload):
         parser.error("each workload needs at least 2 pairs")
     for name, _ in args.workload:
